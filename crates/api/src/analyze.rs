@@ -30,8 +30,6 @@ pub struct QueryEnv<'a> {
     pub options: AnalysisOptions,
     /// Holistic sweep limit (distributed targets).
     pub max_sweeps: usize,
-    /// Simulation core for `simulate` queries.
-    pub sim_engine: twca_sim::SimEngineMode,
     /// Budget and cancellation accounting.
     pub control: &'a RequestControl,
 }
@@ -304,7 +302,6 @@ impl Analyze for ChainBackend<'_> {
                     // The wire report carries pooled totals, not the
                     // per-k window profile.
                     ks: Vec::new(),
-                    engine: env.sim_engine,
                     policy: twca_sim::ExecutionPolicy::WorstCase,
                 };
                 let report = twca_sim::MonteCarlo::new(self.system, config).run();
@@ -806,31 +803,6 @@ chain noise periodic=10 sync { task n1 prio=2 wcet=6 }
     }
 
     #[test]
-    fn solver_override_changes_nothing_observable() {
-        let session = Session::new();
-        let query = Query::Dmm {
-            chain: Some("sigma_c".into()),
-            ks: vec![3, 10, 76],
-        };
-        let default_run = session
-            .analyze(&AnalysisRequest::for_system(case_study_text()).with_query(query.clone()))
-            .outcome
-            .unwrap();
-        let iterative_run = session
-            .analyze(
-                &AnalysisRequest::for_system(case_study_text())
-                    .with_query(query)
-                    .with_options(crate::RequestOptions {
-                        solver: Some(twca_chains::SolverMode::Iterative),
-                        ..Default::default()
-                    }),
-            )
-            .outcome
-            .unwrap();
-        assert_eq!(default_run, iterative_run);
-    }
-
-    #[test]
     fn mismatched_query_and_target_are_rejected() {
         let session = Session::new();
         let path_on_chains =
@@ -885,20 +857,6 @@ chain noise periodic=10 sync { task n1 prio=2 wcet=6 }
         // Observed latency is a lower bound on the analytic WCL (331).
         assert!(row.max_latency.unwrap() <= 331);
         assert!(row.ci_low_ppm <= row.miss_rate_ppm && row.miss_rate_ppm <= row.ci_high_ppm);
-
-        // The classic-engine override changes nothing observable.
-        let classic = session
-            .analyze(
-                &AnalysisRequest::for_system(case_study_text())
-                    .with_query(simulate)
-                    .with_options(crate::RequestOptions {
-                        sim_engine: Some(twca_sim::SimEngineMode::Classic),
-                        ..Default::default()
-                    }),
-            )
-            .outcome
-            .unwrap();
-        assert_eq!(outcomes, classic);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Parallel batch-analysis engine for TWCA sweeps.
+//! Parallel batch analysis for TWCA sweeps.
 //!
 //! Design-space studies (random priority assignments, generator sweeps,
 //! sensitivity scans) analyze hundreds to millions of
 //! [`twca_model::System`]s with the same pipeline: worst-case latencies
 //! (Theorem 2), then deadline miss models over a set of window lengths
-//! (Theorem 3). This crate turns that loop into a front end that
+//! (Theorem 3). [`BatchEngine`] turns that loop into a front end that
 //!
-//! * **fans out** across CPU cores with deterministic, input-ordered
-//!   results — the parallel output is bit-identical to the serial one;
+//! * **fans out** across CPU cores through the suite's one ordered
+//!   fan-out ([`twca_model::ordered_par_map`]) — the parallel output is
+//!   bit-identical to the serial one;
 //! * **memoizes** the expensive sub-computations (busy-window fixed
 //!   points, latency analyses, overload budgets, distance lookups) in a
 //!   shared [`AnalysisCache`], so repeated work across similar systems
@@ -15,17 +16,15 @@
 //! * reports **progress** through a pluggable callback and exposes
 //!   cache effectiveness via [`BatchEngine::cache_stats`].
 //!
-//! Since the `twca-api` façade, the engine is a **thin thread fan-out
-//! over [`twca_api::Session`]**: each batch slot runs
-//! [`twca_api::Session::system_outcome`] — the same pipeline behind
-//! `twca serve`'s `full` queries — and the verdict types are the shared
-//! wire DTOs. Everything enters through [`BatchEngine::run`] on an
-//! iterator of systems.
+//! Each batch slot runs [`Session::system_outcome`] — the same pipeline
+//! behind `twca serve`'s `full` queries — and the verdict types are the
+//! shared wire DTOs, so the batch JSON ([`batch_to_json`]) and the
+//! streaming responses cannot drift apart.
 //!
 //! # Examples
 //!
 //! ```
-//! use twca_engine::BatchEngine;
+//! use twca_api::batch::BatchEngine;
 //! use twca_model::case_study;
 //!
 //! let engine = BatchEngine::new().with_ks([1, 10]);
@@ -39,21 +38,20 @@
 //! assert!(engine.cache_stats().hits > 0);
 //! ```
 
-#![warn(missing_docs)]
-
-mod json;
-mod report;
-
-pub use json::batch_to_json;
-pub use report::{ChainVerdict, SystemVerdict};
-
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use twca_api::Session;
+use crate::response::{ChainOutcome, SystemOutcome};
+use crate::session::Session;
 use twca_chains::AnalysisOptions;
 pub use twca_chains::{AnalysisCache, CacheStats};
-use twca_model::System;
+use twca_model::{ordered_par_map, System};
+
+/// The analysis outcome of one chain within a batch system.
+pub type ChainVerdict = ChainOutcome;
+
+/// The analysis outcome of one system in a batch.
+pub type SystemVerdict = SystemOutcome;
 
 /// Progress observer: called with `(completed, total)` after every
 /// finished system.
@@ -162,74 +160,106 @@ impl BatchEngine {
     /// pure function of its system, and the shared cache only ever
     /// returns values equal to what recomputation would produce.
     pub fn run(&self, systems: impl IntoIterator<Item = System>) -> Vec<SystemVerdict> {
-        let jobs: Vec<System> = systems.into_iter().collect();
-        let threads = self.effective_threads().min(jobs.len().max(1));
-        if threads <= 1 {
-            return self.run_serial(jobs);
-        }
-
-        let total = jobs.len();
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SystemVerdict>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let verdict = self.analyze_one(index, &jobs[index]);
-                    *slots[index].lock().expect("result slot poisoned") = Some(verdict);
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = &self.progress {
-                        progress(completed, total);
-                    }
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index was claimed by a worker")
-            })
-            .collect()
+        self.fan_out(systems, self.effective_threads())
     }
 
     /// Analyzes every system on the calling thread, still going through
     /// the shared cache. Reference implementation for equivalence tests
     /// and baseline benchmarks.
     pub fn run_serial(&self, systems: impl IntoIterator<Item = System>) -> Vec<SystemVerdict> {
-        let jobs: Vec<System> = systems.into_iter().collect();
-        let total = jobs.len();
-        jobs.iter()
-            .enumerate()
-            .map(|(index, system)| {
-                let verdict = self.analyze_one(index, system);
-                if let Some(progress) = &self.progress {
-                    progress(index + 1, total);
-                }
-                verdict
-            })
-            .collect()
+        self.fan_out(systems, 1)
     }
 
-    /// The per-system pipeline, delegated to the façade: latency
+    /// Fans the per-system pipeline out over `workers` threads: latency
     /// analysis per chain, then a `k`-sweep of the miss model for every
     /// deadline chain (see [`Session::system_outcome`]).
-    fn analyze_one(&self, index: usize, system: &System) -> SystemVerdict {
-        self.session.system_outcome(index, system, &self.ks)
+    fn fan_out(
+        &self,
+        systems: impl IntoIterator<Item = System>,
+        workers: usize,
+    ) -> Vec<SystemVerdict> {
+        let jobs: Vec<System> = systems.into_iter().collect();
+        let total = jobs.len();
+        let done = AtomicUsize::new(0);
+        ordered_par_map(
+            total,
+            workers,
+            || (),
+            |_, index| {
+                let verdict = self.session.system_outcome(index, &jobs[index], &self.ks);
+                let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if let Some(progress) = &self.progress {
+                    progress(completed, total);
+                }
+                verdict
+            },
+        )
     }
+}
+
+/// Renders a batch (and the cache counters of the run) as one JSON
+/// document, stable across runs and thread counts: the `systems`
+/// section is a pure function of the input, and the optional `cache`
+/// section carries only the entry count — the one cache counter that
+/// is schedule-independent (racing workers may double-count a miss,
+/// but the key set is fixed). Hit/miss diagnostics are available via
+/// [`CacheStats`] for human-facing output instead.
+///
+/// The per-chain objects are rendered by the shared DTO serializer
+/// ([`ChainOutcome::to_json`]) — the same bytes `twca serve` streams —
+/// wrapped in the batch document's stable two-space-indent scaffolding
+/// (locked by a golden-file test in `twca-cli`).
+///
+/// # Examples
+///
+/// ```
+/// use twca_api::batch::{batch_to_json, BatchEngine};
+/// use twca_model::case_study;
+///
+/// let engine = BatchEngine::new().with_ks([10]);
+/// let batch = engine.run([case_study()]);
+/// let json = batch_to_json(&batch, Some(engine.cache_stats()));
+/// assert!(json.contains("\"name\": \"sigma_c\""));
+/// assert!(json.contains("\"bound\": 5"));
+/// ```
+pub fn batch_to_json(batch: &[SystemVerdict], cache: Option<CacheStats>) -> String {
+    let mut out = String::from("{\n  \"systems\": [\n");
+    for (i, system) in batch.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"index\": {}, \"chains\": [\n",
+            system.index
+        ));
+        for (j, chain) in system.chains.iter().enumerate() {
+            out.push_str("      ");
+            out.push_str(&chain.to_json().to_string());
+            out.push_str(if j + 1 < system.chains.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
+        }
+        out.push_str("    ]}");
+        out.push_str(if i + 1 < batch.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]");
+    if let Some(stats) = cache {
+        // Only the entry count is deterministic across schedules (two
+        // workers racing on one key both record a miss, but the key set
+        // is fixed); hit/miss counters stay out of the document so
+        // parallel and serial runs render byte-identically.
+        out.push_str(&format!(
+            ",\n  \"cache\": {{\"entries\": {}}}",
+            stats.entries
+        ));
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DmmPoint;
     use twca_model::case_study;
 
     #[test]
@@ -260,7 +290,6 @@ mod tests {
 
     #[test]
     fn progress_reports_every_system() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
         let engine = BatchEngine::new()
@@ -281,5 +310,38 @@ mod tests {
         let sigma_a = batch[0].chain("sigma_a").unwrap();
         assert!(sigma_a.miss_models.is_empty());
         assert!(sigma_a.overload);
+    }
+
+    #[test]
+    fn empty_batch_renders() {
+        let json = batch_to_json(&[], None);
+        assert!(json.starts_with('{'));
+        assert!(json.contains("\"systems\": ["));
+    }
+
+    #[test]
+    fn chain_lines_match_the_legacy_hand_rolled_format() {
+        let batch = [SystemOutcome {
+            index: 0,
+            chains: vec![ChainOutcome {
+                name: "c".into(),
+                deadline: Some(100),
+                overload: false,
+                worst_case_latency: Some(35),
+                typical_latency: None,
+                miss_models: vec![DmmPoint {
+                    k: 10,
+                    bound: 0,
+                    informative: true,
+                }],
+                error: Some("why \"quoted\"".into()),
+            }],
+        }];
+        let json = batch_to_json(&batch, None);
+        assert!(json.contains(
+            "      {\"name\": \"c\", \"overload\": false, \"deadline\": 100, \"wcl\": 35, \
+             \"typical_wcl\": null, \"dmm\": [{\"k\": 10, \"bound\": 0, \"informative\": true}], \
+             \"error\": \"why \\\"quoted\\\"\"}\n"
+        ));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * the writer is **canonical**: one space after `:` and after `,`,
 //!   no newlines, object members in insertion order — the exact style
-//!   the batch JSON of `twca-engine` has always used, so the two
+//!   the batch JSON of [`crate::batch`] has always used, so the two
 //!   serializers can share bytes;
 //! * `parse` ∘ `to_string` is the identity on every value this schema
 //!   produces, which the round-trip tests rely on.

@@ -5,7 +5,7 @@
 //! cancellation.
 //!
 //! Before this crate the suite had three disjoint entry points —
-//! `twca_chains::ChainAnalysis`, `twca_engine::BatchEngine` and
+//! `twca_chains::ChainAnalysis`, the batch engine and
 //! `twca_dist::analyze` — each with its own options and result types.
 //! Here every workload is an [`AnalysisRequest`]:
 //!
@@ -26,9 +26,9 @@
 //! ([`SCHEMA_VERSION`]).
 //!
 //! The [`serve`] function runs the JSON-Lines streaming loop behind
-//! `twca serve`; `twca-engine`'s `BatchEngine` is a thread fan-out over
-//! [`Session::system_outcome`], so the batch and streaming surfaces
-//! share one pipeline and one serializer.
+//! `twca serve`; the [`batch`] module's [`batch::BatchEngine`] is a
+//! thread fan-out over [`Session::system_outcome`], so the batch and
+//! streaming surfaces share one pipeline and one serializer.
 //!
 //! The [`SystemStore`] behind the `store_put`/`store_analyze` queries
 //! can be opened durably ([`SystemStore::durable`]) over the
@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 mod analyze;
+pub mod batch;
 mod error;
 mod json;
 pub mod persist;

@@ -142,9 +142,7 @@ pub enum Query {
         ks: Vec<u64>,
     },
     /// The full batch pipeline: per-chain latencies plus a miss-model
-    /// sweep — exactly what one [`twca-engine`] batch slot computes.
-    ///
-    /// [`twca-engine`]: https://example.invalid/twca-engine
+    /// sweep — exactly what one [`crate::batch`] slot computes.
     Full {
         /// Window lengths of the sweep.
         ks: Vec<u64>,
@@ -153,6 +151,12 @@ pub enum Query {
     /// Usable without a target (see [`Target::Service`]); with a
     /// target it rides along with the analysis queries on the same
     /// session.
+    ///
+    /// The answer is a point-in-time snapshot of the counters when the
+    /// query runs. A multi-worker server may run it before an earlier
+    /// request on the same connection has been served (responses still
+    /// come back in submission order), so it need not count that
+    /// request yet.
     Stats,
     /// Stores (or replaces) a named system in the session's
     /// [`crate::SystemStore`]. Exactly one of `system` (uniprocessor
@@ -222,19 +226,6 @@ pub struct RequestOptions {
     pub max_sweeps: Option<u64>,
     /// Work budget in query units; see [`crate::RequestControl`].
     pub budget: Option<u64>,
-    /// Combination engine selection (wire values `"lazy"` /
-    /// `"materialized"`); omitted requests use the session default.
-    pub engine: Option<twca_chains::CombinationEngineMode>,
-    /// Busy-window solver selection (wire values `"scheduling-points"`
-    /// / `"iterative"`); omitted requests use the session default. The
-    /// solvers agree bit-for-bit — the switch exists for differential
-    /// testing and performance comparisons.
-    pub solver: Option<twca_chains::SolverMode>,
-    /// Simulation engine selection (wire values `"event-queue"` /
-    /// `"classic"`); omitted requests use the session default. The
-    /// engines are bit-identical — the switch exists for differential
-    /// testing and performance comparisons.
-    pub sim_engine: Option<twca_sim::SimEngineMode>,
 }
 
 impl RequestOptions {
@@ -751,27 +742,6 @@ fn options_to_json(options: &RequestOptions) -> Json {
     push("max_combinations", options.max_combinations);
     push("max_sweeps", options.max_sweeps);
     push("budget", options.budget);
-    if let Some(engine) = options.engine {
-        let name = match engine {
-            twca_chains::CombinationEngineMode::Lazy => "lazy",
-            twca_chains::CombinationEngineMode::Materialized => "materialized",
-        };
-        members.push(("engine".to_owned(), Json::Str(name.to_owned())));
-    }
-    if let Some(solver) = options.solver {
-        let name = match solver {
-            twca_chains::SolverMode::SchedulingPoints => "scheduling-points",
-            twca_chains::SolverMode::Iterative => "iterative",
-        };
-        members.push(("solver".to_owned(), Json::Str(name.to_owned())));
-    }
-    if let Some(sim_engine) = options.sim_engine {
-        let name = match sim_engine {
-            twca_sim::SimEngineMode::EventQueue => "event-queue",
-            twca_sim::SimEngineMode::Classic => "classic",
-        };
-        members.push(("sim_engine".to_owned(), Json::Str(name.to_owned())));
-    }
     Json::Object(members)
 }
 
@@ -781,64 +751,22 @@ fn options_from_json(value: &Json) -> Result<RequestOptions, ApiError> {
         .ok_or_else(|| ApiError::request("`options` must be an object"))?;
     let mut options = RequestOptions::default();
     for (key, v) in obj {
-        if key == "engine" {
-            let name = v
-                .as_str()
-                .ok_or_else(|| ApiError::request("option `engine` must be a string"))?;
-            options.engine = Some(match name {
-                "lazy" => twca_chains::CombinationEngineMode::Lazy,
-                "materialized" => twca_chains::CombinationEngineMode::Materialized,
-                other => {
-                    return Err(ApiError::request(format!(
-                        "unknown engine `{other}` (expected `lazy` or `materialized`)"
-                    )));
-                }
-            });
-            continue;
-        }
-        if key == "solver" {
-            let name = v
-                .as_str()
-                .ok_or_else(|| ApiError::request("option `solver` must be a string"))?;
-            options.solver = Some(match name {
-                "scheduling-points" => twca_chains::SolverMode::SchedulingPoints,
-                "iterative" => twca_chains::SolverMode::Iterative,
-                other => {
-                    return Err(ApiError::request(format!(
-                        "unknown solver `{other}` (expected `scheduling-points` or `iterative`)"
-                    )));
-                }
-            });
-            continue;
-        }
-        if key == "sim_engine" {
-            let name = v
-                .as_str()
-                .ok_or_else(|| ApiError::request("option `sim_engine` must be a string"))?;
-            options.sim_engine = Some(match name {
-                "event-queue" => twca_sim::SimEngineMode::EventQueue,
-                "classic" => twca_sim::SimEngineMode::Classic,
-                other => {
-                    return Err(ApiError::request(format!(
-                        "unknown sim engine `{other}` (expected `event-queue` or `classic`)"
-                    )));
-                }
-            });
-            continue;
-        }
-        let v = v
-            .as_u64()
-            .ok_or_else(|| ApiError::request(format!("option `{key}` must be an integer")))?;
-        match key.as_str() {
-            "horizon" => options.horizon = Some(v),
-            "max_q" => options.max_q = Some(v),
-            "max_combinations" => options.max_combinations = Some(v),
-            "max_sweeps" => options.max_sweeps = Some(v),
-            "budget" => options.budget = Some(v),
+        // The key is checked before the value, so an unknown option is
+        // reported as unknown whatever its value.
+        let slot = match key.as_str() {
+            "horizon" => &mut options.horizon,
+            "max_q" => &mut options.max_q,
+            "max_combinations" => &mut options.max_combinations,
+            "max_sweeps" => &mut options.max_sweeps,
+            "budget" => &mut options.budget,
             other => {
                 return Err(ApiError::request(format!("unknown option `{other}`")));
             }
-        }
+        };
+        *slot = Some(
+            v.as_u64()
+                .ok_or_else(|| ApiError::request(format!("option `{key}` must be an integer")))?,
+        );
     }
     Ok(options)
 }
@@ -933,7 +861,6 @@ mod tests {
             .with_options(RequestOptions {
                 horizon: Some(1_000_000),
                 budget: Some(500),
-                sim_engine: Some(twca_sim::SimEngineMode::Classic),
                 ..RequestOptions::default()
             });
         let wire = request.to_json().to_string();
@@ -1001,7 +928,8 @@ mod tests {
         assert!(SiteSpec::parse("/c").is_err());
         let value = Json::parse(r#"{"system": "x", "options": {"bogus": 1}}"#).unwrap();
         assert!(AnalysisRequest::from_json(&value).is_err());
-        let value = Json::parse(r#"{"system": "x", "options": {"sim_engine": "turbo"}}"#).unwrap();
-        assert!(AnalysisRequest::from_json(&value).is_err());
+        let value = Json::parse(r#"{"system": "x", "options": {"max_q": "many"}}"#).unwrap();
+        let error = AnalysisRequest::from_json(&value).unwrap_err();
+        assert!(error.message.contains("must be an integer"), "{error}");
     }
 }

@@ -1,10 +1,10 @@
 //! The typed response side of the wire schema.
 //!
 //! [`ChainOutcome`] and [`SystemOutcome`] double as the batch records
-//! of `twca-engine`: the engine's `ChainVerdict`/`SystemVerdict` are
-//! aliases of these types, and the engine's batch JSON renders each
-//! chain through [`ChainOutcome::to_json`] — one serializer for both
-//! the streaming and the batch surface.
+//! of [`crate::batch`]: its `ChainVerdict`/`SystemVerdict` are aliases
+//! of these types, and its batch JSON renders each chain through
+//! [`ChainOutcome::to_json`] — one serializer for both the streaming
+//! and the batch surface.
 
 use crate::error::ApiError;
 use crate::json::Json;

@@ -253,7 +253,7 @@ impl RequestControl {
 /// from [`AnalysisRequest`] to the [`Analyze`] backends.
 ///
 /// Sessions are cheap to clone (the cache is shared through an `Arc`)
-/// and safe to share across threads; `twca-engine`'s `BatchEngine` is a
+/// and safe to share across threads; [`crate::batch::BatchEngine`] is a
 /// thread fan-out over exactly this type.
 ///
 /// # Examples
@@ -447,7 +447,6 @@ impl Session {
             session: self,
             options,
             max_sweeps,
-            sim_engine: request.options.sim_engine.unwrap_or_default(),
             control: &control,
         };
 
@@ -677,15 +676,13 @@ impl Session {
             // deployment-level tightness/latency trade-off, set on the
             // session.
             packing_budget: self.options.packing_budget,
-            combination_engine: overrides.engine.unwrap_or(self.options.combination_engine),
-            solver: overrides.solver.unwrap_or(self.options.solver),
         }
     }
 
     /// The full batch pipeline on one system: per-chain latency bounds
     /// (with and without overload) plus a miss-model sweep over `ks`
     /// for every deadline chain — the per-slot work of
-    /// `twca-engine`'s batch runs, shared so the batch and streaming
+    /// [`crate::batch`] runs, shared so the batch and streaming
     /// surfaces cannot drift apart.
     pub fn system_outcome(&self, index: usize, system: &System, ks: &[u64]) -> SystemOutcome {
         self.system_outcome_with(index, system, ks, self.options)

@@ -153,3 +153,19 @@ fn served_stream_v1_is_stable() {
         "served bytes drifted from the recorded schema-v1 stream"
     );
 }
+
+/// Options the schema does not define are rejected by name, whatever
+/// their value — including the retired reference selectors (`solver`,
+/// `engine`, `sim_engine`), which are not product options.
+#[test]
+fn unknown_options_v1_are_rejected_by_name() {
+    let input = fixture("unknown_options_v1_requests.jsonl");
+    let expected = fixture("unknown_options_v1_responses.jsonl");
+    let mut output = Vec::new();
+    twca_api::serve(&Session::new(), input.as_bytes(), &mut output).unwrap();
+    assert_eq!(
+        String::from_utf8(output).unwrap(),
+        expected,
+        "unknown-option errors drifted from the recorded schema-v1 stream"
+    );
+}

@@ -79,55 +79,16 @@ fn knob() -> impl Strategy<Value = Option<u64>> {
     prop_oneof![Just(None), (1u64..1_000_000).prop_map(Some)]
 }
 
-fn engine() -> impl Strategy<Value = Option<twca_chains::CombinationEngineMode>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(twca_chains::CombinationEngineMode::Lazy)),
-        Just(Some(twca_chains::CombinationEngineMode::Materialized)),
-    ]
-}
-
-fn solver() -> impl Strategy<Value = Option<twca_chains::SolverMode>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(twca_chains::SolverMode::SchedulingPoints)),
-        Just(Some(twca_chains::SolverMode::Iterative)),
-    ]
-}
-
-fn sim_engine() -> impl Strategy<Value = Option<twca_sim::SimEngineMode>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(twca_sim::SimEngineMode::EventQueue)),
-        Just(Some(twca_sim::SimEngineMode::Classic)),
-    ]
-}
-
 fn options() -> impl Strategy<Value = RequestOptions> {
-    (
-        knob(),
-        knob(),
-        knob(),
-        knob(),
-        knob(),
-        engine(),
-        solver(),
-        sim_engine(),
+    (knob(), knob(), knob(), knob(), knob()).prop_map(
+        |(horizon, max_q, max_combinations, max_sweeps, budget)| RequestOptions {
+            horizon,
+            max_q,
+            max_combinations,
+            max_sweeps,
+            budget,
+        },
     )
-        .prop_map(
-            |(horizon, max_q, max_combinations, max_sweeps, budget, engine, solver, sim_engine)| {
-                RequestOptions {
-                    horizon,
-                    max_q,
-                    max_combinations,
-                    max_sweeps,
-                    budget,
-                    engine,
-                    solver,
-                    sim_engine,
-                }
-            },
-        )
 }
 
 fn target() -> impl Strategy<Value = Target> {

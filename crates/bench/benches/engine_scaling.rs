@@ -7,7 +7,7 @@ use std::hint::black_box;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use twca_engine::BatchEngine;
+use twca_api::batch::BatchEngine;
 use twca_gen::{random_system, RandomSystemConfig};
 use twca_model::System;
 

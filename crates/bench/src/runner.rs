@@ -20,9 +20,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use twca_api::{Json, Session};
+use twca_chains::reference::Reference;
 use twca_chains::{
     busy_times, latency_analysis, typical_slack, AnalysisContext, AnalysisOptions, CombinationSet,
-    DmmSweep, OverloadMode, PreparedCombinations, SolverMode,
+    DmmSweep, OverloadMode, PreparedCombinations,
 };
 use twca_dist::DistributedSystemBuilder;
 use twca_gen::{
@@ -30,7 +31,7 @@ use twca_gen::{
     StressProfile,
 };
 use twca_model::{case_study, ChainId, ChainKind, System, SystemBuilder};
-use twca_sim::{SimArena, SimEngineMode, Simulation, TraceSet};
+use twca_sim::{SimArena, Simulation, TraceSet};
 
 /// Knobs of one runner invocation.
 #[derive(Debug, Clone)]
@@ -502,9 +503,17 @@ fn materialized_pass(sites: &[CombinationSite], options: AnalysisOptions) -> u12
     acc
 }
 
-/// Forces a busy-window solver onto shared options.
-fn with_solver(options: AnalysisOptions, solver: SolverMode) -> AnalysisOptions {
-    AnalysisOptions { solver, ..options }
+/// Product and iterative-reference contexts of `systems`, in that
+/// order: the two sides of the busy-window and latency-sweep solver
+/// comparisons.
+fn solver_contexts(systems: &[System]) -> [Vec<AnalysisContext<'_>>; 2] {
+    [
+        systems.iter().map(AnalysisContext::new).collect(),
+        systems
+            .iter()
+            .map(|s| Reference::IterativeSolver.context(s))
+            .collect(),
+    ]
 }
 
 /// One busy-window pass: the Theorem 1 ladder `B(1..=48)` for every
@@ -551,13 +560,11 @@ fn convergent_distributed(
     config: &RandomDistConfig,
     options: twca_dist::DistOptions,
 ) -> twca_dist::DistributedSystem {
-    let mut iterative = options;
-    iterative.chain_options.solver = SolverMode::Iterative;
     for attempt in 0..512u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(attempt));
         let dist = random_distributed(&mut rng, config).expect("built-in topology");
         if twca_dist::analyze(&dist, options).is_ok()
-            && twca_dist::analyze(&dist, iterative).is_ok()
+            && twca_dist::reference::analyze(&dist, options, Reference::IterativeSolver).is_ok()
         {
             return dist;
         }
@@ -673,7 +680,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         best_ns: best_ns(samples, || {
             for _ in 0..5 {
                 let session = Session::new().with_options(options);
-                let engine = twca_engine::BatchEngine::from_session(session)
+                let engine = twca_api::batch::BatchEngine::from_session(session)
                     .with_ks([1, 10, 100])
                     .with_threads(1);
                 std::hint::black_box(engine.run(batch.clone()));
@@ -685,10 +692,10 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     // Busy-window and latency-sweep solver comparison: the Theorem 1/2
     // stages on high-utilization and bursty stress systems (long busy
     // windows, expensive arrival curves), identical workloads per
-    // solver. Contexts are prebuilt — both solvers share the segment
-    // views; the scheduling-point side additionally amortizes its
-    // interference plans across the passes, which is exactly the
-    // production shape (one context, many queries).
+    // solver. Contexts are prebuilt — one product and one iterative
+    // reference context per system; the product side additionally
+    // amortizes its interference plans across the passes, which is
+    // exactly the production shape (one context, many queries).
     let stress_batch = |offset: u64, profiles: [StressProfile; 2]| -> Vec<System> {
         (0..24)
             .map(|i| {
@@ -698,19 +705,16 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
             })
             .collect()
     };
-    let jump = with_solver(options, SolverMode::SchedulingPoints);
-    let iterative = with_solver(options, SolverMode::Iterative);
 
     // Busy-window ladders on convergence-friendly profiles (baseline +
     // bursty): divergent chains cost one identical horizon-bounded solve
     // under either solver, so they only dilute the comparison — the
     // warm-started rungs on *closing* windows are the contested work.
     let busy_systems = stress_batch(1_000, [StressProfile::Baseline, StressProfile::Bursty]);
-    let busy_ctxs: Vec<AnalysisContext<'_>> =
-        busy_systems.iter().map(AnalysisContext::new).collect();
+    let busy_ctxs = solver_contexts(&busy_systems);
     assert_eq!(
-        busy_window_pass(&busy_ctxs, jump),
-        busy_window_pass(&busy_ctxs, iterative),
+        busy_window_pass(&busy_ctxs[0], options),
+        busy_window_pass(&busy_ctxs[1], options),
         "the busy-window solvers disagreed on the bench workload"
     );
     // Whole latency analyses on the heavy profiles (high-utilization +
@@ -719,25 +723,24 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         1_100,
         [StressProfile::HighUtilization, StressProfile::Bursty],
     );
-    let latency_ctxs: Vec<AnalysisContext<'_>> =
-        latency_systems.iter().map(AnalysisContext::new).collect();
+    let latency_ctxs = solver_contexts(&latency_systems);
     assert_eq!(
-        latency_sweep_pass(&latency_ctxs, jump),
-        latency_sweep_pass(&latency_ctxs, iterative),
+        latency_sweep_pass(&latency_ctxs[0], options),
+        latency_sweep_pass(&latency_ctxs[1], options),
         "the latency solvers disagreed on the bench workload"
     );
-    for (id, solver_options) in [("scheduling-points", jump), ("iterative", iterative)] {
+    for (solver, id) in ["scheduling-points", "iterative"].into_iter().enumerate() {
         entries.push(BenchEntry {
             id: format!("busy_window/{id}"),
             best_ns: best_ns(samples, || {
-                std::hint::black_box(busy_window_pass(&busy_ctxs, solver_options));
+                std::hint::black_box(busy_window_pass(&busy_ctxs[solver], options));
             }),
             samples,
         });
         entries.push(BenchEntry {
             id: format!("latency_sweep/{id}"),
             best_ns: best_ns(samples, || {
-                std::hint::black_box(latency_sweep_pass(&latency_ctxs, solver_options));
+                std::hint::black_box(latency_sweep_pass(&latency_ctxs[solver], options));
             }),
             samples,
         });
@@ -748,11 +751,13 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     // linear pipeline (jitter crosses one hop per sweep, so the frontier
     // is one resource) and a wide star (the ready set fans out).
     let dist_options = twca_dist::DistOptions {
-        chain_options: jump,
+        chain_options: options,
         ..twca_dist::DistOptions::default()
     };
-    let mut dist_iterative = dist_options;
-    dist_iterative.chain_options = iterative;
+    let full_sweeps = |dist: &twca_dist::DistributedSystem| {
+        twca_dist::reference::analyze(dist, dist_options, Reference::IterativeSolver)
+            .expect("prevalidated")
+    };
     // Bursty per-resource systems: long busy windows with expensive
     // arrival curves, the production-shaped load where both the
     // worklist and the scheduling-point chain solver earn their keep
@@ -771,7 +776,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         let dist =
             convergent_distributed(config.seed.wrapping_add(2_000), &dist_config, dist_options);
         let worklist = twca_dist::analyze(&dist, dist_options).expect("prevalidated");
-        let reference = twca_dist::analyze(&dist, dist_iterative).expect("prevalidated");
+        let reference = full_sweeps(&dist);
         assert_eq!(
             (
                 worklist.sweeps(),
@@ -799,9 +804,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             id: format!("holistic_scaling/{shape}/full-sweeps"),
             best_ns: best_ns(samples, || {
-                std::hint::black_box(
-                    twca_dist::analyze(&dist, dist_iterative).expect("prevalidated"),
-                );
+                std::hint::black_box(full_sweeps(&dist));
             }),
             samples,
         });
@@ -819,9 +822,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     let mut arena = SimArena::default();
     assert_eq!(
         sim.run_in_arena(&sim_traces, &mut arena),
-        sim.clone()
-            .with_engine(SimEngineMode::Classic)
-            .run(&sim_traces),
+        twca_sim::reference::run_classic(&sim, &sim_traces),
         "the simulation engines disagreed on the bench workload"
     );
     entries.push(BenchEntry {
@@ -831,11 +832,10 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         }),
         samples,
     });
-    let classic = sim.clone().with_engine(SimEngineMode::Classic);
     entries.push(BenchEntry {
         id: "sim_throughput/classic".to_owned(),
         best_ns: best_ns(samples, || {
-            std::hint::black_box(classic.run(&sim_traces));
+            std::hint::black_box(twca_sim::reference::run_classic(&sim, &sim_traces));
         }),
         samples,
     });
@@ -1035,7 +1035,7 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
 
     let samples = if config.quick { 5 } else { 9 };
     let options = twca_dist::DistOptions {
-        chain_options: with_solver(bench_options(), SolverMode::SchedulingPoints),
+        chain_options: bench_options(),
         ..twca_dist::DistOptions::default()
     };
     let base = delta_pipeline(100, 60);

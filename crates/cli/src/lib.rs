@@ -14,7 +14,7 @@
 //! twca gantt <file> [horizon]         textual Gantt of an adversarial run
 //! twca report <file>                  Markdown analysis report
 //! twca synthesize <file> <m> <k>      search priorities satisfying (m,k)
-//! twca batch [files...] [--gen N]     parallel batch analysis (engine)
+//! twca batch [files...] [--gen N]     parallel batch analysis
 //! twca dist <file>                    distributed (linked-resource) analysis
 //! twca serve                          JSON-Lines request/response streaming
 //! twca serve --listen ADDR            multi-worker TCP analysis server
@@ -26,18 +26,21 @@
 //!
 //! `batch` flags: `--gen N` (analyze `N` generated systems), `--seed S`,
 //! `--profile P` (stress shape of generated systems), `--threads T`,
-//! `--serial`, `--k K1,K2,...`, `--json`, `--progress`.
+//! `--serial`, `--k K1,K2,...`, `--horizon H`, `--max-q Q`, `--json`,
+//! `--progress`.
 //!
 //! `fuzz` generates random scenarios (uniprocessor stress profiles and
 //! distributed topologies, including the `dist-deep` pipeline and
 //! `dist-wide` star shapes that stress the incremental holistic
 //! worklist) and checks every one against the [`twca_verify`] oracle
 //! battery: simulation soundness, cache agreement, serial/parallel
-//! agreement, backend agreement, dmm monotonicity,
-//! lazy-vs-materialized combination-engine agreement,
-//! scheduling-point-vs-iterative solver agreement,
-//! event-queue-vs-classic simulation-core agreement and Monte Carlo
-//! miss-rate soundness. Failing scenarios
+//! agreement, backend agreement, dmm monotonicity, agreement of the
+//! fast pipeline with the retained reference implementations
+//! (materialized combination engine, iterative busy-window solver and
+//! full-sweep holistic driver, classic simulation core) and Monte Carlo
+//! miss-rate soundness. The references are verifier entry points
+//! (`reference` modules of `twca-chains`, `twca-sim` and `twca-dist`);
+//! no subcommand flag selects one. Failing scenarios
 //! are auto-shrunk and persisted to the regression corpus. Flags:
 //! `--seed S`, `--iters N`, `--budget SECS`, `--profile P1,P2,...`,
 //! `--k K1,K2,...`, `--horizon H`, `--corpus DIR`, `--no-shrink`.
@@ -127,29 +130,6 @@ impl From<twca_dist::DistError> for CliError {
 fn load(path: &str) -> Result<System, CliError> {
     let text = std::fs::read_to_string(path)?;
     Ok(parse_system(&text)?)
-}
-
-/// Parses a `--solver` value (same names as the wire option).
-fn parse_solver(value: &str) -> Result<twca_chains::SolverMode, CliError> {
-    match value {
-        "scheduling-points" => Ok(twca_chains::SolverMode::SchedulingPoints),
-        "iterative" => Ok(twca_chains::SolverMode::Iterative),
-        other => Err(CliError::Usage(format!(
-            "unknown solver `{other}` (expected `scheduling-points` or `iterative`)"
-        ))),
-    }
-}
-
-/// Parses an `--engine` value of `twca sim` (same names as the wire
-/// option).
-fn parse_sim_engine(value: &str) -> Result<twca_sim::SimEngineMode, CliError> {
-    match value {
-        "event-queue" => Ok(twca_sim::SimEngineMode::EventQueue),
-        "classic" => Ok(twca_sim::SimEngineMode::Classic),
-        other => Err(CliError::Usage(format!(
-            "unknown sim engine `{other}` (expected `event-queue` or `classic`)"
-        ))),
-    }
 }
 
 fn chain_id(system: &System, name: &str) -> Result<twca_model::ChainId, CliError> {
@@ -251,14 +231,12 @@ struct SimArgs {
     seed: u64,
     threads: u64,
     chain: Option<String>,
-    engine: Option<twca_sim::SimEngineMode>,
     json: bool,
 }
 
 impl SimArgs {
     const USAGE: &'static str = "twca sim <file> [--runs N] [--horizon H] [--seed S] \
-                                 [--threads T] [--chain NAME] \
-                                 [--engine event-queue|classic] [--json]";
+                                 [--threads T] [--chain NAME] [--json]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut file = None;
@@ -269,7 +247,6 @@ impl SimArgs {
             seed: 0xD1CE,
             threads: 4,
             chain: None,
-            engine: None,
             json: false,
         };
         let mut rest = args.iter();
@@ -301,7 +278,6 @@ impl SimArgs {
                     })?;
                 }
                 "--chain" => parsed.chain = Some(value_of("--chain")?.clone()),
-                "--engine" => parsed.engine = Some(parse_sim_engine(value_of("--engine")?)?),
                 "--json" => parsed.json = true,
                 flag if flag.starts_with("--") => {
                     return Err(CliError::Usage(format!(
@@ -321,8 +297,7 @@ impl SimArgs {
 /// `twca sim`: Monte Carlo simulation through the façade — per-chain
 /// empirical miss rates with 95% confidence intervals, pooled over
 /// `--runs` seeded runs fanned across `--threads` workers. The report
-/// is deterministic in the seed at any thread count; `--engine classic`
-/// selects the retained reference core (bit-identical by construction).
+/// is deterministic in the seed at any thread count.
 ///
 /// # Errors
 ///
@@ -331,19 +306,13 @@ impl SimArgs {
 pub fn cmd_sim(args: &[String]) -> Result<String, CliError> {
     let parsed = SimArgs::parse(args)?;
     let text = std::fs::read_to_string(&parsed.file)?;
-    let mut request = AnalysisRequest::for_system(text).with_query(Query::Simulate {
+    let request = AnalysisRequest::for_system(text).with_query(Query::Simulate {
         chain: parsed.chain.clone(),
         runs: parsed.runs,
         horizon: parsed.horizon,
         seed: parsed.seed,
         threads: parsed.threads,
     });
-    if let Some(engine) = parsed.engine {
-        request = request.with_options(twca_api::RequestOptions {
-            sim_engine: Some(engine),
-            ..Default::default()
-        });
-    }
     let response = Session::new().analyze(&request);
     if parsed.json {
         return Ok(format!("{}\n", response.to_json()));
@@ -511,14 +480,12 @@ struct BatchArgs {
     progress: bool,
     horizon: u64,
     max_q: u64,
-    solver: twca_chains::SolverMode,
 }
 
 impl BatchArgs {
     const USAGE: &'static str = "twca batch [files...] [--gen N] [--seed S] [--profile P] \
                                  [--threads T] [--serial] [--k K1,K2,...] [--horizon H] \
-                                 [--max-q Q] [--solver scheduling-points|iterative] [--json] \
-                                 [--progress]";
+                                 [--max-q Q] [--json] [--progress]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut parsed = BatchArgs {
@@ -536,7 +503,6 @@ impl BatchArgs {
             // default (divergent fixed points crawl to the horizon).
             horizon: 2_000_000,
             max_q: 20_000,
-            solver: twca_chains::SolverMode::default(),
         };
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
@@ -584,7 +550,6 @@ impl BatchArgs {
                         CliError::Usage("`--max-q` expects an activation count".into())
                     })?;
                 }
-                "--solver" => parsed.solver = parse_solver(value_of("--solver")?)?,
                 "--serial" => parsed.serial = true,
                 "--json" => parsed.json = true,
                 "--progress" => parsed.progress = true,
@@ -608,7 +573,7 @@ impl BatchArgs {
 }
 
 /// `twca batch`: fan a whole set of systems out across cores through the
-/// [`twca_engine::BatchEngine`], with shared busy-window memoization.
+/// [`twca_api::batch::BatchEngine`], with shared busy-window memoization.
 ///
 /// Inputs are system description files and/or `--gen N` reproducibly
 /// generated random systems. Output is a per-system summary table, or a
@@ -644,14 +609,13 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     let options = twca_chains::AnalysisOptions {
         horizon: parsed.horizon,
         max_q: parsed.max_q,
-        solver: parsed.solver,
         ..twca_chains::AnalysisOptions::default()
     };
     // One façade session owns the cache and options; the engine is a
     // thread fan-out over it.
     let session = Session::new().with_options(options);
     let mut engine =
-        twca_engine::BatchEngine::from_session(session).with_ks(parsed.ks.iter().copied());
+        twca_api::batch::BatchEngine::from_session(session).with_ks(parsed.ks.iter().copied());
     if let Some(threads) = parsed.threads {
         engine = engine.with_threads(threads);
     }
@@ -670,7 +634,7 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     };
 
     if parsed.json {
-        return Ok(twca_engine::batch_to_json(
+        return Ok(twca_api::batch::batch_to_json(
             &batch,
             Some(engine.cache_stats()),
         ));
@@ -720,7 +684,6 @@ struct ServeArgs {
     budget: Option<u64>,
     horizon: Option<u64>,
     max_q: Option<u64>,
-    solver: Option<twca_chains::SolverMode>,
     listen: Option<String>,
     workers: Option<usize>,
     queue: Option<usize>,
@@ -735,8 +698,7 @@ struct ServeArgs {
 
 impl ServeArgs {
     const USAGE: &'static str = "twca serve [--file F] [--budget UNITS] [--horizon H] [--max-q Q] \
-                                 [--solver scheduling-points|iterative] [--listen ADDR] \
-                                 [--workers N] [--queue N] [--deadline-ms MS] \
+                                 [--listen ADDR] [--workers N] [--queue N] [--deadline-ms MS] \
                                  [--read-timeout MS] [--idle-timeout MS] [--write-buffer BYTES] \
                                  [--cache-entries N] [--cache-bytes B] [--store-dir DIR]";
 
@@ -746,7 +708,6 @@ impl ServeArgs {
             budget: None,
             horizon: None,
             max_q: None,
-            solver: None,
             listen: None,
             workers: None,
             queue: None,
@@ -784,7 +745,6 @@ impl ServeArgs {
                         CliError::Usage("`--max-q` expects an activation count".into())
                     })?);
                 }
-                "--solver" => parsed.solver = Some(parse_solver(value_of("--solver")?)?),
                 "--listen" => parsed.listen = Some(value_of("--listen")?.clone()),
                 "--workers" => {
                     parsed.workers = Some(value_of("--workers")?.parse().map_err(|_| {
@@ -849,7 +809,6 @@ impl ServeArgs {
         let mut session = Session::new().with_options(twca_chains::AnalysisOptions {
             horizon: self.horizon.unwrap_or(defaults.horizon),
             max_q: self.max_q.unwrap_or(defaults.max_q),
-            solver: self.solver.unwrap_or(defaults.solver),
             ..defaults
         });
         if let Some(budget) = self.budget {
@@ -1928,11 +1887,6 @@ chain recovery sporadic=1000 overload {
         // Only deadline chains appear by default.
         assert!(!out.contains("recovery"));
 
-        // The classic engine renders the identical report.
-        let mut classic = base.clone();
-        classic.extend(args(&["--engine", "classic"]));
-        assert_eq!(run(&classic).unwrap(), out);
-
         // --chain restricts the table; unknown names are typed errors.
         let mut one = base.clone();
         one.extend(args(&["--chain", "recovery"]));
@@ -1943,7 +1897,7 @@ chain recovery sporadic=1000 overload {
         assert!(matches!(run(&ghost), Err(CliError::Api(_))));
 
         assert!(matches!(
-            cmd_sim(&args(&[&p, "--engine", "turbo"])),
+            cmd_sim(&args(&[&p, "--turbo"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
@@ -2261,34 +2215,6 @@ chain diag sporadic=1500 overload {
         assert_ne!(baseline, degenerate);
         assert!(matches!(
             cmd_batch(&args(&["--gen", "1", "--profile", "bogus"])),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn batch_solver_flag_is_observably_inert() {
-        let default_run = cmd_batch(&args(&[
-            "--gen", "4", "--seed", "9", "--k", "1,10", "--json",
-        ]))
-        .unwrap();
-        let iterative = cmd_batch(&args(&[
-            "--gen",
-            "4",
-            "--seed",
-            "9",
-            "--k",
-            "1,10",
-            "--solver",
-            "iterative",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            default_run, iterative,
-            "the solvers must be byte-identical through the whole batch pipeline"
-        );
-        assert!(matches!(
-            cmd_batch(&args(&["--gen", "1", "--solver", "quantum"])),
             Err(CliError::Usage(_))
         ));
     }

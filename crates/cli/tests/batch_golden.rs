@@ -7,9 +7,9 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
 
-/// The fixture was recorded from the PR 1 implementation (hand-rolled
-/// JSON in `twca-engine`) with exactly these flags; the façade-backed
-/// path must not change a single byte.
+/// The fixture was recorded from the original hand-rolled batch JSON
+/// renderer with exactly these flags; the façade-backed path must not
+/// change a single byte.
 #[test]
 fn batch_json_is_byte_identical_to_the_pre_facade_output() {
     let expected = include_str!("fixtures/batch_gen6_seed3.json");

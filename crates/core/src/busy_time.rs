@@ -16,21 +16,22 @@
 //! [`BusyTimeBreakdown`] so callers can inspect *why* a busy window is
 //! long.
 //!
-//! Two solvers converge the fixed point (selected by
-//! [`crate::SolverMode`]): the default **scheduling-point** solver works
-//! off a per-`(observed, mode)` interference plan cached on the
-//! [`AnalysisContext`] — each iteration re-evaluates only the arrival
+//! The **scheduling-point** solver converges the fixed point off a
+//! per-`(observed, mode)` interference plan cached on the
+//! [`AnalysisContext`]: each iteration re-evaluates only the arrival
 //! curves whose next activation breakpoint (the pseudo-inversion jump
 //! of [`twca_curves::EventModel::next_step`], derived from the already
 //! computed count) was crossed, recognizes a candidate below every
 //! breakpoint as the fixed point without another sweep, and accepts
-//! monotone warm starts — and the retained
-//! **iterative** reference re-partitions the interferers and re-evaluates
-//! every curve per call. Both compute the identical least fixed point.
+//! monotone warm starts. The retained iterative reference
+//! ([`crate::reference::Reference::IterativeSolver`]) re-partitions the
+//! interferers and re-evaluates every curve per call; both compute the
+//! identical least fixed point.
 
-use crate::config::{AnalysisOptions, SolverMode};
+use crate::config::AnalysisOptions;
 use crate::context::AnalysisContext;
 use crate::latency::OverloadMode;
+use crate::reference::Reference;
 use twca_curves::{ActivationModel, EventModel, Time};
 use twca_model::{segments::self_header_segment, ChainId, InterferenceClass};
 
@@ -442,8 +443,8 @@ pub fn busy_time_with_extra(
 /// scheduling-point solver exploits it: the busy time is monotone in
 /// `q`, so each converged `B(q)` seeds `B(q+1)` and most rungs converge
 /// in one or two evaluations instead of a full cold fixed point. Under
-/// [`crate::SolverMode::Iterative`] every rung is solved cold, exactly
-/// as `q_max` separate calls would.
+/// the [`Reference::IterativeSolver`] reference every rung is solved
+/// cold, exactly as `q_max` separate calls would.
 ///
 /// # Panics
 ///
@@ -471,7 +472,7 @@ pub fn busy_times(
     options: AnalysisOptions,
 ) -> Vec<Option<Time>> {
     let mut ladder = Vec::with_capacity(q_max as usize);
-    if options.solver == SolverMode::SchedulingPoints && ctx.memo().is_none() {
+    if ctx.reference().is_none() && ctx.memo().is_none() {
         // Ladder-native path: one solver instance carries its per-curve
         // state up every rung — rung `q + 1` resumes from rung `q`'s
         // converged window instead of re-initializing every curve.
@@ -521,16 +522,9 @@ pub(crate) fn busy_time_seeded(
 ) -> Option<BusyTimeBreakdown> {
     assert!(q > 0, "busy times are defined for q >= 1");
     if let Some((cache, sys)) = ctx.memo() {
-        return cache.busy_time(
-            sys,
-            observed,
-            q,
-            mode,
-            extra,
-            options.horizon,
-            options.solver,
-            || compute_busy_time_with_extra(ctx, observed, q, mode, extra, options, warm),
-        );
+        return cache.busy_time(sys, observed, q, mode, extra, options.horizon, || {
+            compute_busy_time_with_extra(ctx, observed, q, mode, extra, options, warm)
+        });
     }
     compute_busy_time_with_extra(ctx, observed, q, mode, extra, options, warm)
 }
@@ -545,122 +539,11 @@ fn compute_busy_time_with_extra(
     options: AnalysisOptions,
     warm: Time,
 ) -> Option<BusyTimeBreakdown> {
-    match options.solver {
-        SolverMode::SchedulingPoints => {
-            let plan = ctx.plan(observed, mode);
-            solve_scheduling_points(&plan, q, extra, options.horizon, warm)
-        }
-        SolverMode::Iterative => compute_iterative(ctx, observed, q, mode, extra, options),
+    if ctx.reference() == Some(Reference::IterativeSolver) {
+        return crate::reference::iterative_busy_time(ctx, observed, q, mode, extra, options);
     }
-}
-
-/// The original uncached Theorem 1 successive substitution (the
-/// [`SolverMode::Iterative`] reference).
-fn compute_iterative(
-    ctx: &AnalysisContext<'_>,
-    observed: ChainId,
-    q: u64,
-    mode: OverloadMode,
-    extra: Time,
-    options: AnalysisOptions,
-) -> Option<BusyTimeBreakdown> {
-    let system = ctx.system();
-    let chain_b = system.chain(observed);
-    let own_work = q.saturating_mul(chain_b.total_wcet());
-
-    // Self-interference only applies to asynchronous chains; precompute
-    // the header subchain cost.
-    let self_header_wcet: Time = if chain_b.kind().is_synchronous() {
-        0
-    } else {
-        chain_b.wcet_of(&self_header_segment(chain_b))
-    };
-
-    // Partition the interferers once.
-    struct Interferer<'v> {
-        id: ChainId,
-        class: InterferenceClass,
-        synchronous: bool,
-        view: &'v twca_model::SegmentView,
-    }
-    let interferers: Vec<Interferer<'_>> = ctx
-        .others(observed)
-        .filter(|&a| match mode {
-            OverloadMode::Include => true,
-            OverloadMode::Exclude => !system.chain(a).is_overload(),
-        })
-        .map(|a| Interferer {
-            id: a,
-            class: ctx.view(a, observed).class(),
-            synchronous: system.chain(a).kind().is_synchronous(),
-            view: ctx.view(a, observed),
-        })
-        .collect();
-
-    // Window-independent components.
-    let mut deferred_sync: Time = 0;
-    let mut deferred_segments_const: Time = 0;
-    for i in &interferers {
-        if i.class == InterferenceClass::Deferred {
-            let chain_a = system.chain(i.id);
-            if i.synchronous {
-                deferred_sync = deferred_sync
-                    .saturating_add(i.view.critical_segment().map_or(0, |s| s.wcet(chain_a)));
-            } else {
-                deferred_segments_const =
-                    deferred_segments_const.saturating_add(i.view.segments_total_wcet(chain_a));
-            }
-        }
-    }
-
-    let constant = own_work
-        .saturating_add(deferred_sync)
-        .saturating_add(deferred_segments_const)
-        .saturating_add(extra);
-
-    // Fixed-point iteration on the window length.
-    let mut window = constant;
-    loop {
-        if window > options.horizon {
-            return None;
-        }
-        let mut self_interference: Time = 0;
-        if !chain_b.kind().is_synchronous() {
-            let backlog = chain_b.activation().eta_plus(window).saturating_sub(q);
-            self_interference = backlog.saturating_mul(self_header_wcet);
-        }
-        let mut arbitrary: Time = 0;
-        let mut deferred_async_var: Time = 0;
-        for i in &interferers {
-            let chain_a = system.chain(i.id);
-            let eta = chain_a.activation().eta_plus(window);
-            match i.class {
-                InterferenceClass::ArbitrarilyInterfering => {
-                    arbitrary = arbitrary.saturating_add(eta.saturating_mul(chain_a.total_wcet()));
-                }
-                InterferenceClass::Deferred if !i.synchronous => {
-                    deferred_async_var = deferred_async_var
-                        .saturating_add(eta.saturating_mul(i.view.header_segment_wcet(chain_a)));
-                }
-                InterferenceClass::Deferred => {}
-            }
-        }
-        let next = constant
-            .saturating_add(self_interference)
-            .saturating_add(arbitrary)
-            .saturating_add(deferred_async_var);
-        if next == window {
-            return Some(BusyTimeBreakdown {
-                own_work,
-                self_interference,
-                arbitrary,
-                deferred_async: deferred_async_var.saturating_add(deferred_segments_const),
-                deferred_sync,
-                total: window,
-            });
-        }
-        window = next;
-    }
+    let plan = ctx.plan(observed, mode);
+    solve_scheduling_points(&plan, q, extra, options.horizon, warm)
 }
 
 #[cfg(test)]
@@ -875,18 +758,15 @@ mod tests {
     fn solvers_agree_on_the_case_study() {
         let s = case_study();
         let ctx = AnalysisContext::new(&s);
-        let jump = AnalysisOptions::default();
-        let iterative = AnalysisOptions {
-            solver: SolverMode::Iterative,
-            ..AnalysisOptions::default()
-        };
+        let iterative = Reference::IterativeSolver.context(&s);
+        let opts = AnalysisOptions::default();
         for (id, _) in s.iter() {
             for mode in [OverloadMode::Include, OverloadMode::Exclude] {
                 for q in 1..=4u64 {
                     for extra in [0u64, 17, 115, 10_000] {
                         assert_eq!(
-                            busy_time_with_extra(&ctx, id, q, mode, extra, jump),
-                            busy_time_with_extra(&ctx, id, q, mode, extra, iterative),
+                            busy_time_with_extra(&ctx, id, q, mode, extra, opts),
+                            busy_time_with_extra(&iterative, id, q, mode, extra, opts),
                             "chain {id} mode {mode:?} q={q} extra={extra}"
                         );
                     }
@@ -900,19 +780,23 @@ mod tests {
     #[test]
     fn ladder_equals_pointwise_calls() {
         let s = case_study();
-        let ctx = AnalysisContext::new(&s);
-        for solver in [SolverMode::SchedulingPoints, SolverMode::Iterative] {
-            let opts = AnalysisOptions {
-                solver,
-                ..AnalysisOptions::default()
-            };
+        let opts = AnalysisOptions::default();
+        for ctx in [
+            AnalysisContext::new(&s),
+            Reference::IterativeSolver.context(&s),
+        ] {
             for (id, _) in s.iter() {
                 for mode in [OverloadMode::Include, OverloadMode::Exclude] {
                     let ladder = busy_times(&ctx, id, 6, mode, opts);
                     let pointwise: Vec<Option<Time>> = (1..=6)
                         .map(|q| busy_time(&ctx, id, q, mode, opts))
                         .collect();
-                    assert_eq!(ladder, pointwise, "chain {id} mode {mode:?} {solver:?}");
+                    assert_eq!(
+                        ladder,
+                        pointwise,
+                        "chain {id} mode {mode:?} {:?}",
+                        ctx.reference()
+                    );
                 }
             }
         }
@@ -952,31 +836,17 @@ mod tests {
             .build()
             .unwrap();
         let ctx = AnalysisContext::new(&s);
+        let iterative = Reference::IterativeSolver.context(&s);
         for horizon in [1_000u64, u64::MAX - 1, u64::MAX] {
-            let jump = AnalysisOptions {
+            let opts = AnalysisOptions {
                 horizon,
                 ..AnalysisOptions::default()
             };
-            let iterative = AnalysisOptions {
-                solver: SolverMode::Iterative,
-                ..jump
-            };
             for q in [1u64, 2] {
+                let id = ChainId::from_index(1);
                 assert_eq!(
-                    busy_time_breakdown(
-                        &ctx,
-                        ChainId::from_index(1),
-                        q,
-                        OverloadMode::Include,
-                        jump
-                    ),
-                    busy_time_breakdown(
-                        &ctx,
-                        ChainId::from_index(1),
-                        q,
-                        OverloadMode::Include,
-                        iterative
-                    ),
+                    busy_time_breakdown(&ctx, id, q, OverloadMode::Include, opts),
+                    busy_time_breakdown(&iterative, id, q, OverloadMode::Include, opts),
                     "horizon={horizon} q={q}"
                 );
             }

@@ -74,7 +74,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::busy_time::BusyTimeBreakdown;
-use crate::config::SolverMode;
 use crate::latency::{LatencyFailure, LatencyResult, OverloadMode};
 use twca_curves::{ActivationModel, Time};
 use twca_model::{ChainId, System};
@@ -235,17 +234,6 @@ fn mode_bit(mode: OverloadMode) -> u8 {
     }
 }
 
-/// The busy-window solvers agree bit-for-bit, but the cache still keys
-/// on the solver so a (hypothetical) divergence between them can never
-/// leak across the modes unnoticed — the `solver-agreement` oracle
-/// compares genuinely independent computations.
-fn solver_bit(solver: SolverMode) -> u8 {
-    match solver {
-        SolverMode::SchedulingPoints => 0,
-        SolverMode::Iterative => 1,
-    }
-}
-
 /// Key of one memoized busy-time fixed point (Theorem 1 / Equation 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BusyKey {
@@ -255,7 +243,6 @@ struct BusyKey {
     mode: u8,
     extra: Time,
     horizon: Time,
-    solver: u8,
 }
 
 /// Key of one memoized latency analysis (Theorem 2).
@@ -266,7 +253,6 @@ struct LatencyKey {
     mode: u8,
     horizon: Time,
     max_q: u64,
-    solver: u8,
 }
 
 /// Key of one memoized overload budget (Lemma 4).
@@ -300,20 +286,6 @@ struct DmmKey {
     /// 0 = sufficient (Equation 5) classification, 1 = exact
     /// (Equation 3).
     variant: u8,
-    /// Which combination engine produced the value (the engines agree
-    /// bit-for-bit wherever both run, but the lazy one also covers
-    /// instances the materialized one rejects — entries must not leak
-    /// across the modes).
-    engine: u8,
-    /// Which busy-window solver the pipeline ran under.
-    solver: u8,
-}
-
-fn engine_bit(mode: crate::config::CombinationEngineMode) -> u8 {
-    match mode {
-        crate::config::CombinationEngineMode::Lazy => 0,
-        crate::config::CombinationEngineMode::Materialized => 1,
-    }
 }
 
 const SHARDS: usize = 16;
@@ -693,7 +665,6 @@ impl AnalysisCache {
         mode: OverloadMode,
         extra: Time,
         horizon: Time,
-        solver: SolverMode,
         compute: impl FnOnce() -> Option<BusyTimeBreakdown>,
     ) -> Option<BusyTimeBreakdown> {
         let key = BusyKey {
@@ -703,7 +674,6 @@ impl AnalysisCache {
             mode: mode_bit(mode),
             extra,
             horizon,
-            solver: solver_bit(solver),
         };
         if let Some(hit) = self.busy.get(&key, sys.guard) {
             self.record(true);
@@ -718,7 +688,6 @@ impl AnalysisCache {
 
     /// Memoizes one whole latency analysis (including its typed failure
     /// reason, so detailed and collapsed lookups share entries).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn latency(
         &self,
         sys: SystemKey,
@@ -726,7 +695,6 @@ impl AnalysisCache {
         mode: OverloadMode,
         horizon: Time,
         max_q: u64,
-        solver: SolverMode,
         compute: impl FnOnce() -> Result<LatencyResult, LatencyFailure>,
     ) -> Result<LatencyResult, LatencyFailure> {
         let key = LatencyKey {
@@ -735,7 +703,6 @@ impl AnalysisCache {
             mode: mode_bit(mode),
             horizon,
             max_q,
-            solver: solver_bit(solver),
         };
         if let Some(hit) = self.latency.get(&key, sys.guard) {
             self.record(true);
@@ -802,8 +769,6 @@ impl AnalysisCache {
             max_combinations: options.max_combinations,
             packing_budget: options.packing_budget,
             variant: exact as u8,
-            engine: engine_bit(options.combination_engine),
-            solver: solver_bit(options.solver),
         };
         if let Some(hit) = self.dmm.get(&key, sys.guard) {
             self.record(true);

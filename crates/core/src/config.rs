@@ -2,57 +2,7 @@
 
 use twca_curves::Time;
 
-/// Which Definition 9 combination engine the miss-model pipeline uses.
-///
-/// The two engines produce **bit-identical** results on every instance
-/// the materialized engine can handle; the lazy engine additionally
-/// analyzes instances whose implicit combination count exceeds
-/// [`AnalysisOptions::max_combinations`] (the `twca-verify`
-/// lazy-agreement oracle holds them to that contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CombinationEngineMode {
-    /// Stream combinations through the dominance-pruned lazy engine
-    /// ([`crate::PreparedCombinations`]): per-chain options are
-    /// enumerated once into a flat arena, the unschedulable set is
-    /// counted by branch-and-bound with closed-form subtree counts, and
-    /// the Theorem 3 packing receives the inclusion-minimal item
-    /// antichain instead of exploded members. Explicit members are
-    /// reconstructed only on the witness path. The default.
-    #[default]
-    Lazy,
-    /// Materialize the full Definition 9 Cartesian product
-    /// ([`crate::CombinationSet::enumerate`]) before classifying — the
-    /// original reference pipeline, retained for differential testing
-    /// and as the execution path of the per-combination cap hook.
-    Materialized,
-}
-
-/// Which busy-window fixed-point solver the Theorem 1 / Equation 3
-/// computations use.
-///
-/// The two solvers compute the **same least fixed point** — busy times,
-/// breakdowns, divergence verdicts and everything derived from them are
-/// bit-identical (the `twca-verify` `solver-agreement` oracle holds them
-/// to that contract). They differ only in how they get there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverMode {
-    /// Jump between scheduling points: interferers are flattened once
-    /// per `(observed, mode)` into a cached interference plan, each
-    /// iteration re-evaluates only the arrival curves whose next
-    /// activation breakpoint was crossed, and a candidate below every
-    /// breakpoint is recognized as the fixed point without another
-    /// sweep. Busy times are additionally warm-started monotonically
-    /// (`B(q)` seeds `B(q+1)`; Equation 3 probes seed each other along
-    /// the threshold bisection). The default.
-    #[default]
-    SchedulingPoints,
-    /// Naive successive substitution re-partitioning the interferers
-    /// per call — the original reference solver, retained for
-    /// differential testing.
-    Iterative,
-}
-
-/// Limits and switches for the fixed-point computations and the
+/// Limits of the fixed-point computations and the
 /// combination enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisOptions {
@@ -64,27 +14,20 @@ pub struct AnalysisOptions {
     pub max_q: u64,
     /// Maximum number of combinations **materialized explicitly**.
     ///
-    /// Under [`CombinationEngineMode::Materialized`] (and the
-    /// per-combination cap hook of
-    /// [`crate::dmm::deadline_miss_model_with_caps`]) this bounds the whole
-    /// Definition 9 product, exactly as in the original pipeline. Under
-    /// the default lazy engine it bounds only *explicit* expansions —
-    /// the per-chain option arena, packing-witness rows and the
-    /// compatibility tier — not analysis feasibility: instances whose
-    /// implicit product exceeds the limit are still analyzed via the
-    /// pruned antichain path.
+    /// Under the per-combination cap hook of
+    /// [`crate::dmm::deadline_miss_model_with_caps`] (and the
+    /// [`crate::reference::Reference::MaterializedEngine`] reference)
+    /// this bounds the whole Definition 9 product. The lazy engine
+    /// bounds only *explicit* expansions with it — the per-chain option
+    /// arena, packing-witness rows and the compatibility tier — not
+    /// analysis feasibility: instances whose implicit product exceeds
+    /// the limit are still analyzed via the pruned antichain path.
     pub max_combinations: usize,
     /// Deterministic work budget of the Theorem 3 packing solver (see
     /// `twca_ilp::PackingProblem::solve_with_budget`). Exhaustion
     /// degrades the packing value to a sound upper bound, so small
     /// budgets trade tightness for speed — never soundness.
     pub packing_budget: u64,
-    /// Which combination engine classifies Definition 9 (see
-    /// [`CombinationEngineMode`]).
-    pub combination_engine: CombinationEngineMode,
-    /// Which busy-window solver converges Theorem 1 (see
-    /// [`SolverMode`]).
-    pub solver: SolverMode,
 }
 
 impl Default for AnalysisOptions {
@@ -94,8 +37,6 @@ impl Default for AnalysisOptions {
             max_q: 100_000,
             max_combinations: 1_000_000,
             packing_budget: twca_ilp::PackingProblem::DEFAULT_BUDGET,
-            combination_engine: CombinationEngineMode::default(),
-            solver: SolverMode::default(),
         }
     }
 }

@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex};
 use crate::busy_time::InterferencePlan;
 use crate::cache::{AnalysisCache, SystemKey};
 use crate::latency::OverloadMode;
+use crate::reference::Reference;
 use twca_model::{ChainId, SegmentView, System};
 
 /// Lazily-built [`InterferencePlan`]s per `(observed, mode)`, shared by
@@ -54,6 +55,10 @@ pub struct AnalysisContext<'a> {
     cache: Option<(Arc<AnalysisCache>, SystemKey)>,
     /// Interference plans of the scheduling-point busy-window solver.
     plans: PlanStore,
+    /// The reference implementation this context runs, if any. Only
+    /// [`Reference::context`] sets it, and that context never gets a
+    /// cache.
+    reference: Option<Reference>,
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -75,6 +80,16 @@ impl<'a> AnalysisContext<'a> {
             views,
             cache: None,
             plans: PlanStore::default(),
+            reference: None,
+        }
+    }
+
+    /// A memo-less context running `reference`; see
+    /// [`Reference::context`].
+    pub(crate) fn for_reference(system: &'a System, reference: Reference) -> Self {
+        AnalysisContext {
+            reference: Some(reference),
+            ..AnalysisContext::new(system)
         }
     }
 
@@ -132,6 +147,12 @@ impl<'a> AnalysisContext<'a> {
                 .entry(key)
                 .or_insert_with(|| Arc::new(InterferencePlan::build(self, observed, mode))),
         )
+    }
+
+    /// The reference implementation this context runs, `None` for the
+    /// product path.
+    pub(crate) fn reference(&self) -> Option<Reference> {
+        self.reference
     }
 
     /// The attached shared cache, if any.

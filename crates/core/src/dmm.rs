@@ -4,12 +4,13 @@
 use crate::combinations::{
     Combination, CombinationSet, ItemArena, OverloadSegment, PreparedCombinations,
 };
-use crate::config::{AnalysisOptions, CombinationEngineMode};
+use crate::config::AnalysisOptions;
 use crate::context::AnalysisContext;
 use crate::criterion::typical_slack;
 use crate::error::AnalysisError;
 use crate::latency::{latency_analysis, OverloadMode};
 use crate::omega::overload_budget;
+use crate::reference::Reference;
 use twca_curves::EventModel;
 use twca_ilp::{PackingProblem, PackingSolution};
 use twca_model::ChainId;
@@ -81,7 +82,8 @@ impl PackingItems {
 }
 
 /// Classifies the combination space of `observed` against `slack`
-/// through the engine selected in `options`.
+/// through the lazy engine (or, on a
+/// [`Reference::MaterializedEngine`] context, the materialized one).
 fn classify_combinations(
     ctx: &AnalysisContext<'_>,
     observed: ChainId,
@@ -89,26 +91,22 @@ fn classify_combinations(
     slack: i128,
     options: AnalysisOptions,
 ) -> Result<ClassifiedCombinations, AnalysisError> {
-    match options.combination_engine {
-        CombinationEngineMode::Materialized => {
-            let set = CombinationSet::enumerate(ctx, observed, options)?;
-            let multipliers = set.window_multipliers(ctx, observed, k_b);
-            let items: ItemArena = set
-                .unschedulable_scaled(slack, &multipliers)
-                .map(|c| c.members.clone())
-                .collect();
-            Ok(ClassifiedCombinations {
-                segments: set.segments().to_vec(),
-                combinations: set.combinations().len(),
-                unschedulable: items.len(),
-                items: PackingItems::Explicit(items),
-            })
-        }
-        CombinationEngineMode::Lazy => {
-            let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-            classify_lazy(prepared, slack, options)
-        }
+    if ctx.reference() == Some(Reference::MaterializedEngine) {
+        let set = CombinationSet::enumerate(ctx, observed, options)?;
+        let multipliers = set.window_multipliers(ctx, observed, k_b);
+        let items: ItemArena = set
+            .unschedulable_scaled(slack, &multipliers)
+            .map(|c| c.members.clone())
+            .collect();
+        return Ok(ClassifiedCombinations {
+            segments: set.segments().to_vec(),
+            combinations: set.combinations().len(),
+            unschedulable: items.len(),
+            items: PackingItems::Explicit(items),
+        });
     }
+    let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
+    classify_lazy(prepared, slack, options)
 }
 
 /// The lazy tier choice; see [`PackingItems`] for why each tier is
@@ -165,7 +163,7 @@ fn classify_lazy(
 
 /// Every unschedulable combination explicitly, for the per-combination
 /// cap hook (whose artificial cap resources defeat the antichain
-/// reduction). Mirrors the materialized product gate in both modes.
+/// reduction). Mirrors the materialized product gate on every context.
 fn explicit_unschedulable_for_hook(
     ctx: &AnalysisContext<'_>,
     observed: ChainId,
@@ -173,30 +171,26 @@ fn explicit_unschedulable_for_hook(
     slack: i128,
     options: AnalysisOptions,
 ) -> Result<(Vec<OverloadSegment>, usize, Vec<Combination>), AnalysisError> {
-    match options.combination_engine {
-        CombinationEngineMode::Materialized => {
-            let set = CombinationSet::enumerate(ctx, observed, options)?;
-            let multipliers = set.window_multipliers(ctx, observed, k_b);
-            let combos: Vec<Combination> = set
-                .unschedulable_scaled(slack, &multipliers)
-                .cloned()
-                .collect();
-            Ok((set.segments().to_vec(), set.combinations().len(), combos))
-        }
-        CombinationEngineMode::Lazy => {
-            let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-            let total = prepared.total_combinations();
-            if total >= options.max_combinations as u128 {
-                return Err(AnalysisError::TooManyCombinations {
-                    limit: options.max_combinations,
-                });
-            }
-            let combos = prepared
-                .expand_unschedulable(slack, options.max_combinations)
-                .expect("the product fits the explicit cap");
-            Ok((prepared.segments().to_vec(), total as usize, combos))
-        }
+    if ctx.reference() == Some(Reference::MaterializedEngine) {
+        let set = CombinationSet::enumerate(ctx, observed, options)?;
+        let multipliers = set.window_multipliers(ctx, observed, k_b);
+        let combos: Vec<Combination> = set
+            .unschedulable_scaled(slack, &multipliers)
+            .cloned()
+            .collect();
+        return Ok((set.segments().to_vec(), set.combinations().len(), combos));
     }
+    let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
+    let total = prepared.total_combinations();
+    if total >= options.max_combinations as u128 {
+        return Err(AnalysisError::TooManyCombinations {
+            limit: options.max_combinations,
+        });
+    }
+    let combos = prepared
+        .expand_unschedulable(slack, options.max_combinations)
+        .expect("the product fits the explicit cap");
+    Ok((prepared.segments().to_vec(), total as usize, combos))
 }
 
 /// A computed deadline miss model value `dmm_b(k)`, with the intermediate
@@ -542,50 +536,45 @@ fn compute_deadline_miss_model_exact(
         });
     }
 
-    let classified = match options.combination_engine {
-        CombinationEngineMode::Materialized => {
-            let set = CombinationSet::enumerate(ctx, observed, options)?;
-            let multipliers = set.window_multipliers(ctx, observed, k_b);
-            let items: ItemArena = set
-                .combinations()
-                .iter()
-                .filter(|c| {
-                    let cost = set.effective_cost(c, &multipliers);
-                    // Fast path: Equation 5 proves schedulability.
-                    if (cost as i128) <= slack {
-                        return false;
-                    }
-                    !crate::criterion::combination_schedulable_exact(
-                        ctx, observed, cost, k_b, options,
-                    )
-                })
-                .map(|c| c.members.clone())
-                .collect();
-            ClassifiedCombinations {
-                segments: set.segments().to_vec(),
-                combinations: set.combinations().len(),
-                unschedulable: items.len(),
-                items: PackingItems::Explicit(items),
-            }
+    let classified = if ctx.reference() == Some(Reference::MaterializedEngine) {
+        let set = CombinationSet::enumerate(ctx, observed, options)?;
+        let multipliers = set.window_multipliers(ctx, observed, k_b);
+        let items: ItemArena = set
+            .combinations()
+            .iter()
+            .filter(|c| {
+                let cost = set.effective_cost(c, &multipliers);
+                // Fast path: Equation 5 proves schedulability.
+                if (cost as i128) <= slack {
+                    return false;
+                }
+                !crate::criterion::combination_schedulable_exact(ctx, observed, cost, k_b, options)
+            })
+            .map(|c| c.members.clone())
+            .collect();
+        ClassifiedCombinations {
+            segments: set.segments().to_vec(),
+            combinations: set.combinations().len(),
+            unschedulable: items.len(),
+            items: PackingItems::Explicit(items),
         }
-        CombinationEngineMode::Lazy => {
-            // Equation 3 only sees a combination through its total
-            // cost, and the injected cost enters the busy-window fixed
-            // point as a constant, so exact schedulability is monotone
-            // (downward closed) in the cost: one threshold bisection
-            // replaces the per-combination fixed points, and the slack
-            // machinery classifies against the exact threshold.
-            let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-            let threshold = exact_threshold(
-                ctx,
-                observed,
-                k_b,
-                slack,
-                prepared.max_total_cost(),
-                options,
-            );
-            classify_lazy(prepared, threshold, options)?
-        }
+    } else {
+        // Equation 3 only sees a combination through its total cost,
+        // and the injected cost enters the busy-window fixed point as a
+        // constant, so exact schedulability is monotone (downward
+        // closed) in the cost: one threshold bisection replaces the
+        // per-combination fixed points, and the slack machinery
+        // classifies against the exact threshold.
+        let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
+        let threshold = exact_threshold(
+            ctx,
+            observed,
+            k_b,
+            slack,
+            prepared.max_total_cost(),
+            options,
+        );
+        classify_lazy(prepared, threshold, options)?
     };
     let omegas = budgets(ctx, observed, k, &full);
     let (packed, packing_exact) = if classified.unschedulable == 0 {
@@ -1540,35 +1529,31 @@ mod tests {
         let systems = [case_study(), borderline_system()];
         for s in &systems {
             let ctx = AnalysisContext::new(s);
-            let lazy = AnalysisOptions::default();
-            let reference = AnalysisOptions {
-                combination_engine: crate::CombinationEngineMode::Materialized,
-                ..AnalysisOptions::default()
-            };
+            let mat = Reference::MaterializedEngine.context(s);
+            let opts = AnalysisOptions::default();
             for (id, chain) in s.iter() {
                 if chain.deadline().is_none() {
                     continue;
                 }
-                let sweep_lazy = DmmSweep::prepare(&ctx, id, lazy).unwrap();
-                let sweep_ref = DmmSweep::prepare(&ctx, id, reference).unwrap();
+                let sweep_lazy = DmmSweep::prepare(&ctx, id, opts).unwrap();
+                let sweep_ref = DmmSweep::prepare(&mat, id, opts).unwrap();
                 for k in [1u64, 2, 3, 7, 10, 76, 250] {
                     assert_eq!(
-                        deadline_miss_model(&ctx, id, k, lazy).unwrap(),
-                        deadline_miss_model(&ctx, id, k, reference).unwrap(),
+                        deadline_miss_model(&ctx, id, k, opts).unwrap(),
+                        deadline_miss_model(&mat, id, k, opts).unwrap(),
                         "dmm({k})"
                     );
                     assert_eq!(sweep_lazy.at(k), sweep_ref.at(k), "sweep({k})");
                     assert_eq!(sweep_lazy.witness(k), sweep_ref.witness(k), "witness({k})");
                     assert_eq!(
-                        deadline_miss_model_exact(&ctx, id, k, lazy).unwrap(),
-                        deadline_miss_model_exact(&ctx, id, k, reference).unwrap(),
+                        deadline_miss_model_exact(&ctx, id, k, opts).unwrap(),
+                        deadline_miss_model_exact(&mat, id, k, opts).unwrap(),
                         "exact dmm({k})"
                     );
                     let cap_one = |_c: &Combination, _s: &[OverloadSegment]| Some(1u64);
                     assert_eq!(
-                        deadline_miss_model_with_caps(&ctx, id, k, lazy, Some(&cap_one)).unwrap(),
-                        deadline_miss_model_with_caps(&ctx, id, k, reference, Some(&cap_one))
-                            .unwrap(),
+                        deadline_miss_model_with_caps(&ctx, id, k, opts, Some(&cap_one)).unwrap(),
+                        deadline_miss_model_with_caps(&mat, id, k, opts, Some(&cap_one)).unwrap(),
                         "capped dmm({k})"
                     );
                 }
@@ -1604,30 +1589,18 @@ mod tests {
         }
         let s = builder.build().unwrap();
         let ctx = AnalysisContext::new(&s);
+        let mat = Reference::MaterializedEngine.context(&s);
         let victim = ChainId::from_index(0);
         let tight = AnalysisOptions {
             max_combinations: 1_000,
             ..AnalysisOptions::default()
         };
-        let materialized_tight = AnalysisOptions {
-            combination_engine: crate::CombinationEngineMode::Materialized,
-            ..tight
-        };
         assert_eq!(
-            deadline_miss_model(&ctx, victim, 10, materialized_tight).unwrap_err(),
+            deadline_miss_model(&mat, victim, 10, tight).unwrap_err(),
             AnalysisError::TooManyCombinations { limit: 1_000 }
         );
         let lazy = deadline_miss_model(&ctx, victim, 10, tight).unwrap();
-        let reference = deadline_miss_model(
-            &ctx,
-            victim,
-            10,
-            AnalysisOptions {
-                combination_engine: crate::CombinationEngineMode::Materialized,
-                ..AnalysisOptions::default()
-            },
-        )
-        .unwrap();
+        let reference = deadline_miss_model(&mat, victim, 10, AnalysisOptions::default()).unwrap();
         assert_eq!(lazy, reference);
         assert!(lazy.combinations > 100_000);
     }

@@ -145,15 +145,9 @@ pub fn latency_analysis_detailed(
     options: AnalysisOptions,
 ) -> Result<LatencyResult, LatencyFailure> {
     if let Some((cache, sys)) = ctx.memo() {
-        return cache.latency(
-            sys,
-            observed,
-            mode,
-            options.horizon,
-            options.max_q,
-            options.solver,
-            || compute_latency_analysis(ctx, observed, mode, options),
-        );
+        return cache.latency(sys, observed, mode, options.horizon, options.max_q, || {
+            compute_latency_analysis(ctx, observed, mode, options)
+        });
     }
     compute_latency_analysis(ctx, observed, mode, options)
 }

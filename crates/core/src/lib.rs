@@ -20,7 +20,9 @@
 //! * weakly-hard `(m,k)` verification and overload sensitivity on top —
 //!   [`weakly_hard`];
 //! * a tighter, trace-assumption-based refinement of the overload budgets
-//!   (documented extension, not part of the paper) — [`refinement`].
+//!   (documented extension, not part of the paper) — [`refinement`];
+//! * the retained reference implementations the verifier checks the
+//!   fast pipeline against — [`reference`](mod@reference).
 //!
 //! The entry point for most users is [`ChainAnalysis`].
 //!
@@ -62,6 +64,7 @@ mod explain;
 pub mod latency;
 pub mod omega;
 pub mod paths;
+pub mod reference;
 pub mod refinement;
 mod report;
 pub mod weakly_hard;
@@ -78,7 +81,7 @@ pub use cache::{
 pub use combinations::{
     Combination, CombinationSet, ItemArena, OverloadSegment, PreparedCombinations,
 };
-pub use config::{AnalysisOptions, CombinationEngineMode, SolverMode};
+pub use config::AnalysisOptions;
 pub use context::AnalysisContext;
 pub use criterion::{combination_schedulable_exact, typical_load, typical_slack};
 pub use dmm::{

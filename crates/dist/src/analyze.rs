@@ -1,15 +1,14 @@
 //! The holistic fixed-point iteration: per-resource chain analysis
 //! alternating with output event-model propagation along the links.
 //!
-//! Two fixed-point drivers share the propagation rules (selected by the
-//! busy-window [`twca_chains::SolverMode`] of the chain options): the
-//! default **dirty-resource worklist** re-analyzes only resources whose
-//! effective activation models changed in the previous propagation,
-//! mutates activation updates in place, keeps one memoized analysis
-//! cache alive across sweeps (keyed by the effective systems' activation
-//! fingerprints), and fans ready resources out across threads; the
-//! retained **full-sweep** reference re-analyzes every resource on every
-//! sweep. Both produce byte-identical results — effective systems,
+//! The **dirty-resource worklist** driver re-analyzes only resources
+//! whose effective activation models changed in the previous
+//! propagation, mutates activation updates in place, keeps one memoized
+//! analysis cache alive across sweeps (keyed by the effective systems'
+//! activation fingerprints), and fans ready resources out across
+//! threads. The retained **full-sweep** driver in [`crate::reference`]
+//! re-analyzes every resource on every sweep under the same propagation
+//! rules. Both produce byte-identical results — effective systems,
 //! latency bounds, sweep counts and error behavior (the `twca-verify`
 //! `solver-agreement` oracle pins the contract).
 
@@ -18,20 +17,16 @@ use std::sync::Mutex;
 
 use crate::error::DistError;
 use crate::system::{DistributedSystem, ResourceId, SiteId};
-use twca_chains::{
-    deadline_miss_model, AnalysisContext, AnalysisOptions, ChainAnalysis, SolverMode, SystemKey,
-};
+use twca_chains::reference::Reference;
+use twca_chains::{deadline_miss_model, AnalysisContext, AnalysisOptions, SystemKey};
 use twca_curves::{ActivationModel, EventModel, Time};
 use twca_independent::propagate_output_model;
-use twca_model::System;
+use twca_model::{ordered_par_map, System};
 
 /// Options of the distributed analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistOptions {
-    /// Options forwarded to every per-resource chain analysis (whose
-    /// [`twca_chains::SolverMode`] also selects the holistic driver:
-    /// the incremental worklist by default, the full-sweep reference
-    /// under [`SolverMode::Iterative`]).
+    /// Options forwarded to every per-resource chain analysis.
     pub chain_options: AnalysisOptions,
     /// Maximum number of holistic sweeps before reporting
     /// [`DistError::Diverged`]. Must be at least 1 (the fixed point
@@ -77,7 +72,11 @@ pub fn jitter_shifted(model: &ActivationModel, jitter: Time) -> ActivationModel 
 
 /// Propagation with an explicit lower bound `floor` on the output's
 /// minimum event distance (the consumer-visible completion spacing).
-fn propagate_with_floor(model: &ActivationModel, jitter: Time, floor: Time) -> ActivationModel {
+pub(crate) fn propagate_with_floor(
+    model: &ActivationModel,
+    jitter: Time,
+    floor: Time,
+) -> ActivationModel {
     let floor = floor.max(1);
     if let ActivationModel::Never(_) = model {
         return model.clone();
@@ -95,11 +94,14 @@ fn propagate_with_floor(model: &ActivationModel, jitter: Time, floor: Time) -> A
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistResults {
     /// Per-resource systems with propagated activation models applied.
-    effective: Vec<System>,
+    pub(crate) effective: Vec<System>,
     /// `wcl[resource][chain]`.
-    wcl: Vec<Vec<Option<Time>>>,
-    sweeps: usize,
-    options: DistOptions,
+    pub(crate) wcl: Vec<Vec<Option<Time>>>,
+    pub(crate) sweeps: usize,
+    pub(crate) options: DistOptions,
+    /// The reference the results were computed (and answer miss-model
+    /// queries) under; `None` for [`analyze`].
+    pub(crate) reference: Option<Reference>,
 }
 
 impl DistResults {
@@ -162,7 +164,10 @@ impl DistResults {
         k: u64,
     ) -> Result<twca_chains::DmmResult, DistError> {
         let system = &self.effective[site.resource().index()];
-        let ctx = AnalysisContext::new(system);
+        let ctx = match self.reference {
+            Some(reference) => reference.context(system),
+            None => AnalysisContext::new(system),
+        };
         match deadline_miss_model(&ctx, site.chain(), k, self.options.chain_options) {
             Ok(dmm) => Ok(dmm),
             Err(twca_chains::AnalysisError::MissingDeadline { .. }) => {
@@ -175,7 +180,11 @@ impl DistResults {
 
 /// Computes the completion-spacing floor and response jitter of a
 /// producer chain with worst-case latency `wcl`.
-fn propagation_parameters(system: &System, chain: twca_model::ChainId, wcl: Time) -> (Time, Time) {
+pub(crate) fn propagation_parameters(
+    system: &System,
+    chain: twca_model::ChainId,
+    wcl: Time,
+) -> (Time, Time) {
     let chain = system.chain(chain);
     // Completions lag activations by anything in [0, WCL]: the full
     // latency bound is the propagated jitter (sound, and what the
@@ -202,10 +211,9 @@ fn propagation_parameters(system: &System, chain: twca_model::ChainId, wcl: Time
 /// propagates each link source's output event model (input model
 /// shifted by its response jitter, floored by its completion spacing)
 /// into the destination chain. The iteration converges when no
-/// effective model changes. Under the default scheduling-point solver
-/// only *dirty* resources are re-analyzed (see the module docs); under
-/// [`SolverMode::Iterative`] every resource is re-analyzed every sweep.
-/// Results are identical either way.
+/// effective model changes. Only *dirty* resources are re-analyzed (see
+/// the module docs); the results are identical to the full-sweep
+/// [`crate::reference::analyze`].
 ///
 /// # Errors
 ///
@@ -221,13 +229,7 @@ pub fn analyze(system: &DistributedSystem, options: DistOptions) -> Result<DistR
     if options.max_sweeps == 0 {
         return Err(DistError::ZeroSweeps);
     }
-    match options.chain_options.solver {
-        SolverMode::SchedulingPoints => {
-            let mut rows = HashMap::new();
-            worklist_pass(system, options, &mut rows).map(|(results, _)| results)
-        }
-        SolverMode::Iterative => analyze_full_sweeps(system, options),
-    }
+    worklist_pass(system, options, &mut HashMap::new()).map(|(results, _)| results)
 }
 
 /// Upper bound on retained memo rows before a [`HolisticMemo`] resets
@@ -315,9 +317,6 @@ pub struct DeltaReport {
 /// [`analyze`] of the same system (the `delta-agreement` verify oracle
 /// pins this).
 ///
-/// Under [`SolverMode::Iterative`] (the full-sweep reference driver)
-/// the memo is bypassed and every resource is analyzed every sweep.
-///
 /// # Errors
 ///
 /// Exactly those of [`analyze`].
@@ -328,14 +327,6 @@ pub fn analyze_with_memo(
 ) -> Result<(DistResults, DeltaReport), DistError> {
     if options.max_sweeps == 0 {
         return Err(DistError::ZeroSweeps);
-    }
-    if options.chain_options.solver == SolverMode::Iterative {
-        let results = analyze_full_sweeps(system, options)?;
-        let report = DeltaReport {
-            rows_analyzed: system.resources().len() * results.sweeps(),
-            memo_hits: 0,
-        };
-        return Ok((results, report));
     }
     let mut inner = memo.inner.lock().expect("holistic memo poisoned");
     if inner.options != Some(options) || inner.rows.len() > MEMO_MAX_ROWS {
@@ -351,14 +342,14 @@ pub fn analyze_with_memo(
 /// to be a link source).
 type WclRow = Vec<Result<Time, twca_chains::LatencyFailure>>;
 
-/// Analyzes one effective resource system into its latency row.
-fn wcl_row(local: &System, options: AnalysisOptions) -> WclRow {
-    let analysis = ChainAnalysis::new(local).with_options(options);
-    local
+/// Analyzes one effective resource system (the system of `ctx`) into
+/// its latency row.
+pub(crate) fn wcl_row(ctx: &AnalysisContext<'_>, options: AnalysisOptions) -> WclRow {
+    ctx.system()
         .iter()
         .map(|(id, _)| {
             twca_chains::latency_analysis_detailed(
-                analysis.context(),
+                ctx,
                 id,
                 twca_chains::OverloadMode::Include,
                 options,
@@ -373,41 +364,21 @@ fn wcl_row(local: &System, options: AnalysisOptions) -> WclRow {
 const PARALLEL_THRESHOLD: usize = 4;
 
 /// Analyzes the dirty resources, fanning out across threads when the
-/// ready set is wide (star/tree topologies). Results are ordered by
-/// resource index and bit-identical to the serial path — each row is a
-/// pure function of its effective system.
-fn analyze_dirty(
-    effective: &[System],
-    dirty: &[usize],
-    options: AnalysisOptions,
-) -> Vec<(usize, WclRow)> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(dirty.len());
-    if workers <= 1 || dirty.len() < PARALLEL_THRESHOLD {
-        return dirty
-            .iter()
-            .map(|&i| (i, wcl_row(&effective[i], options)))
-            .collect();
-    }
-    let chunk = dirty.len().div_ceil(workers);
-    let mut rows = Vec::with_capacity(dirty.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = dirty
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|&i| (i, wcl_row(&effective[i], options)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            rows.extend(handle.join().expect("worklist worker panicked"));
-        }
-    });
-    rows
+/// ready set is wide (star/tree topologies). Rows come back in `dirty`
+/// order and bit-identical to the serial path — each row is a pure
+/// function of its effective system.
+fn analyze_dirty(effective: &[System], dirty: &[usize], options: AnalysisOptions) -> Vec<WclRow> {
+    let workers = if dirty.len() < PARALLEL_THRESHOLD {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
+    ordered_par_map(
+        dirty.len(),
+        workers,
+        || (),
+        |_, j| wcl_row(&AnalysisContext::new(&effective[dirty[j]]), options),
+    )
 }
 
 /// The incremental driver: a dirty-resource worklist over the link
@@ -461,10 +432,7 @@ fn worklist_pass(
         report.memo_hits += keys.len() - to_analyze.len();
         let misses: Vec<usize> = to_analyze.iter().map(|&(i, _)| i).collect();
         let rows = analyze_dirty(&effective, &misses, options.chain_options);
-        debug_assert_eq!(rows.len(), to_analyze.len());
-        for ((i, row), &(j, key)) in rows.into_iter().zip(&to_analyze) {
-            debug_assert_eq!(i, j);
-            let _ = i;
+        for (row, &(_, key)) in rows.into_iter().zip(&to_analyze) {
             row_memo.insert(key, row);
         }
         for (i, key) in keys {
@@ -513,69 +481,9 @@ fn worklist_pass(
                     .collect(),
                 sweeps: sweep,
                 options,
+                reference: None,
             };
             return Ok((results, report));
-        }
-    }
-    Err(DistError::Diverged {
-        sweeps: options.max_sweeps,
-    })
-}
-
-/// The full-sweep reference driver: every resource re-analyzed on every
-/// sweep, whole systems re-cloned per propagated link — retained for
-/// differential testing against the worklist.
-fn analyze_full_sweeps(
-    system: &DistributedSystem,
-    options: DistOptions,
-) -> Result<DistResults, DistError> {
-    let mut effective: Vec<System> = system
-        .resources()
-        .iter()
-        .map(|r| r.system().clone())
-        .collect();
-
-    for sweep in 1..=options.max_sweeps {
-        // Per-resource chain analysis under the current models.
-        let wcl: Vec<Vec<Result<Time, twca_chains::LatencyFailure>>> = effective
-            .iter()
-            .map(|local| wcl_row(local, options.chain_options))
-            .collect();
-
-        // Propagate along every link.
-        let mut changed = false;
-        for link in system.links() {
-            let (from, to) = (link.from(), link.to());
-            let bound = match wcl[from.resource().index()][from.chain().index()] {
-                Ok(bound) => bound,
-                Err(reason) => {
-                    return Err(DistError::UnboundedLatency {
-                        site: from,
-                        reason: Some(reason),
-                    });
-                }
-            };
-            let source_system = &effective[from.resource().index()];
-            let input = source_system.chain(from.chain()).activation().clone();
-            let (floor, jitter) = propagation_parameters(source_system, from.chain(), bound);
-            let output = propagate_with_floor(&input, jitter, floor);
-            let destination = &effective[to.resource().index()];
-            if *destination.chain(to.chain()).activation() != output {
-                effective[to.resource().index()] = destination.with_activation(to.chain(), output);
-                changed = true;
-            }
-        }
-
-        if !changed {
-            return Ok(DistResults {
-                effective,
-                wcl: wcl
-                    .into_iter()
-                    .map(|row| row.into_iter().map(Result::ok).collect())
-                    .collect(),
-                sweeps: sweep,
-                options,
-            });
         }
     }
     Err(DistError::Diverged {
@@ -650,10 +558,8 @@ mod tests {
         };
         assert_eq!(analyze(&dist, options).unwrap_err(), DistError::ZeroSweeps);
         // Both drivers reject at the boundary.
-        let mut iterative = options;
-        iterative.chain_options.solver = twca_chains::SolverMode::Iterative;
         assert_eq!(
-            analyze(&dist, iterative).unwrap_err(),
+            crate::reference::analyze(&dist, options, Reference::IterativeSolver).unwrap_err(),
             DistError::ZeroSweeps
         );
     }
@@ -722,9 +628,9 @@ mod tests {
         let dist = builder.build().unwrap();
 
         let worklist = analyze(&dist, DistOptions::default()).unwrap();
-        let mut iterative_options = DistOptions::default();
-        iterative_options.chain_options.solver = twca_chains::SolverMode::Iterative;
-        let reference = analyze(&dist, iterative_options).unwrap();
+        let reference =
+            crate::reference::analyze(&dist, DistOptions::default(), Reference::IterativeSolver)
+                .unwrap();
 
         assert_eq!(worklist.sweeps(), reference.sweeps());
         assert!(worklist.sweeps() > 1, "propagation must actually happen");
@@ -825,20 +731,5 @@ mod tests {
         assert!(report.rows_analyzed > 0, "stale rows must not be reused");
         memo.clear();
         assert!(memo.is_empty());
-    }
-
-    /// The iterative reference driver bypasses the memo but reports
-    /// honest telemetry.
-    #[test]
-    fn iterative_driver_bypasses_the_memo() {
-        let memo = HolisticMemo::new();
-        let dist = pipeline(3, None);
-        let mut options = DistOptions::default();
-        options.chain_options.solver = twca_chains::SolverMode::Iterative;
-        let (results, report) = analyze_with_memo(&dist, options, &memo).unwrap();
-        assert_eq!(results, analyze(&dist, options).unwrap());
-        assert_eq!(report.memo_hits, 0);
-        assert_eq!(report.rows_analyzed, 3 * results.sweeps());
-        assert!(memo.is_empty(), "the reference driver must not populate it");
     }
 }

@@ -54,6 +54,7 @@ mod analyze;
 mod error;
 mod parse;
 mod path;
+pub mod reference;
 mod sensitivity;
 mod simulate;
 mod system;

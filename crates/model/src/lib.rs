@@ -53,6 +53,7 @@ mod chain;
 mod dot;
 mod error;
 mod ids;
+mod par;
 mod parse;
 pub mod segments;
 mod system;
@@ -67,6 +68,7 @@ pub use chain::{Chain, ChainKind};
 pub use dot::render_dot;
 pub use error::ModelError;
 pub use ids::{ChainId, Priority, TaskRef};
+pub use par::ordered_par_map;
 pub use parse::{parse_system, render_system, ParseError};
 pub use segments::{ActiveSegment, InterferenceClass, Segment, SegmentView};
 pub use system::System;

@@ -1005,6 +1005,18 @@ pub(crate) mod tests {
         let sink = SharedSink::default();
         let conn = Connection::new(Box::new(sink.clone()));
         pool.submit(&conn, 0, request_line("warm"));
+        // `stats` is a point-in-time snapshot and the pool may run it on
+        // another worker before the earlier request is served: wait
+        // until that response is out (a worker counts a request served
+        // before delivering its response).
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sink.text().lines().count() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the warm request was never answered"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         pool.submit(&conn, 1, "{\"queries\": [{\"stats\": {}}]}".into());
         pool.shutdown();
         let last = sink.text().lines().last().unwrap().to_owned();

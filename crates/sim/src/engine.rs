@@ -1,14 +1,13 @@
 //! The discrete-event scheduling engine.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event_queue::{self, SimArena};
-use crate::gantt::{ExecutionSpan, ExecutionTrace};
-use crate::metrics::{ChainStats, InstanceRecord};
+use crate::gantt::ExecutionTrace;
+use crate::metrics::ChainStats;
 use crate::trace::TraceSet;
 use twca_curves::Time;
-use twca_model::{ChainId, ChainKind, System};
+use twca_model::{ChainId, System};
 
 /// Why an execution-time policy was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,23 +106,6 @@ impl ExecutionPolicy {
     }
 }
 
-/// Which simulation core executes a run.
-///
-/// Both cores implement the exact same scheduling semantics and produce
-/// bit-identical results — the classic chain-scan engine is retained as
-/// the differential baseline for the `sim-agreement` verify oracle,
-/// mirroring the solver flag of the busy-window analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimEngineMode {
-    /// The event-queue core: arrival min-heap plus a reusable arena,
-    /// `O(log n)` per scheduling decision (default).
-    #[default]
-    EventQueue,
-    /// The original engine that rescans every chain at every scheduling
-    /// decision, `O(chains)` per step.
-    Classic,
-}
-
 /// A ready job. Ordering puts the job to schedule next on top of a
 /// max-heap: highest task priority first, then earliest activation, then
 /// lowest release sequence number (deterministic FIFO tie-break).
@@ -178,7 +160,6 @@ pub struct Simulation<'a> {
     /// `links[x] = Some(y)`: completing an instance of chain `x`
     /// activates chain `y` (path semantics, footnote 1 of the paper).
     pub(crate) links: Vec<Option<usize>>,
-    pub(crate) engine: SimEngineMode,
 }
 
 /// Per-chain observation records produced by [`Simulation::run`].
@@ -210,21 +191,8 @@ impl SimulationResult {
     }
 }
 
-/// Per-chain bookkeeping during a run.
-struct ChainState {
-    kind: ChainKind,
-    /// Activations not yet released (time-sorted).
-    pending: VecDeque<Time>,
-    /// Synchronous backlog: activations waiting for the previous instance.
-    backlog: VecDeque<Time>,
-    /// Whether a synchronous instance is currently in flight.
-    active: bool,
-    records: Vec<InstanceRecord>,
-}
-
 impl<'a> Simulation<'a> {
-    /// Creates a simulation with the worst-case execution policy and the
-    /// default [`SimEngineMode::EventQueue`] core.
+    /// Creates a simulation with the worst-case execution policy.
     pub fn new(system: &'a System) -> Self {
         let links = vec![None; system.chains().len()];
         Simulation {
@@ -232,7 +200,6 @@ impl<'a> Simulation<'a> {
             policy: ExecutionPolicy::WorstCase,
             record_execution: false,
             links,
-            engine: SimEngineMode::default(),
         }
     }
 
@@ -280,14 +247,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Selects the simulation core. Both cores produce bit-identical
-    /// results; see [`SimEngineMode`].
-    #[must_use]
-    pub fn with_engine(mut self, engine: SimEngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Enables or disables recording of the full execution trace
     /// (who ran when), retrievable via
     /// [`SimulationResult::execution_trace`].
@@ -303,25 +262,12 @@ impl<'a> Simulation<'a> {
     ///
     /// Panics if `traces` does not match the system (one trace per chain).
     pub fn run(&self, traces: &TraceSet) -> SimulationResult {
-        assert_eq!(
-            traces.traces().len(),
-            self.system.chains().len(),
-            "trace set does not match system"
-        );
-        match self.engine {
-            SimEngineMode::EventQueue => {
-                let mut arena = SimArena::new();
-                event_queue::execute(self, traces.traces(), &mut arena);
-                arena.materialize(self.system, self.record_execution)
-            }
-            SimEngineMode::Classic => self.run_classic(traces.traces()),
-        }
+        self.run_in_arena(traces, &mut SimArena::new())
     }
 
-    /// Runs on the event-queue core reusing `arena`'s buffers, so repeated
+    /// Like [`Simulation::run`], reusing `arena`'s buffers, so repeated
     /// runs over the same (or same-sized) system allocate nothing in the
-    /// steady state. The configured [`SimEngineMode`] is ignored — this
-    /// entry point *is* the event-queue core.
+    /// steady state.
     ///
     /// # Panics
     ///
@@ -335,201 +281,6 @@ impl<'a> Simulation<'a> {
         event_queue::execute(self, traces.traces(), arena);
         arena.materialize(self.system, self.record_execution)
     }
-
-    pub(crate) fn run_classic(&self, traces: &[crate::trace::Trace]) -> SimulationResult {
-        let mut states: Vec<ChainState> = self
-            .system
-            .chains()
-            .iter()
-            .zip(traces)
-            .map(|(chain, trace)| ChainState {
-                kind: chain.kind(),
-                pending: trace.times().iter().copied().collect(),
-                backlog: VecDeque::new(),
-                active: false,
-                records: Vec::new(),
-            })
-            .collect();
-
-        let mut ready: BinaryHeap<Job> = BinaryHeap::new();
-        let mut time: Time = 0;
-        let mut seq: u64 = 0;
-        let mut execution_trace = self.record_execution.then(ExecutionTrace::new);
-
-        loop {
-            // Release every activation due at or before `time`.
-            for (chain_idx, state) in states.iter_mut().enumerate() {
-                while state.pending.front().is_some_and(|&t| t <= time) {
-                    let activation = state.pending.pop_front().expect("checked non-empty");
-                    release_instance(
-                        self.system,
-                        self.policy,
-                        chain_idx,
-                        activation,
-                        time,
-                        state,
-                        &mut ready,
-                        &mut seq,
-                    );
-                }
-            }
-
-            let next_activation = states
-                .iter()
-                .filter_map(|s| s.pending.front().copied())
-                .min();
-
-            let Some(job) = ready.peek() else {
-                match next_activation {
-                    Some(t) => {
-                        time = time.max(t);
-                        continue;
-                    }
-                    None => break, // no ready work, no future arrivals
-                }
-            };
-
-            let finish = time + job.remaining;
-            if let Some(t_act) = next_activation {
-                if t_act < finish {
-                    // Run the current job up to the arrival, then rescan
-                    // (the arrival may preempt).
-                    let mut job = ready.pop().expect("peeked non-empty");
-                    job.remaining -= t_act - time;
-                    if let Some(trace) = execution_trace.as_mut() {
-                        trace.record(ExecutionSpan {
-                            chain: job.chain,
-                            instance: job.instance,
-                            task_index: job.task_index,
-                            start: time,
-                            end: t_act,
-                        });
-                    }
-                    time = t_act;
-                    ready.push(job);
-                    continue;
-                }
-            }
-
-            // The job completes before anything else happens.
-            let job = ready.pop().expect("peeked non-empty");
-            if let Some(trace) = execution_trace.as_mut() {
-                trace.record(ExecutionSpan {
-                    chain: job.chain,
-                    instance: job.instance,
-                    task_index: job.task_index,
-                    start: time,
-                    end: finish,
-                });
-            }
-            time = finish;
-            self.complete_job(job, time, &mut states, &mut ready, &mut seq);
-        }
-
-        let chains = states
-            .into_iter()
-            .zip(self.system.chains())
-            .map(|(state, chain)| ChainStats::new(state.records, chain.deadline()))
-            .collect();
-        SimulationResult {
-            chains,
-            execution_trace,
-        }
-    }
-
-    fn complete_job(
-        &self,
-        job: Job,
-        now: Time,
-        states: &mut [ChainState],
-        ready: &mut BinaryHeap<Job>,
-        seq: &mut u64,
-    ) {
-        let chain = &self.system.chains()[job.chain];
-        if job.task_index + 1 < chain.len() {
-            // Release the successor task of the same instance.
-            let next = &chain.tasks()[job.task_index + 1];
-            *seq += 1;
-            ready.push(Job {
-                priority: next.priority().level(),
-                activation: job.activation,
-                seq: *seq,
-                chain: job.chain,
-                instance: job.instance,
-                task_index: job.task_index + 1,
-                remaining: self.policy.execution_time(next.wcet()),
-            });
-            return;
-        }
-        // Chain instance complete.
-        let state = &mut states[job.chain];
-        state.records[job.instance].complete(now);
-        state.active = false;
-        if state.kind.is_synchronous() {
-            if let Some(activation) = state.backlog.pop_front() {
-                release_instance(
-                    self.system,
-                    self.policy,
-                    job.chain,
-                    activation,
-                    now,
-                    state,
-                    ready,
-                    seq,
-                );
-            }
-        }
-        // Path link: the completion activates the downstream chain.
-        if let Some(target) = self.links[job.chain] {
-            let target_state = &mut states[target];
-            release_instance(
-                self.system,
-                self.policy,
-                target,
-                now,
-                now,
-                target_state,
-                ready,
-                seq,
-            );
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn release_instance(
-    system: &System,
-    policy: ExecutionPolicy,
-    chain_idx: usize,
-    activation: Time,
-    now: Time,
-    state: &mut ChainState,
-    ready: &mut BinaryHeap<Job>,
-    seq: &mut u64,
-) {
-    if state.kind.is_synchronous() && state.active {
-        state.backlog.push_back(activation);
-        return;
-    }
-    let chain = &system.chains()[chain_idx];
-    let header = chain.header_task();
-    let instance = state.records.len();
-    state.records.push(InstanceRecord::activated(activation));
-    state.active = true;
-    *seq += 1;
-    ready.push(Job {
-        priority: header.priority().level(),
-        activation,
-        seq: *seq,
-        chain: chain_idx,
-        instance,
-        task_index: 0,
-        remaining: policy.execution_time(header.wcet()),
-    });
-    // `now` is when the release happens; for synchronous backlogged
-    // activations this is later than `activation`, which is exactly what
-    // end-to-end latency must measure from.
-    let _ = now;
 }
 
 #[cfg(test)]
@@ -737,12 +488,12 @@ mod tests {
             let mut b = SystemBuilder::new();
             for i in 0..6 {
                 b = b
-                    .chain(&format!("c{i}"))
+                    .chain(format!("c{i}"))
                     .periodic(40 + 13 * i as u64)
                     .unwrap()
                     .deadline(80)
-                    .task(&format!("a{i}"), (i % 3 + 1) as u32, 3)
-                    .task(&format!("b{i}"), 1, 2)
+                    .task(format!("a{i}"), (i % 3 + 1) as u32, 3)
+                    .task(format!("b{i}"), 1, 2)
                     .done();
             }
             b.build().unwrap()
@@ -752,15 +503,11 @@ mod tests {
                 TraceSet::max_rate(system, 5_000),
                 crate::trace::adversarial_aligned_traces(system, 5_000),
             ] {
-                let classic = Simulation::new(system)
-                    .with_engine(SimEngineMode::Classic)
-                    .with_execution_trace(true)
-                    .run(&traces);
-                let event_queue = Simulation::new(system)
-                    .with_engine(SimEngineMode::EventQueue)
-                    .with_execution_trace(true)
-                    .run(&traces);
-                assert_eq!(classic, event_queue);
+                let sim = Simulation::new(system).with_execution_trace(true);
+                assert_eq!(
+                    crate::reference::run_classic(&sim, &traces),
+                    sim.run(&traces)
+                );
             }
         }
     }

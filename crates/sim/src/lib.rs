@@ -14,11 +14,11 @@
 //! * the scheduler is deadline-agnostic: instances always run to
 //!   completion.
 //!
-//! Two cores implement these semantics: the default zero-allocation
-//! event-queue engine ([`SimArena`], [`SimEngineMode::EventQueue`]) and
-//! the original chain-scan engine ([`SimEngineMode::Classic`]), retained
-//! as a differential baseline — they are bit-identical by construction
-//! and pinned so by the `sim-agreement` verify oracle. On top, the
+//! A zero-allocation event-queue core ([`SimArena`]) implements these
+//! semantics. The original chain-scan engine is retained in
+//! [`reference`](mod@reference) as its differential baseline — the two are
+//! bit-identical by construction and pinned so by the `sim-agreement`
+//! verify oracle. On top, the
 //! [`MonteCarlo`] driver fans seeded runs across threads to produce
 //! per-chain empirical miss-rate curves with confidence intervals.
 //!
@@ -52,9 +52,10 @@ mod gantt;
 mod metrics;
 mod monitor;
 mod montecarlo;
+pub mod reference;
 mod trace;
 
-pub use engine::{ExecutionPolicy, PolicyError, SimEngineMode, Simulation, SimulationResult};
+pub use engine::{ExecutionPolicy, PolicyError, Simulation, SimulationResult};
 pub use event_queue::SimArena;
 pub use falsify::{falsify, FalsificationConfig, FalsificationOutcome};
 pub use gantt::{ExecutionSpan, ExecutionTrace};

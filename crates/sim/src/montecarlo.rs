@@ -1,13 +1,12 @@
 //! Parallel Monte Carlo simulation: empirical miss-rate curves with
 //! confidence intervals.
 //!
-//! The driver fans a batch of seeded runs across worker threads using
-//! the same pattern as `twca-engine`'s batch fan-out: an atomic work
-//! index hands out run indices, every run's totals land in an
-//! input-ordered slot, and the final aggregation folds integer totals in
-//! run order — so the report is **bit-identical for any thread count**.
-//! Each worker owns one reusable [`SimArena`], keeping the hot loop
-//! allocation-free.
+//! The driver fans a batch of seeded runs across worker threads through
+//! the suite's one ordered fan-out ([`twca_model::ordered_par_map`]):
+//! every run's totals come back in run order, and the final aggregation
+//! folds integer totals in that order — so the report is
+//! **bit-identical for any thread count**. Each worker owns one
+//! reusable [`SimArena`], keeping the hot loop allocation-free.
 //!
 //! Every run derives its activation traces from the batched max-rate
 //! trace by transformations that provably preserve event-model
@@ -22,15 +21,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use crate::engine::{ExecutionPolicy, SimEngineMode, Simulation};
+use crate::engine::{ExecutionPolicy, Simulation};
 use crate::event_queue::{self, SimArena};
 use crate::metrics::{max_misses_in_flag_window, InstanceRecord};
 use crate::trace::{batched_max_rate_trace, Trace};
 use twca_curves::{EventModel, Time};
-use twca_model::System;
+use twca_model::{ordered_par_map, System};
 
 /// The house seed-mixing constant (golden-ratio increment), matching the
 /// per-iteration derivation of the fuzz harness.
@@ -50,8 +47,6 @@ pub struct MonteCarloConfig {
     pub threads: usize,
     /// Window lengths for the empirical weakly-hard profile.
     pub ks: Vec<u64>,
-    /// Which simulation core executes the runs.
-    pub engine: SimEngineMode,
     /// Execution-time policy applied to every run.
     pub policy: ExecutionPolicy,
 }
@@ -64,7 +59,6 @@ impl Default for MonteCarloConfig {
             seed: 0xD1CE,
             threads: 1,
             ks: vec![1, 2, 5, 10],
-            engine: SimEngineMode::default(),
             policy: ExecutionPolicy::WorstCase,
         }
     }
@@ -228,38 +222,25 @@ impl<'a> MonteCarlo<'a> {
     /// `(system, config minus threads)`: any thread count yields a
     /// bit-identical report.
     pub fn run(&self) -> MonteCarloReport {
+        self.run_on(false)
+    }
+
+    /// [`MonteCarlo::run`] on the event-queue core, or with `classic`
+    /// on the reference core of [`crate::reference::monte_carlo_classic`].
+    pub(crate) fn run_on(&self, classic: bool) -> MonteCarloReport {
         let cfg = &self.config;
-        let runs = cfg.runs as usize;
         let base: Vec<Trace> = self
             .system
             .chains()
             .iter()
             .map(|c| batched_max_rate_trace(c.activation(), cfg.horizon))
             .collect();
-
-        let slots: Vec<Mutex<Option<RunTotals>>> = (0..runs).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let worker = || {
-            let mut worker = Worker::new(self.system, cfg, &base);
-            loop {
-                let run = next.fetch_add(1, Ordering::Relaxed);
-                if run >= runs {
-                    break;
-                }
-                let totals = worker.simulate(run);
-                *slots[run].lock().expect("slot lock poisoned") = Some(totals);
-            }
-        };
-        let threads = cfg.threads.clamp(1, runs.max(1));
-        if threads <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(worker);
-                }
-            });
-        }
+        let totals = ordered_par_map(
+            cfg.runs as usize,
+            cfg.threads,
+            || Worker::new(self.system, cfg, &base, classic),
+            |worker, run| worker.simulate(run),
+        );
 
         let mut chains: Vec<ChainMissProfile> = self
             .system
@@ -274,12 +255,8 @@ impl<'a> MonteCarlo<'a> {
                 window_misses: cfg.ks.iter().map(|&k| (k, 0)).collect(),
             })
             .collect();
-        for slot in slots {
-            let totals = slot
-                .into_inner()
-                .expect("slot lock poisoned")
-                .expect("every run index was claimed by a worker");
-            for (profile, t) in chains.iter_mut().zip(totals) {
+        for run in totals {
+            for (profile, t) in chains.iter_mut().zip(run) {
                 profile.instances += t.completed;
                 profile.misses += t.misses;
                 profile.max_latency = match (profile.max_latency, t.max_latency) {
@@ -307,6 +284,8 @@ struct Worker<'a> {
     cfg: &'a MonteCarloConfig,
     base: &'a [Trace],
     sim: Simulation<'a>,
+    /// Run on the classic reference core instead of the arena.
+    classic: bool,
     arena: SimArena,
     scratch: Vec<Trace>,
     flags: Vec<bool>,
@@ -314,14 +293,18 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(system: &'a System, cfg: &'a MonteCarloConfig, base: &'a [Trace]) -> Self {
+    fn new(
+        system: &'a System,
+        cfg: &'a MonteCarloConfig,
+        base: &'a [Trace],
+        classic: bool,
+    ) -> Self {
         Worker {
             system,
             cfg,
             base,
-            sim: Simulation::new(system)
-                .with_policy(cfg.policy)
-                .with_engine(cfg.engine),
+            sim: Simulation::new(system).with_policy(cfg.policy),
+            classic,
             arena: SimArena::new(),
             scratch: vec![Trace::empty(); system.chains().len()],
             flags: Vec::new(),
@@ -333,33 +316,29 @@ impl<'a> Worker<'a> {
         let mut rng =
             ChaCha8Rng::seed_from_u64(self.cfg.seed ^ (run as u64).wrapping_mul(SEED_MIX));
         self.derive_traces(run, &mut rng);
-        match self.cfg.engine {
-            SimEngineMode::EventQueue => {
-                event_queue::execute(&self.sim, &self.scratch, &mut self.arena);
-                let arena = &self.arena;
-                (0..self.system.chains().len())
-                    .map(|c| {
-                        chain_totals(
-                            arena.records(c),
-                            self.deadlines[c],
-                            &self.cfg.ks,
-                            &mut self.flags,
-                        )
-                    })
-                    .collect()
-            }
-            SimEngineMode::Classic => {
-                let result = self.sim.run_classic(&self.scratch);
-                result
-                    .chains()
-                    .iter()
-                    .zip(&self.deadlines)
-                    .map(|(stats, &deadline)| {
-                        chain_totals(stats.records(), deadline, &self.cfg.ks, &mut self.flags)
-                    })
-                    .collect()
-            }
+        if self.classic {
+            let result = self.sim.run_classic(&self.scratch);
+            return result
+                .chains()
+                .iter()
+                .zip(&self.deadlines)
+                .map(|(stats, &deadline)| {
+                    chain_totals(stats.records(), deadline, &self.cfg.ks, &mut self.flags)
+                })
+                .collect();
         }
+        event_queue::execute(&self.sim, &self.scratch, &mut self.arena);
+        let arena = &self.arena;
+        (0..self.system.chains().len())
+            .map(|c| {
+                chain_totals(
+                    arena.records(c),
+                    self.deadlines[c],
+                    &self.cfg.ks,
+                    &mut self.flags,
+                )
+            })
+            .collect()
     }
 
     /// Derives this run's traces from the max-rate base. Styles rotate
@@ -452,19 +431,13 @@ mod tests {
         assert_eq!(serial, oversubscribed);
     }
 
+    /// The arena-reusing event-queue runs match the classic reference
+    /// core run for run.
     #[test]
     fn engines_agree_on_the_report() {
         let system = case_study();
-        let event_queue = MonteCarlo::new(&system, config(8, 2)).run();
-        let classic = MonteCarlo::new(
-            &system,
-            MonteCarloConfig {
-                engine: SimEngineMode::Classic,
-                ..config(8, 2)
-            },
-        )
-        .run();
-        assert_eq!(event_queue, classic);
+        let sweep = MonteCarlo::new(&system, config(8, 2));
+        assert_eq!(sweep.run(), crate::reference::monte_carlo_classic(&sweep));
     }
 
     #[test]
@@ -476,7 +449,7 @@ mod tests {
             .iter()
             .map(|c| batched_max_rate_trace(c.activation(), cfg.horizon))
             .collect();
-        let mut worker = Worker::new(&system, &cfg, &base);
+        let mut worker = Worker::new(&system, &cfg, &base, false);
         for run in 0..6 {
             let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (run as u64).wrapping_mul(SEED_MIX));
             worker.derive_traces(run, &mut rng);

@@ -12,6 +12,7 @@ use twca_api::{
     crash_states, respond_line, AnalysisRequest, AnalysisResponse, Json, MemIo, PersistPolicy,
     Query, QueryOutcome, Session, StoreIo, StoredBody, SystemStore, Target,
 };
+use twca_chains::reference::Reference;
 use twca_chains::{
     latency_analysis, AnalysisCache, AnalysisContext, AnalysisOptions, DmmResult, DmmSweep,
     OverloadMode,
@@ -20,8 +21,7 @@ use twca_curves::{EventModel, Time};
 use twca_dist::{analyze as dist_analyze, soundness_violations, DistOptions, DistributedSystem};
 use twca_model::{ChainId, System};
 use twca_sim::{
-    adversarial_aligned_traces, periodic_trace, MonteCarlo, MonteCarloConfig, SimEngineMode,
-    Simulation, TraceSet,
+    adversarial_aligned_traces, periodic_trace, MonteCarlo, MonteCarloConfig, Simulation, TraceSet,
 };
 
 /// The thirteen oracles of the conformance battery.
@@ -1075,24 +1075,16 @@ fn check_solver_agreement_uni(
     opts: &VerifyOptions,
     violations: &mut Vec<Violation>,
 ) {
-    use twca_chains::{
-        busy_time_breakdown, deadline_miss_model_exact, latency_analysis_detailed, SolverMode,
-    };
+    use twca_chains::{busy_time_breakdown, deadline_miss_model_exact, latency_analysis_detailed};
     let ctx = AnalysisContext::new(system);
-    let jump = AnalysisOptions {
-        solver: SolverMode::SchedulingPoints,
-        ..opts.options
-    };
-    let iterative = AnalysisOptions {
-        solver: SolverMode::Iterative,
-        ..opts.options
-    };
+    let iterative = Reference::IterativeSolver.context(system);
+    let options = opts.options;
     for (id, chain) in system.iter() {
         let name = chain.name();
         for mode in [OverloadMode::Include, OverloadMode::Exclude] {
             for q in 1..=3u64 {
-                let a = busy_time_breakdown(&ctx, id, q, mode, jump);
-                let b = busy_time_breakdown(&ctx, id, q, mode, iterative);
+                let a = busy_time_breakdown(&ctx, id, q, mode, options);
+                let b = busy_time_breakdown(&iterative, id, q, mode, options);
                 if a != b {
                     violations.push(Violation {
                         oracle: OracleKind::SolverAgreement,
@@ -1102,8 +1094,8 @@ fn check_solver_agreement_uni(
                     });
                 }
             }
-            let a = latency_analysis_detailed(&ctx, id, mode, jump);
-            let b = latency_analysis_detailed(&ctx, id, mode, iterative);
+            let a = latency_analysis_detailed(&ctx, id, mode, options);
+            let b = latency_analysis_detailed(&iterative, id, mode, options);
             if a != b {
                 violations.push(Violation {
                     oracle: OracleKind::SolverAgreement,
@@ -1117,8 +1109,8 @@ fn check_solver_agreement_uni(
             continue;
         }
         match (
-            DmmSweep::prepare(&ctx, id, jump),
-            DmmSweep::prepare(&ctx, id, iterative),
+            DmmSweep::prepare(&ctx, id, options),
+            DmmSweep::prepare(&iterative, id, options),
         ) {
             (Ok(a), Ok(b)) => {
                 for &k in &opts.ks {
@@ -1146,8 +1138,8 @@ fn check_solver_agreement_uni(
             }
         }
         if let Some(&k) = opts.ks.last() {
-            let a = deadline_miss_model_exact(&ctx, id, k, jump);
-            let b = deadline_miss_model_exact(&ctx, id, k, iterative);
+            let a = deadline_miss_model_exact(&ctx, id, k, options);
+            let b = deadline_miss_model_exact(&iterative, id, k, options);
             if a != b {
                 violations.push(Violation {
                     oracle: OracleKind::SolverAgreement,
@@ -1170,16 +1162,10 @@ fn check_lazy_agreement_uni(
     opts: &VerifyOptions,
     violations: &mut Vec<Violation>,
 ) {
-    use twca_chains::{deadline_miss_model_exact, AnalysisError, CombinationEngineMode};
+    use twca_chains::{deadline_miss_model_exact, AnalysisError};
     let ctx = AnalysisContext::new(system);
-    let lazy_opts = AnalysisOptions {
-        combination_engine: CombinationEngineMode::Lazy,
-        ..opts.options
-    };
-    let mat_opts = AnalysisOptions {
-        combination_engine: CombinationEngineMode::Materialized,
-        ..opts.options
-    };
+    let mat = Reference::MaterializedEngine.context(system);
+    let options = opts.options;
     let sanctioned = |e: &AnalysisError| matches!(e, AnalysisError::TooManyCombinations { .. });
     for (id, chain) in system.iter() {
         if chain.deadline().is_none() {
@@ -1187,8 +1173,8 @@ fn check_lazy_agreement_uni(
         }
         let name = chain.name();
         match (
-            DmmSweep::prepare(&ctx, id, lazy_opts),
-            DmmSweep::prepare(&ctx, id, mat_opts),
+            DmmSweep::prepare(&ctx, id, options),
+            DmmSweep::prepare(&mat, id, options),
         ) {
             (Ok(lazy), Ok(materialized)) => {
                 for &k in &opts.ks {
@@ -1227,8 +1213,8 @@ fn check_lazy_agreement_uni(
         // The exact (Equation 3) variant exercises the threshold
         // bisection; one window length bounds the fixed-point cost.
         if let Some(&k) = opts.ks.last() {
-            let a = deadline_miss_model_exact(&ctx, id, k, lazy_opts);
-            let b = deadline_miss_model_exact(&ctx, id, k, mat_opts);
+            let a = deadline_miss_model_exact(&ctx, id, k, options);
+            let b = deadline_miss_model_exact(&mat, id, k, options);
             let gap = matches!((&a, &b), (Ok(_), Err(e)) if sanctioned(e));
             if !gap && a != b {
                 violations.push(Violation {
@@ -1362,14 +1348,9 @@ fn check_sim_soundness(
 /// soundness oracle drives.
 fn check_sim_agreement(system: &System, opts: &VerifyOptions, violations: &mut Vec<Violation>) {
     for (label, traces) in &trace_batteries(system, opts) {
-        let event_queue = Simulation::new(system)
-            .with_engine(SimEngineMode::EventQueue)
-            .with_execution_trace(true)
-            .run(traces);
-        let classic = Simulation::new(system)
-            .with_engine(SimEngineMode::Classic)
-            .with_execution_trace(true)
-            .run(traces);
+        let sim = Simulation::new(system).with_execution_trace(true);
+        let event_queue = sim.run(traces);
+        let classic = twca_sim::reference::run_classic(&sim, traces);
         if event_queue == classic {
             continue;
         }
@@ -1516,7 +1497,7 @@ fn check_parallel_agreement(
     opts: &VerifyOptions,
     violations: &mut Vec<Violation>,
 ) {
-    use twca_engine::BatchEngine;
+    use twca_api::batch::BatchEngine;
     // Three copies: enough for real interleaving, cheap enough per
     // scenario (copies two and three are answered from the cache).
     let jobs: Vec<System> = (0..3).map(|_| system.clone()).collect();
@@ -1657,41 +1638,14 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
     };
 
     // Oracle 7 (distributed): the incremental worklist and the
-    // full-sweep reference driver must reach the identical fixed point:
-    // sweep count, per-site latency bounds, effective activation models
-    // and the miss models computed on top. Both sides are *forced* to
-    // their driver (reusing `results` only when the caller already runs
-    // the forced value, so the check never compares a driver against
-    // itself).
+    // full-sweep reference driver (running the iterative busy-window
+    // solver) must reach the identical fixed point: sweep count,
+    // per-site latency bounds, effective activation models and the
+    // miss models computed on top.
     {
-        use twca_chains::SolverMode;
-        let mut worklist_options = opts.dist_options();
-        worklist_options.chain_options.solver = SolverMode::SchedulingPoints;
-        let forced_worklist;
-        let worklist_results = if opts.options.solver == SolverMode::SchedulingPoints {
-            Some(&results)
-        } else {
-            match dist_analyze(dist, worklist_options) {
-                Ok(run) => {
-                    forced_worklist = run;
-                    Some(&forced_worklist)
-                }
-                Err(e) => {
-                    violations.push(Violation {
-                        oracle: OracleKind::SolverAgreement,
-                        detail: format!(
-                            "worklist driver failed where the configured solver succeeded: {e}"
-                        ),
-                    });
-                    None
-                }
-            }
-        };
-        let mut iterative_options = opts.dist_options();
-        iterative_options.chain_options.solver = SolverMode::Iterative;
-        match (worklist_results, dist_analyze(dist, iterative_options)) {
-            (None, _) => {}
-            (Some(worklist), Ok(reference)) => {
+        let worklist = &results;
+        match twca_dist::reference::analyze(dist, opts.dist_options(), Reference::IterativeSolver) {
+            Ok(reference) => {
                 let mut divergence: Option<String> = None;
                 if worklist.sweeps() != reference.sweeps() {
                     divergence = Some(format!(
@@ -1743,7 +1697,7 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
                     });
                 }
             }
-            (Some(_), Err(e)) => {
+            Err(e) => {
                 violations.push(Violation {
                     oracle: OracleKind::SolverAgreement,
                     detail: format!("full-sweep driver failed where the worklist succeeded: {e}"),
@@ -1753,44 +1707,18 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
     }
 
     // Oracle 6 (distributed): the holistic fixed point must not care
-    // which combination engine classifies Definition 9. Both sides are
-    // *forced* to their engine (reusing `results` only when the caller
-    // already runs lazy — the default — so the check never degenerates
-    // into comparing one engine against itself). The stored options
-    // legitimately differ (they name the engine), so the comparison
-    // covers the outputs: sweep count, per-site latency bounds and
-    // miss models (equal latency bounds pin the propagated effective
-    // systems too — propagation only reads the WCLs).
+    // which combination engine classifies Definition 9. The reference
+    // side runs the full-sweep driver with the materialized engine; the
+    // comparison covers the outputs: sweep count, per-site latency
+    // bounds and miss models (equal latency bounds pin the propagated
+    // effective systems too — propagation only reads the WCLs).
     {
-        use twca_chains::CombinationEngineMode;
-        let mut lazy_options = opts.dist_options();
-        lazy_options.chain_options.combination_engine = CombinationEngineMode::Lazy;
-        let forced_lazy;
-        let lazy_results = if opts.options.combination_engine == CombinationEngineMode::Lazy {
-            Some(&results)
-        } else {
-            match dist_analyze(dist, lazy_options) {
-                Ok(run) => {
-                    forced_lazy = run;
-                    Some(&forced_lazy)
-                }
-                Err(e) => {
-                    violations.push(Violation {
-                        oracle: OracleKind::LazyAgreement,
-                        detail: format!(
-                            "lazy holistic analysis failed where the configured engine \
-                             succeeded: {e}"
-                        ),
-                    });
-                    None
-                }
-            }
-        };
-        let mut mat_options = opts.dist_options();
-        mat_options.chain_options.combination_engine = CombinationEngineMode::Materialized;
-        match (lazy_results, dist_analyze(dist, mat_options)) {
-            (None, _) => {}
-            (Some(results), Ok(materialized)) => {
+        match twca_dist::reference::analyze(
+            dist,
+            opts.dist_options(),
+            Reference::MaterializedEngine,
+        ) {
+            Ok(materialized) => {
                 let mut divergence: Option<String> = None;
                 if materialized.sweeps() != results.sweeps() {
                     divergence = Some(format!(
@@ -1849,13 +1777,10 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
             // The materialized reference refusing a combination space
             // the lazy engine streams through is the sanctioned gap;
             // any other failure where the lazy run succeeded is not.
-            (
-                Some(_),
-                Err(twca_dist::DistError::Analysis(
-                    twca_chains::AnalysisError::TooManyCombinations { .. },
-                )),
-            ) => {}
-            (Some(_), Err(e)) => {
+            Err(twca_dist::DistError::Analysis(
+                twca_chains::AnalysisError::TooManyCombinations { .. },
+            )) => {}
+            Err(e) => {
                 violations.push(Violation {
                     oracle: OracleKind::LazyAgreement,
                     detail: format!(
@@ -1964,27 +1889,21 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
     violations
 }
 
-/// When the configured driver fails, the other driver must fail with
-/// the *identical* typed error — divergence sweeps, unbounded sites and
-/// their reasons included (there is no sanctioned gap between the
-/// drivers).
+/// When the worklist driver fails, the full-sweep reference must fail
+/// with the *identical* typed error — divergence sweeps, unbounded
+/// sites and their reasons included (there is no sanctioned gap between
+/// the drivers).
 fn check_solver_agreement_dist_error(
     dist: &DistributedSystem,
     opts: &VerifyOptions,
     direct_error: &twca_dist::DistError,
     violations: &mut Vec<Violation>,
 ) {
-    use twca_chains::SolverMode;
-    let mut other = opts.dist_options();
-    other.chain_options.solver = match opts.options.solver {
-        SolverMode::SchedulingPoints => SolverMode::Iterative,
-        SolverMode::Iterative => SolverMode::SchedulingPoints,
-    };
-    match dist_analyze(dist, other) {
+    match twca_dist::reference::analyze(dist, opts.dist_options(), Reference::IterativeSolver) {
         Ok(_) => violations.push(Violation {
             oracle: OracleKind::SolverAgreement,
             detail: format!(
-                "the other holistic driver produced an answer where the configured one \
+                "the full-sweep holistic driver produced an answer where the worklist \
                  failed with: {direct_error}"
             ),
         }),

@@ -14,9 +14,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use twca_chains::reference::Reference;
 use twca_chains::{
-    latency_analysis, typical_slack, AnalysisContext, AnalysisOptions, CombinationEngineMode,
-    CombinationSet, DmmSweep, OverloadMode, PreparedCombinations,
+    latency_analysis, typical_slack, AnalysisContext, AnalysisOptions, CombinationSet, DmmSweep,
+    OverloadMode, PreparedCombinations,
 };
 use twca_gen::{random_stress_system, StressProfile};
 use twca_model::System;
@@ -40,11 +41,8 @@ fn options() -> AnalysisOptions {
 /// negative never reach the enumerators).
 fn assert_agreement(system: &System) -> usize {
     let ctx = AnalysisContext::new(system);
+    let mat = Reference::MaterializedEngine.context(system);
     let opts = options();
-    let mat_opts = AnalysisOptions {
-        combination_engine: CombinationEngineMode::Materialized,
-        ..opts
-    };
     let mut compared = 0;
     for (id, chain) in system.iter() {
         if chain.deadline().is_none() {
@@ -91,7 +89,7 @@ fn assert_agreement(system: &System) -> usize {
 
         // Witness rows and full miss-model results across both engines.
         let lazy_sweep = DmmSweep::prepare(&ctx, id, opts).expect("lazy sweep");
-        let mat_sweep = DmmSweep::prepare(&ctx, id, mat_opts).expect("materialized sweep");
+        let mat_sweep = DmmSweep::prepare(&mat, id, opts).expect("materialized sweep");
         for k in [1u64, 5, 10] {
             assert_eq!(lazy_sweep.at(k), mat_sweep.at(k), "{name}: dmm({k})");
             assert_eq!(

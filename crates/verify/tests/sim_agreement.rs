@@ -19,8 +19,7 @@ use twca_curves::EventModel;
 use twca_gen::{random_stress_system, StressProfile};
 use twca_model::System;
 use twca_sim::{
-    adversarial_aligned_traces, periodic_trace, MonteCarlo, MonteCarloConfig, SimEngineMode,
-    Simulation, TraceSet,
+    adversarial_aligned_traces, periodic_trace, MonteCarlo, MonteCarloConfig, Simulation, TraceSet,
 };
 use twca_verify::{load_corpus, ScenarioBody};
 
@@ -74,14 +73,9 @@ fn batteries(system: &System, seed: u64) -> Vec<(String, TraceSet)> {
 fn assert_engines_agree(system: &System, seed: u64) -> usize {
     let mut compared = 0;
     for (label, traces) in &batteries(system, seed) {
-        let event_queue = Simulation::new(system)
-            .with_engine(SimEngineMode::EventQueue)
-            .with_execution_trace(true)
-            .run(traces);
-        let classic = Simulation::new(system)
-            .with_engine(SimEngineMode::Classic)
-            .with_execution_trace(true)
-            .run(traces);
+        let sim = Simulation::new(system).with_execution_trace(true);
+        let event_queue = sim.run(traces);
+        let classic = twca_sim::reference::run_classic(&sim, traces);
         assert_eq!(
             event_queue, classic,
             "[{label}] event-queue and classic engines diverge"

@@ -10,7 +10,6 @@ pub use twca_assign as assign;
 pub use twca_chains as chains;
 pub use twca_curves as curves;
 pub use twca_dist as dist;
-pub use twca_engine as engine;
 pub use twca_gen as gen;
 pub use twca_ilp as ilp;
 pub use twca_independent as independent;

@@ -8,10 +8,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use twca_suite::api::batch::{batch_to_json, BatchEngine};
 use twca_suite::chains::{
     deadline_miss_model, AnalysisCache, AnalysisContext, AnalysisOptions, ChainAnalysis,
 };
-use twca_suite::engine::{batch_to_json, BatchEngine};
 use twca_suite::gen::{random_system, RandomSystemConfig};
 use twca_suite::model::{case_study, System};
 

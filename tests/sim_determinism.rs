@@ -9,13 +9,11 @@ use rand_chacha::ChaCha8Rng;
 
 use twca_suite::gen::{random_stress_system, wide_throughput_system, StressProfile};
 use twca_suite::model::{case_study, System};
-use twca_suite::sim::{
-    MonteCarlo, MonteCarloConfig, MonteCarloReport, SimEngineMode, Simulation, TraceSet,
-};
+use twca_suite::sim::{reference, MonteCarlo, MonteCarloConfig, Simulation, TraceSet};
 
 const SEED: u64 = 0xDE7E_2A11;
 
-fn sweep(system: &System, threads: usize, engine: SimEngineMode) -> MonteCarloReport {
+fn sweep(system: &System, threads: usize) -> MonteCarlo<'_> {
     MonteCarlo::new(
         system,
         MonteCarloConfig {
@@ -23,11 +21,9 @@ fn sweep(system: &System, threads: usize, engine: SimEngineMode) -> MonteCarloRe
             horizon: 10_000,
             seed: SEED,
             threads,
-            engine,
             ..MonteCarloConfig::default()
         },
     )
-    .run()
 }
 
 fn test_systems() -> Vec<(String, System)> {
@@ -45,9 +41,9 @@ fn test_systems() -> Vec<(String, System)> {
 #[test]
 fn reports_are_identical_across_thread_counts() {
     for (label, system) in test_systems() {
-        let serial = sweep(&system, 1, SimEngineMode::EventQueue);
+        let serial = sweep(&system, 1).run();
         for threads in [4usize, 8] {
-            let parallel = sweep(&system, threads, SimEngineMode::EventQueue);
+            let parallel = sweep(&system, threads).run();
             assert_eq!(
                 serial, parallel,
                 "[{label}] report diverges at {threads} threads"
@@ -66,8 +62,8 @@ fn reports_are_identical_across_thread_counts() {
 #[test]
 fn consecutive_runs_are_identical() {
     for (label, system) in test_systems() {
-        let first = sweep(&system, 8, SimEngineMode::EventQueue);
-        let second = sweep(&system, 8, SimEngineMode::EventQueue);
+        let first = sweep(&system, 8).run();
+        let second = sweep(&system, 8).run();
         assert_eq!(first, second, "[{label}] consecutive sweeps diverge");
     }
 }
@@ -75,8 +71,8 @@ fn consecutive_runs_are_identical() {
 #[test]
 fn both_engines_produce_the_same_report() {
     for (label, system) in test_systems() {
-        let event_queue = sweep(&system, 4, SimEngineMode::EventQueue);
-        let classic = sweep(&system, 4, SimEngineMode::Classic);
+        let event_queue = sweep(&system, 4).run();
+        let classic = reference::monte_carlo_classic(&sweep(&system, 4));
         assert_eq!(
             event_queue, classic,
             "[{label}] Monte Carlo reports diverge between engines"

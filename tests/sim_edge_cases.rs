@@ -6,9 +6,7 @@
 
 use twca_suite::chains::ChainAnalysis;
 use twca_suite::model::{case_study, parse_system, System, SystemBuilder};
-use twca_suite::sim::{
-    ExecutionPolicy, SimEngineMode, Simulation, SimulationResult, Trace, TraceSet,
-};
+use twca_suite::sim::{reference, ExecutionPolicy, Simulation, SimulationResult, Trace, TraceSet};
 
 const HORIZON: u64 = 10_000;
 
@@ -19,16 +17,11 @@ fn run_both_engines(
     traces: &TraceSet,
     policy: ExecutionPolicy,
 ) -> SimulationResult {
-    let event_queue = Simulation::new(system)
-        .with_engine(SimEngineMode::EventQueue)
+    let sim = Simulation::new(system)
         .with_policy(policy)
-        .with_execution_trace(true)
-        .run(traces);
-    let classic = Simulation::new(system)
-        .with_engine(SimEngineMode::Classic)
-        .with_policy(policy)
-        .with_execution_trace(true)
-        .run(traces);
+        .with_execution_trace(true);
+    let event_queue = sim.run(traces);
+    let classic = reference::run_classic(&sim, traces);
     assert_eq!(event_queue, classic, "engines diverge on an edge case");
     event_queue
 }

@@ -9,9 +9,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use twca_suite::chains::reference::Reference;
 use twca_suite::chains::{
     busy_time_breakdown, deadline_miss_model, deadline_miss_model_exact, latency_analysis_detailed,
-    AnalysisContext, AnalysisOptions, OverloadMode, SolverMode,
+    AnalysisContext, AnalysisOptions, OverloadMode,
 };
 use twca_suite::gen::{random_distributed, random_stress_system, RandomDistConfig, StressProfile};
 use twca_suite::model::SystemBuilder;
@@ -26,16 +27,12 @@ fn base_options() -> AnalysisOptions {
     }
 }
 
-fn solver_pair(options: AnalysisOptions) -> (AnalysisOptions, AnalysisOptions) {
+/// The two sides of every comparison: the product context and the
+/// iterative-solver reference context of `system`.
+fn solver_pair(system: &twca_suite::model::System) -> (AnalysisContext<'_>, AnalysisContext<'_>) {
     (
-        AnalysisOptions {
-            solver: SolverMode::SchedulingPoints,
-            ..options
-        },
-        AnalysisOptions {
-            solver: SolverMode::Iterative,
-            ..options
-        },
+        AnalysisContext::new(system),
+        Reference::IterativeSolver.context(system),
     )
 }
 
@@ -45,21 +42,20 @@ fn solver_pair(options: AnalysisOptions) -> (AnalysisOptions, AnalysisOptions) {
 /// and the miss models (whose exact variant exercises the
 /// threshold-bisection seeds).
 fn assert_solvers_agree(system: &twca_suite::model::System, options: AnalysisOptions) {
-    let (jump, iterative) = solver_pair(options);
-    let ctx = AnalysisContext::new(system);
+    let (jump, iterative) = solver_pair(system);
     for (id, chain) in system.iter() {
         for mode in [OverloadMode::Include, OverloadMode::Exclude] {
             for q in [1u64, 2, 5] {
                 assert_eq!(
-                    busy_time_breakdown(&ctx, id, q, mode, jump),
-                    busy_time_breakdown(&ctx, id, q, mode, iterative),
+                    busy_time_breakdown(&jump, id, q, mode, options),
+                    busy_time_breakdown(&iterative, id, q, mode, options),
                     "B({q}) diverges for {} under {mode:?}",
                     chain.name()
                 );
             }
             assert_eq!(
-                latency_analysis_detailed(&ctx, id, mode, jump),
-                latency_analysis_detailed(&ctx, id, mode, iterative),
+                latency_analysis_detailed(&jump, id, mode, options),
+                latency_analysis_detailed(&iterative, id, mode, options),
                 "latency diverges for {} under {mode:?}",
                 chain.name()
             );
@@ -67,15 +63,15 @@ fn assert_solvers_agree(system: &twca_suite::model::System, options: AnalysisOpt
         if chain.deadline().is_some() {
             for k in [1u64, 10] {
                 assert_eq!(
-                    deadline_miss_model(&ctx, id, k, jump),
-                    deadline_miss_model(&ctx, id, k, iterative),
+                    deadline_miss_model(&jump, id, k, options),
+                    deadline_miss_model(&iterative, id, k, options),
                     "dmm({k}) diverges for {}",
                     chain.name()
                 );
             }
             assert_eq!(
-                deadline_miss_model_exact(&ctx, id, 10, jump),
-                deadline_miss_model_exact(&ctx, id, 10, iterative),
+                deadline_miss_model_exact(&jump, id, 10, options),
+                deadline_miss_model_exact(&iterative, id, 10, options),
                 "exact dmm(10) diverges for {}",
                 chain.name()
             );
@@ -110,12 +106,11 @@ proptest! {
             max_q: 64,
             ..AnalysisOptions::default()
         };
-        let (jump, iterative) = solver_pair(options);
-        let ctx = AnalysisContext::new(&system);
+        let (jump, iterative) = solver_pair(&system);
         for (id, _) in system.iter() {
             prop_assert_eq!(
-                latency_analysis_detailed(&ctx, id, OverloadMode::Include, jump),
-                latency_analysis_detailed(&ctx, id, OverloadMode::Include, iterative)
+                latency_analysis_detailed(&jump, id, OverloadMode::Include, options),
+                latency_analysis_detailed(&iterative, id, OverloadMode::Include, options)
             );
         }
     }
@@ -146,24 +141,24 @@ fn saturating_wcet_edges_agree() {
             .done()
             .build()
             .unwrap();
-        let ctx = AnalysisContext::new(&system);
+        let (jump, iterative) = solver_pair(&system);
         for horizon in [10_000u64, u64::MAX - 1, u64::MAX] {
-            let (jump, iterative) = solver_pair(AnalysisOptions {
+            let options = AnalysisOptions {
                 horizon,
                 max_q: 16,
                 ..AnalysisOptions::default()
-            });
+            };
             for (id, _) in system.iter() {
                 for q in [1u64, 2, 3] {
                     assert_eq!(
-                        busy_time_breakdown(&ctx, id, q, OverloadMode::Include, jump),
-                        busy_time_breakdown(&ctx, id, q, OverloadMode::Include, iterative),
+                        busy_time_breakdown(&jump, id, q, OverloadMode::Include, options),
+                        busy_time_breakdown(&iterative, id, q, OverloadMode::Include, options),
                         "wcets ({wcet_a}, {wcet_b}) horizon {horizon} q {q}"
                     );
                 }
                 assert_eq!(
-                    latency_analysis_detailed(&ctx, id, OverloadMode::Include, jump),
-                    latency_analysis_detailed(&ctx, id, OverloadMode::Include, iterative),
+                    latency_analysis_detailed(&jump, id, OverloadMode::Include, options),
+                    latency_analysis_detailed(&iterative, id, OverloadMode::Include, options),
                     "wcets ({wcet_a}, {wcet_b}) horizon {horizon}"
                 );
             }
@@ -176,7 +171,7 @@ fn saturating_wcet_edges_agree() {
 /// worklist exists for).
 #[test]
 fn random_worklist_topologies_agree() {
-    use twca_suite::dist::{analyze, DistOptions};
+    use twca_suite::dist::{analyze, reference, DistOptions};
     let configs = [
         RandomDistConfig::deep_pipeline(8, StressProfile::Baseline),
         RandomDistConfig::wide_star(8, StressProfile::Baseline),
@@ -191,21 +186,12 @@ fn random_worklist_topologies_agree() {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(0xD15C0 ^ seed);
             let dist = random_distributed(&mut rng, config).expect("acyclic topology");
-            let (jump, iterative) = solver_pair(chain_options);
-            let worklist = analyze(
-                &dist,
-                DistOptions {
-                    chain_options: jump,
-                    ..DistOptions::default()
-                },
-            );
-            let reference = analyze(
-                &dist,
-                DistOptions {
-                    chain_options: iterative,
-                    ..DistOptions::default()
-                },
-            );
+            let options = DistOptions {
+                chain_options,
+                ..DistOptions::default()
+            };
+            let worklist = analyze(&dist, options);
+            let reference = reference::analyze(&dist, options, Reference::IterativeSolver);
             match (worklist, reference) {
                 (Ok(a), Ok(b)) => {
                     converged += 1;
