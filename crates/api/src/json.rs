@@ -139,6 +139,7 @@ impl Json {
     /// [`JsonParseError`] with the byte offset of the first offense.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -223,6 +224,7 @@ pub fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -356,16 +358,18 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => return Err(self.error("unescaped control character")),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte at once. All three are ASCII, so
+                    // the run ends on a char boundary of `text`.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -500,6 +504,48 @@ mod tests {
         assert!(Json::parse("\"\\u+041\"").is_err());
         assert!(Json::parse("\"\\u 041\"").is_err());
         assert_eq!(Json::parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+    }
+
+    /// Best of five wall times of `pass`, in nanoseconds.
+    fn best_of_5_ns(mut pass: impl FnMut()) -> u128 {
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                pass();
+                start.elapsed().as_nanos()
+            })
+            .min()
+            .expect("five samples")
+    }
+
+    #[test]
+    fn string_decode_and_escape_scale_linearly() {
+        // Plain runs, escapes and multi-byte chars, so every branch of
+        // both directions is on the timed path.
+        let unit = "plain run é 😀 quote \" backslash \\ nl \n tab \t bel \u{7} ";
+        let cost = |bytes: usize| {
+            let raw = unit.repeat(bytes / unit.len());
+            let doc = format!("\"{}\"", escape(&raw));
+            assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(raw.as_str()));
+            let decode = best_of_5_ns(|| {
+                std::hint::black_box(Json::parse(&doc).unwrap());
+            });
+            let encode = best_of_5_ns(|| {
+                std::hint::black_box(escape(&raw));
+            });
+            (decode.max(1), encode.max(1))
+        };
+        let (small_decode, small_encode) = cost(64 << 10);
+        let (large_decode, large_encode) = cost(512 << 10);
+        // 8x the input: linear code costs ~8x, quadratic code ~64x.
+        assert!(
+            large_decode <= 16 * small_decode,
+            "decode: 512 KB took {large_decode} ns, 64 KB {small_decode} ns"
+        );
+        assert!(
+            large_encode <= 16 * small_encode,
+            "escape: 512 KB took {large_encode} ns, 64 KB {small_encode} ns"
+        );
     }
 
     #[test]

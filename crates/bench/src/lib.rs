@@ -1,6 +1,6 @@
 //! Shared experiment harness: one function per table/figure of the
-//! paper's evaluation, used by both the `experiments` binary and the
-//! Criterion benches.
+//! paper's evaluation, printed by the `experiments` binary, plus the
+//! [`runner`] behind `twca bench`.
 
 pub mod runner;
 
@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use twca_chains::{ChainAnalysis, DmmResult};
 use twca_gen::priority_permutations;
 use twca_independent::{response_time_analysis, IndependentTask};
-use twca_model::{case_study, System, Time, CASE_STUDY_TASK_COUNT};
+use twca_model::{case_study, Time, CASE_STUDY_TASK_COUNT};
 use twca_sim::{adversarial_aligned_traces, Simulation, TraceSet};
 
 /// One row of Table I: worst-case latency vs deadline.
@@ -310,57 +310,6 @@ pub fn collapsed_baseline() -> Vec<CollapseRow> {
     rows
 }
 
-/// A case-study system scaled `factor`× in chain count, for runtime
-/// scaling benchmarks: `factor` copies of the case-study chains with
-/// disjoint priority bands. Periods are stretched by `factor` so the
-/// total utilization stays constant and every busy window still closes.
-pub fn scaled_case_study(factor: usize) -> System {
-    use twca_model::{ChainKind, SystemBuilder};
-    assert!(factor >= 1);
-    let f = factor as Time;
-    let mut builder = SystemBuilder::new();
-    for i in 0..factor {
-        let base = (i * 13) as u32;
-        builder = builder
-            .chain(format!("d{i}"))
-            .periodic(200 * f)
-            .expect("static period")
-            .deadline(200 * f)
-            .kind(ChainKind::Synchronous)
-            .task(format!("d1_{i}"), base + 11, 38)
-            .task(format!("d2_{i}"), base + 10, 6)
-            .task(format!("d3_{i}"), base + 9, 27)
-            .task(format!("d4_{i}"), base + 5, 6)
-            .task(format!("d5_{i}"), base + 2, 38)
-            .done()
-            .chain(format!("c{i}"))
-            .periodic(200 * f)
-            .expect("static period")
-            .deadline(200 * f)
-            .kind(ChainKind::Synchronous)
-            .task(format!("c1_{i}"), base + 8, 4)
-            .task(format!("c2_{i}"), base + 7, 6)
-            .task(format!("c3_{i}"), base + 1, 41)
-            .done()
-            .chain(format!("b{i}"))
-            .sporadic(600 * f)
-            .expect("static distance")
-            .overload()
-            .task(format!("b1_{i}"), base + 13, 10)
-            .task(format!("b2_{i}"), base + 12, 10)
-            .task(format!("b3_{i}"), base + 6, 10)
-            .done()
-            .chain(format!("a{i}"))
-            .sporadic(700 * f)
-            .expect("static distance")
-            .overload()
-            .task(format!("a1_{i}"), base + 4, 10)
-            .task(format!("a2_{i}"), base + 3, 10)
-            .done();
-    }
-    builder.build().expect("well-formed scaled system")
-}
-
 /// One row of the distributed-pipeline experiment: a chain site with its
 /// converged worst-case latency and outgoing response jitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,7 +340,7 @@ pub struct DistOutcome {
 
 /// A pipeline of `stages` resources: the paper's case study feeds σc
 /// into `stages − 1` downstream single-chain ECUs of alternating
-/// weights. Used by the `dist` experiment and the `dist_scaling` bench.
+/// weights. Used by the `dist` experiment.
 ///
 /// # Panics
 ///
@@ -688,12 +637,5 @@ mod tests {
         let d = rows.iter().find(|r| r.chain == "sigma_d").unwrap();
         assert_eq!(d.chain_wcl, Some(175));
         assert!(d.collapsed_wcrt.unwrap() > 175);
-    }
-
-    #[test]
-    fn scaled_system_shape() {
-        let s = scaled_case_study(3);
-        assert_eq!(s.chains().len(), 12);
-        assert_eq!(s.task_count(), 39);
     }
 }

@@ -1,19 +1,26 @@
 //! In-process JSON benchmark runner behind `twca bench`.
 //!
-//! Criterion drives the statistical deep-dives (`cargo bench`); this
-//! runner exists so the perf trajectory of the hot paths is a
-//! *committed artifact* (`BENCH_combinations.json`) and a CI gate: it
-//! re-measures the same workloads in seconds, renders them as JSON, and
-//! [`check_against`] fails when a benchmark regresses more than the
-//! tolerance against the committed baseline — after normalizing the
-//! machines against each other through the `calibration/spin` entry.
+//! One run times every workload of the suite in seconds and renders
+//! them as one report, the committed artifact `BENCH.json`. The
+//! workloads run in a fixed order:
 //!
-//! The headline metric is the **combination engine**: the lazy
-//! dominance-pruned enumerator vs the retained materialized reference,
-//! on the Definition 9 classification stage of `overload-heavy` stress
-//! systems (the packing solve downstream is engine-independent work and
-//! would only dilute the comparison).
+//! * the core analysis stages: the combination engine (the lazy
+//!   dominance-pruned enumerator against the materialized reference,
+//!   on the Definition 9 classification stage), the Table II curve, the
+//!   batch engine, the busy-window and latency solvers, the holistic
+//!   worklist and the simulation core;
+//! * delta re-analysis of a one-task edit on a 100-resource pipeline;
+//! * durable-store puts and journal recovery;
+//! * service saturation through an in-process TCP server.
+//!
+//! Each workload declares the [`Contract`]s over its own entries next
+//! to them, so contracts are data of the report. [`check_against`] is
+//! the CI gate: it fails when an entry regresses more than the
+//! tolerance against the committed baseline, after normalizing the
+//! machines against each other through the `calibration/spin` entry,
+//! and when a contract of the baseline fails on the measured report.
 
+use std::fmt;
 use std::time::Instant;
 
 use rand::SeedableRng;
@@ -32,6 +39,9 @@ use twca_gen::{
 };
 use twca_model::{case_study, ChainId, ChainKind, System, SystemBuilder};
 use twca_sim::{SimArena, Simulation, TraceSet};
+
+/// The `schema` number of the report's JSON form.
+const SCHEMA: u64 = 2;
 
 /// Knobs of one runner invocation.
 #[derive(Debug, Clone)]
@@ -66,6 +76,172 @@ pub struct BenchEntry {
     pub samples: usize,
 }
 
+impl BenchEntry {
+    fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("id".to_owned(), Json::str(&self.id)),
+            ("best_ns".to_owned(), Json::UInt(self.best_ns)),
+            ("samples".to_owned(), Json::UInt(self.samples as u64)),
+        ])
+    }
+
+    fn from_json(value: &Json) -> Result<BenchEntry, String> {
+        let get = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| format!("benchmark missing `{name}`"))
+        };
+        Ok(BenchEntry {
+            id: get("id")?
+                .as_str()
+                .ok_or("benchmark `id` must be a string")?
+                .to_owned(),
+            best_ns: get("best_ns")?
+                .as_u64()
+                .ok_or("`best_ns` must be an integer")?,
+            samples: get("samples")?
+                .as_u64()
+                .ok_or("`samples` must be an integer")? as usize,
+        })
+    }
+}
+
+/// A ratio contract between two entries of one report. The JSON form
+/// is `{fast, slow, min_ratio}` or `{capped, base, max_ratio}`, with
+/// the ratio as a decimal string.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Contract {
+    /// `slow` must take at least `min_ratio` × the time of `fast`.
+    Speedup {
+        /// The entry that must stay faster.
+        fast: String,
+        /// The entry it is measured against.
+        slow: String,
+        /// The floor of `slow / fast`.
+        min_ratio: f64,
+    },
+    /// `capped` may take at most `max_ratio` × the time of `base`.
+    Cap {
+        /// The entry whose overhead is capped.
+        capped: String,
+        /// The entry it is measured against.
+        base: String,
+        /// The ceiling of `capped / base`.
+        max_ratio: f64,
+    },
+}
+
+impl Contract {
+    fn speedup(fast: &str, slow: &str, min_ratio: f64) -> Contract {
+        Contract::Speedup {
+            fast: fast.to_owned(),
+            slow: slow.to_owned(),
+            min_ratio,
+        }
+    }
+
+    fn cap(capped: &str, base: &str, max_ratio: f64) -> Contract {
+        Contract::Cap {
+            capped: capped.to_owned(),
+            base: base.to_owned(),
+            max_ratio,
+        }
+    }
+
+    /// The entry ids of the ratio, numerator first.
+    fn ids(&self) -> [&str; 2] {
+        match self {
+            Contract::Speedup { fast, slow, .. } => [slow, fast],
+            Contract::Cap { capped, base, .. } => [capped, base],
+        }
+    }
+
+    /// Checks the contract on `report`: `Ok` with the measured ratio,
+    /// or `Err` with why it fails. An entry missing from `report` fails
+    /// the contract; it is never skipped.
+    pub fn check(&self, report: &BenchReport) -> Result<String, String> {
+        let [numerator, denominator] = self.ids();
+        let best = |id: &str| {
+            report
+                .entry(id)
+                .map(|e| e.best_ns)
+                .ok_or_else(|| format!("contract {self} failed: `{id}` was not measured"))
+        };
+        let ratio = best(numerator)? as f64 / best(denominator)?.max(1) as f64;
+        let holds = match self {
+            Contract::Speedup { min_ratio, .. } => ratio >= *min_ratio,
+            Contract::Cap { max_ratio, .. } => ratio <= *max_ratio,
+        };
+        if holds {
+            Ok(format!("contract {self}: measured {ratio:.2}x"))
+        } else {
+            Err(format!("contract {self} failed: measured {ratio:.2}x"))
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        let member = |name: &str, value: String| (name.to_owned(), Json::Str(value));
+        Json::Object(match self {
+            Contract::Speedup {
+                fast,
+                slow,
+                min_ratio,
+            } => vec![
+                member("fast", fast.clone()),
+                member("slow", slow.clone()),
+                member("min_ratio", format!("{min_ratio:.2}")),
+            ],
+            Contract::Cap {
+                capped,
+                base,
+                max_ratio,
+            } => vec![
+                member("capped", capped.clone()),
+                member("base", base.clone()),
+                member("max_ratio", format!("{max_ratio:.2}")),
+            ],
+        })
+    }
+
+    fn from_json(value: &Json) -> Result<Contract, String> {
+        let text = |name: &str| value.get(name).and_then(Json::as_str);
+        let ratio = |name: &str| {
+            text(name)
+                .and_then(|r| r.parse::<f64>().ok())
+                .filter(|r| r.is_finite() && *r > 0.0)
+                .ok_or_else(|| format!("contract `{name}` must be a positive decimal string"))
+        };
+        match (text("fast"), text("slow"), text("capped"), text("base")) {
+            (Some(fast), Some(slow), None, None) => {
+                Ok(Contract::speedup(fast, slow, ratio("min_ratio")?))
+            }
+            (None, None, Some(capped), Some(base)) => {
+                Ok(Contract::cap(capped, base, ratio("max_ratio")?))
+            }
+            _ => Err(
+                "a contract is either {fast, slow, min_ratio} or {capped, base, max_ratio}".into(),
+            ),
+        }
+    }
+}
+
+impl fmt::Display for Contract {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Contract::Speedup {
+                fast,
+                slow,
+                min_ratio,
+            } => write!(f, "`{slow}` / `{fast}` >= {min_ratio:.2}x"),
+            Contract::Cap {
+                capped,
+                base,
+                max_ratio,
+            } => write!(f, "`{capped}` / `{base}` <= {max_ratio:.2}x"),
+        }
+    }
+}
+
 /// The full report `twca bench` renders and CI diffs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -76,14 +252,8 @@ pub struct BenchReport {
     pub quick: bool,
     /// Every measured benchmark.
     pub entries: Vec<BenchEntry>,
-    /// Materialized-vs-lazy best-time ratio on the `overload-heavy`
-    /// combination-engine stage (> 1 means the lazy engine is faster).
-    /// Zero in reports of suites that do not measure it.
-    pub overload_heavy_speedup: f64,
-    /// Sustained throughput of the `service_saturation` workload
-    /// (service suite only; the regression gate runs on the
-    /// `service_saturation/*_ns` entries, this is the headline number).
-    pub service_requests_per_sec: Option<f64>,
+    /// The ratio contracts between entries.
+    pub contracts: Vec<Contract>,
 }
 
 impl BenchReport {
@@ -92,119 +262,80 @@ impl BenchReport {
         self.entries.iter().find(|e| e.id == id)
     }
 
-    /// The `slow / fast` best-time ratio between two measured entries
-    /// (`> 1` means `fast` is faster), when both exist.
-    pub fn speedup(&self, fast: &str, slow: &str) -> Option<f64> {
-        let fast_ns = self.entry(fast)?.best_ns.max(1);
-        let slow_ns = self.entry(slow)?.best_ns;
-        Some(slow_ns as f64 / fast_ns as f64)
+    /// Times `pass` as the entry `id`; see [`best_ns`].
+    fn time(&mut self, id: impl Into<String>, samples: usize, pass: impl FnMut()) {
+        self.entries.push(BenchEntry {
+            id: id.into(),
+            best_ns: best_ns(samples, pass),
+            samples,
+        });
     }
 
-    /// Renders the wire/artifact form (`BENCH_combinations.json`).
+    /// Renders the wire/artifact form (`BENCH.json`).
     pub fn to_json(&self) -> Json {
-        let mut json = Json::Object(vec![
-            ("schema".to_owned(), Json::UInt(1)),
+        Json::Object(vec![
+            ("schema".to_owned(), Json::UInt(SCHEMA)),
             ("seed".to_owned(), Json::UInt(self.seed)),
             ("quick".to_owned(), Json::Bool(self.quick)),
             (
                 "benchmarks".to_owned(),
-                Json::Array(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::Object(vec![
-                                ("id".to_owned(), Json::Str(e.id.clone())),
-                                ("best_ns".to_owned(), Json::UInt(e.best_ns)),
-                                ("samples".to_owned(), Json::UInt(e.samples as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Array(self.entries.iter().map(BenchEntry::to_json).collect()),
             ),
             (
-                "overload_heavy_speedup".to_owned(),
-                Json::Str(format!("{:.2}", self.overload_heavy_speedup)),
+                "contracts".to_owned(),
+                Json::Array(self.contracts.iter().map(Contract::to_json).collect()),
             ),
-        ]);
-        if let Some(rate) = self.service_requests_per_sec {
-            if let Json::Object(members) = &mut json {
-                members.push((
-                    "service_requests_per_sec".to_owned(),
-                    Json::Str(format!("{rate:.0}")),
-                ));
-            }
-        }
-        json
+        ])
     }
 
     /// Parses a report previously rendered by [`BenchReport::to_json`].
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the malformed field.
+    /// A human-readable message naming the malformed field, or the
+    /// contract that names an id missing from the report's entries.
     pub fn from_json(value: &Json) -> Result<BenchReport, String> {
-        let obj = value.as_object().ok_or("report must be an object")?;
+        value.as_object().ok_or("report must be an object")?;
         let field = |name: &str| {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
+            value
+                .get(name)
                 .ok_or_else(|| format!("missing field `{name}`"))
         };
-        let seed = field("seed")?.as_u64().ok_or("`seed` must be an integer")?;
-        let quick = matches!(field("quick")?, Json::Bool(true));
-        let speedup: f64 = field("overload_heavy_speedup")?
-            .as_str()
-            .ok_or("`overload_heavy_speedup` must be a string")?
-            .parse()
-            .map_err(|_| "`overload_heavy_speedup` must parse as a number")?;
-        let service_requests_per_sec = match field("service_requests_per_sec") {
-            Err(_) => None,
-            Ok(value) => Some(
-                value
-                    .as_str()
-                    .ok_or("`service_requests_per_sec` must be a string")?
-                    .parse::<f64>()
-                    .map_err(|_| "`service_requests_per_sec` must parse as a number")?,
-            ),
+        let list = |name: &str| {
+            field(name)?
+                .as_array()
+                .ok_or_else(|| format!("`{name}` must be an array"))
         };
-        let mut entries = Vec::new();
-        let benches = field("benchmarks")?
-            .as_array()
-            .ok_or("`benchmarks` must be an array")?;
-        for bench in benches {
-            let bench = bench
-                .as_object()
-                .ok_or("each benchmark must be an object")?;
-            let get = |name: &str| {
-                bench
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("benchmark missing `{name}`"))
-            };
-            entries.push(BenchEntry {
-                id: get("id")?
-                    .as_str()
-                    .ok_or("benchmark `id` must be a string")?
-                    .to_owned(),
-                best_ns: get("best_ns")?
-                    .as_u64()
-                    .ok_or("`best_ns` must be an integer")?,
-                samples: get("samples")?
-                    .as_u64()
-                    .ok_or("`samples` must be an integer")? as usize,
-            });
+        if field("schema")?.as_u64() != Some(SCHEMA) {
+            return Err(format!("`schema` must be {SCHEMA}"));
         }
-        Ok(BenchReport {
-            seed,
-            quick,
-            entries,
-            overload_heavy_speedup: speedup,
-            service_requests_per_sec,
-        })
+        let report = BenchReport {
+            seed: field("seed")?.as_u64().ok_or("`seed` must be an integer")?,
+            quick: matches!(field("quick")?, Json::Bool(true)),
+            entries: list("benchmarks")?
+                .iter()
+                .map(BenchEntry::from_json)
+                .collect::<Result<_, _>>()?,
+            contracts: list("contracts")?
+                .iter()
+                .map(Contract::from_json)
+                .collect::<Result<_, _>>()?,
+        };
+        for contract in &report.contracts {
+            if let Some(id) = contract
+                .ids()
+                .into_iter()
+                .find(|id| report.entry(id).is_none())
+            {
+                return Err(format!(
+                    "contract {contract} names `{id}`, which is not a benchmark of the report"
+                ));
+            }
+        }
+        Ok(report)
     }
 
-    /// Human-readable table.
+    /// Human-readable table, then every contract's verdict.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -224,115 +355,13 @@ impl BenchReport {
                 entry.samples
             );
         }
-        if self.entry("overload_heavy/combinations/lazy").is_some() {
-            let _ = writeln!(
-                out,
-                "overload-heavy combination engine: lazy is {:.2}x faster than materialized",
-                self.overload_heavy_speedup
-            );
-        }
-        if let Some(rate) = self.service_requests_per_sec {
-            let _ = writeln!(
-                out,
-                "service_saturation: {rate:.0} request(s)/sec sustained"
-            );
-        }
-        for (label, fast, slow) in SOLVER_SPEEDUPS {
-            if let Some(speedup) = self.speedup(fast, slow) {
-                let _ = writeln!(
-                    out,
-                    "{label}: scheduling-point path is {speedup:.2}x faster than the iterative \
-                     reference"
-                );
-            }
-        }
-        if let Some(speedup) = self.speedup("sim_throughput/event-queue", "sim_throughput/classic")
-        {
-            let _ = writeln!(
-                out,
-                "sim_throughput: event-queue core is {speedup:.2}x faster than the classic engine"
-            );
-        }
-        if let Some(speedup) = self.speedup(
-            "delta_reanalysis/one_task_edit",
-            "delta_reanalysis/cold_full",
-        ) {
-            let _ = writeln!(
-                out,
-                "delta_reanalysis: a one-task edit re-analyzes {speedup:.2}x faster than a cold \
-                 full pass"
-            );
+        for contract in &self.contracts {
+            let (Ok(line) | Err(line)) = contract.check(self);
+            let _ = writeln!(out, "{line}");
         }
         out
     }
 }
-
-/// The solver-stage speedup pairs reported by [`BenchReport::render`]
-/// and gated by [`check_against`]: `(label, fast id, slow id)`.
-const SOLVER_SPEEDUPS: [(&str, &str, &str); 4] = [
-    (
-        "busy_window",
-        "busy_window/scheduling-points",
-        "busy_window/iterative",
-    ),
-    (
-        "latency_sweep",
-        "latency_sweep/scheduling-points",
-        "latency_sweep/iterative",
-    ),
-    (
-        "holistic_scaling/linear",
-        "holistic_scaling/linear/worklist",
-        "holistic_scaling/linear/full-sweeps",
-    ),
-    (
-        "holistic_scaling/star",
-        "holistic_scaling/star/worklist",
-        "holistic_scaling/star/full-sweeps",
-    ),
-];
-
-/// Contract floors for the gated speedup pairs: the deep-pipeline
-/// worklist must keep ≥ 5x over the full-sweep reference, the
-/// busy-window and latency stages ≥ 2x, the event-queue simulation
-/// core ≥ 10x jobs/sec over the retained classic chain-scan engine on
-/// the wide throughput workload, and memoized delta re-analysis of a
-/// one-task WCET edit ≥ 10x over the cold full holistic pass on the
-/// 100-resource pipeline. (The star shape is measured and
-/// regression-gated per entry, but its headline win is thread fan-out,
-/// which single-core CI runners cannot reproduce — no ratio floor
-/// there.)
-const SPEEDUP_CONTRACTS: [(&str, &str, f64); 5] = [
-    (
-        "busy_window/scheduling-points",
-        "busy_window/iterative",
-        2.0,
-    ),
-    (
-        "latency_sweep/scheduling-points",
-        "latency_sweep/iterative",
-        2.0,
-    ),
-    (
-        "holistic_scaling/linear/worklist",
-        "holistic_scaling/linear/full-sweeps",
-        5.0,
-    ),
-    ("sim_throughput/event-queue", "sim_throughput/classic", 10.0),
-    (
-        "delta_reanalysis/one_task_edit",
-        "delta_reanalysis/cold_full",
-        10.0,
-    ),
-];
-
-/// Cap contracts: the first entry must stay within `cap` × the second
-/// (the inverse of a speedup floor). Durable `store_put` journaling —
-/// render, frame, checksum, `write(2)` — must cost at most 1.5× the
-/// in-memory put it shadows, or the durability layer has become the
-/// bottleneck of every store-backed deployment.
-const OVERHEAD_CAPS: [(&str, &str, f64); 1] =
-    [("persist/put_journaled", "persist/put_in_memory", 1.5)];
 
 fn format_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -372,9 +401,8 @@ fn bench_options() -> AnalysisOptions {
 }
 
 /// A victim chain plus `overloads` overload chains, each with
-/// `segments_per_chain` active segments — the ablation shape shared
-/// with `cargo bench ablation_combinations`.
-pub fn system_with_overloads(overloads: usize, segments_per_chain: usize) -> System {
+/// `segments_per_chain` active segments — the ablation shape.
+fn system_with_overloads(overloads: usize, segments_per_chain: usize) -> System {
     let mut builder = SystemBuilder::new()
         .chain("victim")
         .periodic(1_000)
@@ -572,43 +600,71 @@ fn convergent_distributed(
     panic!("no convergent distributed workload within 512 seeds");
 }
 
-/// Runs the whole suite.
+/// Runs every workload into one report: the core analysis stages, then
+/// delta re-analysis, store persistence and service saturation.
 pub fn run_bench(config: &BenchConfig) -> BenchReport {
+    run_with_load(config, &saturation_load(config.seed))
+}
+
+/// [`run_bench`] with the service workload driven by `load`.
+fn run_with_load(config: &BenchConfig, load: &twca_service::LoadgenConfig) -> BenchReport {
+    let mut report = BenchReport {
+        seed: config.seed,
+        quick: config.quick,
+        entries: Vec::new(),
+        contracts: Vec::new(),
+    };
+    core_workloads(config, &mut report);
+    delta_workload(config, &mut report);
+    persist_workload(config, &mut report);
+    service_workload(config, load, &mut report);
+    report
+}
+
+/// The machine-speed calibration pass, used by `check_against` to
+/// normalize baselines recorded on other machines. Deliberately shaped
+/// like the real benchmarks — allocation plus a data-dependent memory
+/// walk — so cache/memory contention moves it the same way it moves
+/// them (a pure ALU spin would not).
+fn calibration_pass() {
+    let mut x: u64 = 0x9E37_79B9;
+    let mut table: Vec<u64> = Vec::with_capacity(1 << 16);
+    for i in 0..(1u64 << 16) {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        table.push(x);
+    }
+    let mut acc = 0u64;
+    let mut at = 0usize;
+    for _ in 0..2_000_000u64 {
+        let v = table[at];
+        acc = acc.wrapping_add(v);
+        at = (v as usize) & ((1 << 16) - 1);
+    }
+    std::hint::black_box((acc, table));
+}
+
+/// The core analysis workloads, led by the `calibration/spin` entry.
+fn core_workloads(config: &BenchConfig, report: &mut BenchReport) {
     let samples = if config.quick { 7 } else { 11 };
     let options = bench_options();
-    let mut entries = Vec::new();
+    report.time("calibration/spin", samples, calibration_pass);
 
-    // Machine-speed calibration, used by `check_against` to normalize
-    // baselines recorded on other machines. Deliberately shaped like
-    // the real benchmarks — allocation plus a data-dependent memory
-    // walk — so cache/memory contention moves it the same way it moves
-    // them (a pure ALU spin would not).
-    entries.push(calibration_entry(samples));
-
-    // Ablation grid: the synthetic shapes of `cargo bench
-    // ablation_combinations`, classification stage only.
+    // Ablation grid: synthetic victim-plus-overload shapes,
+    // classification stage only.
     for (overloads, segments) in [(2usize, 4usize), (4, 4)] {
         let sites = combination_sites(vec![system_with_overloads(overloads, segments)], options);
         // Micro workloads repeat per pass so a pass is long enough for
         // the 1.5x regression gate to be noise-immune.
         let id = format!("ablation_combinations/{overloads}x{segments}");
-        entries.push(BenchEntry {
-            id: format!("{id}/lazy"),
-            best_ns: best_ns(samples, || {
-                for _ in 0..50 {
-                    std::hint::black_box(lazy_pass(&sites, options));
-                }
-            }),
-            samples,
+        report.time(format!("{id}/lazy"), samples, || {
+            for _ in 0..50 {
+                std::hint::black_box(lazy_pass(&sites, options));
+            }
         });
-        entries.push(BenchEntry {
-            id: format!("{id}/materialized"),
-            best_ns: best_ns(samples, || {
-                for _ in 0..50 {
-                    std::hint::black_box(materialized_pass(&sites, options));
-                }
-            }),
-            samples,
+        report.time(format!("{id}/materialized"), samples, || {
+            for _ in 0..50 {
+                std::hint::black_box(materialized_pass(&sites, options));
+            }
         });
     }
 
@@ -628,45 +684,36 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         check_lazy, check_mat,
         "the engines disagreed on the bench workload"
     );
-    let lazy_ns = best_ns(samples, || {
+    report.time("overload_heavy/combinations/lazy", samples, || {
         std::hint::black_box(lazy_pass(&sites, options));
     });
-    let mat_ns = best_ns(samples, || {
+    report.time("overload_heavy/combinations/materialized", samples, || {
         std::hint::black_box(materialized_pass(&sites, options));
     });
-    entries.push(BenchEntry {
-        id: "overload_heavy/combinations/lazy".to_owned(),
-        best_ns: lazy_ns,
-        samples,
-    });
-    entries.push(BenchEntry {
-        id: "overload_heavy/combinations/materialized".to_owned(),
-        best_ns: mat_ns,
-        samples,
-    });
-    let overload_heavy_speedup = mat_ns as f64 / lazy_ns.max(1) as f64;
+    // The lazy engine must keep two thirds of the ~102x it was
+    // committed at (102.08 / 1.5).
+    report.contracts.push(Contract::speedup(
+        "overload_heavy/combinations/lazy",
+        "overload_heavy/combinations/materialized",
+        68.05,
+    ));
 
     // Table II reproduction: the case-study dmm curve, full pipeline.
-    entries.push(BenchEntry {
-        id: "table2_dmm".to_owned(),
-        best_ns: best_ns(samples, || {
-            for _ in 0..50 {
-                let system = case_study();
-                let ctx = AnalysisContext::new(&system);
-                let (c, _) = system.chain_by_name("sigma_c").expect("case-study chain");
-                let sweep =
-                    DmmSweep::prepare(&ctx, c, AnalysisOptions::default()).expect("case study");
-                std::hint::black_box(sweep.curve([1, 3, 10, 76, 250]));
-            }
-        }),
-        samples,
+    report.time("table2_dmm", samples, || {
+        for _ in 0..50 {
+            let system = case_study();
+            let ctx = AnalysisContext::new(&system);
+            let (c, _) = system.chain_by_name("sigma_c").expect("case-study chain");
+            let sweep = DmmSweep::prepare(&ctx, c, AnalysisOptions::default()).expect("case study");
+            std::hint::black_box(sweep.curve([1, 3, 10, 76, 250]));
+        }
     });
 
     // Batch engine throughput on one worker: the `twca batch` hot path
     // with the thread fan-out pinned to 1 so the single-threaded
     // calibration entry can normalize it across machines with different
-    // core counts (parallel scaling itself is criterion's
-    // `engine_scaling` bench, not a regression-gated number).
+    // core counts (parallel scaling depends on the core count, so it is
+    // not a regression-gated number).
     let batch: Vec<System> = {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         (0..16)
@@ -675,18 +722,14 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
             })
             .collect()
     };
-    entries.push(BenchEntry {
-        id: "engine_scaling".to_owned(),
-        best_ns: best_ns(samples, || {
-            for _ in 0..5 {
-                let session = Session::new().with_options(options);
-                let engine = twca_api::batch::BatchEngine::from_session(session)
-                    .with_ks([1, 10, 100])
-                    .with_threads(1);
-                std::hint::black_box(engine.run(batch.clone()));
-            }
-        }),
-        samples,
+    report.time("engine_scaling", samples, || {
+        for _ in 0..5 {
+            let session = Session::new().with_options(options);
+            let engine = twca_api::batch::BatchEngine::from_session(session)
+                .with_ks([1, 10, 100])
+                .with_threads(1);
+            std::hint::black_box(engine.run(batch.clone()));
+        }
     });
 
     // Busy-window and latency-sweep solver comparison: the Theorem 1/2
@@ -730,20 +773,19 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         "the latency solvers disagreed on the bench workload"
     );
     for (solver, id) in ["scheduling-points", "iterative"].into_iter().enumerate() {
-        entries.push(BenchEntry {
-            id: format!("busy_window/{id}"),
-            best_ns: best_ns(samples, || {
-                std::hint::black_box(busy_window_pass(&busy_ctxs[solver], options));
-            }),
-            samples,
+        report.time(format!("busy_window/{id}"), samples, || {
+            std::hint::black_box(busy_window_pass(&busy_ctxs[solver], options));
         });
-        entries.push(BenchEntry {
-            id: format!("latency_sweep/{id}"),
-            best_ns: best_ns(samples, || {
-                std::hint::black_box(latency_sweep_pass(&latency_ctxs[solver], options));
-            }),
-            samples,
+        report.time(format!("latency_sweep/{id}"), samples, || {
+            std::hint::black_box(latency_sweep_pass(&latency_ctxs[solver], options));
         });
+    }
+    for stage in ["busy_window", "latency_sweep"] {
+        report.contracts.push(Contract::speedup(
+            &format!("{stage}/scheduling-points"),
+            &format!("{stage}/iterative"),
+            2.0,
+        ));
     }
 
     // Holistic scaling: the incremental worklist vs the full-sweep
@@ -792,23 +834,31 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
             ),
             "the holistic drivers disagreed on the {shape} bench workload"
         );
-        entries.push(BenchEntry {
-            id: format!("holistic_scaling/{shape}/worklist"),
-            best_ns: best_ns(samples, || {
+        report.time(
+            format!("holistic_scaling/{shape}/worklist"),
+            samples,
+            || {
                 std::hint::black_box(
                     twca_dist::analyze(&dist, dist_options).expect("prevalidated"),
                 );
-            }),
+            },
+        );
+        report.time(
+            format!("holistic_scaling/{shape}/full-sweeps"),
             samples,
-        });
-        entries.push(BenchEntry {
-            id: format!("holistic_scaling/{shape}/full-sweeps"),
-            best_ns: best_ns(samples, || {
+            || {
                 std::hint::black_box(full_sweeps(&dist));
-            }),
-            samples,
-        });
+            },
+        );
     }
+    // The deep pipeline must keep >= 5x over the full sweeps. The star
+    // has no floor: its headline win is thread fan-out, which
+    // single-core CI runners cannot reproduce.
+    report.contracts.push(Contract::speedup(
+        "holistic_scaling/linear/worklist",
+        "holistic_scaling/linear/full-sweeps",
+        5.0,
+    ));
 
     // Simulation throughput: one whole-trace pass of the wide
     // high-event-rate workload through each core. The event-queue side
@@ -825,158 +875,20 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         twca_sim::reference::run_classic(&sim, &sim_traces),
         "the simulation engines disagreed on the bench workload"
     );
-    entries.push(BenchEntry {
-        id: "sim_throughput/event-queue".to_owned(),
-        best_ns: best_ns(samples, || {
-            std::hint::black_box(sim.run_in_arena(&sim_traces, &mut arena));
-        }),
-        samples,
+    report.time("sim_throughput/event-queue", samples, || {
+        std::hint::black_box(sim.run_in_arena(&sim_traces, &mut arena));
     });
-    entries.push(BenchEntry {
-        id: "sim_throughput/classic".to_owned(),
-        best_ns: best_ns(samples, || {
-            std::hint::black_box(twca_sim::reference::run_classic(&sim, &sim_traces));
-        }),
-        samples,
+    report.time("sim_throughput/classic", samples, || {
+        std::hint::black_box(twca_sim::reference::run_classic(&sim, &sim_traces));
     });
-
-    BenchReport {
-        seed: config.seed,
-        quick: config.quick,
-        entries,
-        overload_heavy_speedup,
-        service_requests_per_sec: None,
-    }
+    report.contracts.push(Contract::speedup(
+        "sim_throughput/event-queue",
+        "sim_throughput/classic",
+        10.0,
+    ));
 }
 
-/// The machine-speed calibration entry shared by every suite;
-/// see the comment in [`run_bench`] for why it is memory-shaped.
-fn calibration_entry(samples: usize) -> BenchEntry {
-    BenchEntry {
-        id: "calibration/spin".to_owned(),
-        best_ns: best_ns(samples, || {
-            let mut x: u64 = 0x9E37_79B9;
-            let mut table: Vec<u64> = Vec::with_capacity(1 << 16);
-            for i in 0..(1u64 << 16) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-                table.push(x);
-            }
-            let mut acc = 0u64;
-            let mut at = 0usize;
-            for _ in 0..2_000_000u64 {
-                let v = table[at];
-                acc = acc.wrapping_add(v);
-                at = (v as usize) & ((1 << 16) - 1);
-            }
-            std::hint::black_box((acc, table));
-        }),
-        samples,
-    }
-}
-
-/// Runs the `service_saturation` workload of the `--suite service`
-/// bench: an in-process [`twca_service::TcpServer`] saturated by the
-/// load generator with 10 000 concurrent request streams (one request
-/// each) over 32 connections. Every run must be clean — zero analysis
-/// errors, zero `overloaded` rejections, zero lost responses — or the
-/// suite panics; the report carries sustained requests/sec plus
-/// p50/p95/p99 tail latency as regression-gated entries.
-pub fn run_service_bench(config: &BenchConfig) -> BenchReport {
-    let samples = if config.quick { 2 } else { 3 };
-    let load = twca_service::LoadgenConfig {
-        streams: 10_000,
-        requests_per_stream: 1,
-        connections: 32,
-        mix: twca_service::RequestMix::Mixed,
-        seed: config.seed,
-        ..twca_service::LoadgenConfig::default()
-    };
-    service_bench(config, &load, samples)
-}
-
-fn service_bench(
-    config: &BenchConfig,
-    load: &twca_service::LoadgenConfig,
-    samples: usize,
-) -> BenchReport {
-    use std::time::Duration;
-
-    let mut entries = vec![calibration_entry(samples)];
-    let service_config = twca_service::ServiceConfig {
-        workers: 2,
-        // Roomy enough that a clean run never trips admission control:
-        // saturation measures throughput, not the rejection path.
-        queue_capacity: (load.streams * load.requests_per_stream).max(1024),
-        deadline: None,
-        max_frame_bytes: 1 << 20,
-        // The acceptance bar is measured with the production edge
-        // hardening armed: generous timeouts that a healthy loadgen
-        // never trips, but the reaping machinery is live.
-        read_timeout: Some(Duration::from_secs(5)),
-        idle_timeout: Some(Duration::from_secs(10)),
-        write_timeout: Some(Duration::from_secs(5)),
-        write_buffer_bytes: 4 << 20,
-    };
-    let total_requests = (load.streams * load.requests_per_stream) as u64;
-    let mut best_elapsed_ns = u64::MAX;
-    let mut best_rate = 0.0f64;
-    let mut p50 = u64::MAX;
-    let mut p95 = u64::MAX;
-    let mut p99 = u64::MAX;
-    for _ in 0..samples.max(1) {
-        let server = twca_service::TcpServer::start(
-            "127.0.0.1:0",
-            Session::new().with_options(bench_options()),
-            &service_config,
-        )
-        .expect("loopback bind");
-        let report =
-            twca_service::run_loadgen(server.local_addr(), load).expect("loopback connect");
-        let summary = server.shutdown(Duration::from_secs(120));
-        assert_eq!(
-            report.ok,
-            total_requests,
-            "the saturation run must be clean:\n{}",
-            report.render()
-        );
-        assert_eq!(summary.errors, 0, "the server saw errors under saturation");
-        let elapsed_ns = u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if elapsed_ns < best_elapsed_ns {
-            best_elapsed_ns = elapsed_ns;
-            best_rate = report.requests_per_sec();
-        }
-        // Per-percentile minima across runs, the same noise-robust
-        // estimator as `best_ns`.
-        p50 = p50.min(report.percentile_ns(0.50));
-        p95 = p95.min(report.percentile_ns(0.95));
-        p99 = p99.min(report.percentile_ns(0.99));
-    }
-    entries.push(BenchEntry {
-        id: "service_saturation/wall_per_request_ns".to_owned(),
-        best_ns: best_elapsed_ns / total_requests.max(1),
-        samples,
-    });
-    for (id, ns) in [
-        ("service_saturation/p50_ns", p50),
-        ("service_saturation/p95_ns", p95),
-        ("service_saturation/p99_ns", p99),
-    ] {
-        entries.push(BenchEntry {
-            id: id.to_owned(),
-            best_ns: ns,
-            samples,
-        });
-    }
-    BenchReport {
-        seed: config.seed,
-        quick: config.quick,
-        entries,
-        overload_heavy_speedup: 0.0,
-        service_requests_per_sec: Some(best_rate),
-    }
-}
-
-/// The delta-suite workload: a `resources`-deep linear pipeline whose
+/// The delta workload's system: a `resources`-deep linear pipeline whose
 /// per-resource systems carry enough chains that holistic re-analysis
 /// of one resource costs real solver work (so memo hits measurably
 /// beat re-analysis), with the *tail* stage's first task at
@@ -1023,14 +935,14 @@ fn delta_pipeline(resources: usize, tail_wcet: u64) -> twca_dist::DistributedSys
     builder.build().expect("well-formed pipeline")
 }
 
-/// Runs the `--suite delta` workload: memoized holistic re-analysis
-/// after a one-task WCET edit on the 100-resource pipeline, against
-/// the cold full fixed point on the same edited system. The warm side
-/// pops a pre-warmed [`twca_dist::HolisticMemo`] clone per pass, so every timed
-/// pass is a genuine first re-analysis (not an all-hit replay), and
-/// the suite asserts the delta results are bit-identical to the
-/// from-scratch ones before timing anything.
-pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
+/// The delta workload: memoized holistic re-analysis after a one-task
+/// WCET edit on the 100-resource pipeline, against the cold full fixed
+/// point on the same edited system. The warm side pops a pre-warmed
+/// [`twca_dist::HolisticMemo`] clone per pass, so every timed pass is a
+/// genuine first re-analysis (not an all-hit replay). Before timing
+/// anything it asserts that the delta results are bit-identical to the
+/// from-scratch ones and that the edit stayed localized.
+fn delta_workload(config: &BenchConfig, report: &mut BenchReport) {
     use twca_dist::{analyze_with_memo, HolisticMemo};
 
     let samples = if config.quick { 5 } else { 9 };
@@ -1044,7 +956,7 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
     // Warm the memo on the pre-edit system, then prove the delta pass
     // reproduces the from-scratch answer on the edited one.
     let warm = HolisticMemo::new();
-    let (_, cold_report) = analyze_with_memo(&base, options, &warm).expect("pipeline converges");
+    analyze_with_memo(&base, options, &warm).expect("pipeline converges");
     let fresh_memo = HolisticMemo::new();
     let (fresh, fresh_report) =
         analyze_with_memo(&edited, options, &fresh_memo).expect("pipeline converges");
@@ -1072,47 +984,35 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
         delta_report.memo_hits > 0,
         "the warm memo produced no hits on the unchanged resources"
     );
-    let _ = cold_report;
 
-    let mut entries = vec![calibration_entry(samples)];
-    entries.push(BenchEntry {
-        id: "delta_reanalysis/cold_full".to_owned(),
-        best_ns: best_ns(samples, || {
-            let memo = HolisticMemo::new();
-            std::hint::black_box(
-                analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
-            );
-        }),
-        samples,
+    report.time("delta_reanalysis/cold_full", samples, || {
+        let memo = HolisticMemo::new();
+        std::hint::black_box(
+            analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
+        );
     });
     // One pre-warmed clone per pass: each timed pass replays the exact
     // production moment — a store holding the old fixed point receives
     // the edit and re-analyzes only what changed.
     let mut warm_clones: Vec<HolisticMemo> = (0..samples).map(|_| warm.clone()).collect();
-    entries.push(BenchEntry {
-        id: "delta_reanalysis/one_task_edit".to_owned(),
-        best_ns: best_ns(samples, || {
-            let memo = warm_clones.pop().expect("one clone per sample");
-            std::hint::black_box(
-                analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
-            );
-        }),
-        samples,
+    report.time("delta_reanalysis/one_task_edit", samples, || {
+        let memo = warm_clones.pop().expect("one clone per sample");
+        std::hint::black_box(
+            analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
+        );
     });
-    BenchReport {
-        seed: config.seed,
-        quick: config.quick,
-        entries,
-        overload_heavy_speedup: 0.0,
-        service_requests_per_sec: None,
-    }
+    report.contracts.push(Contract::speedup(
+        "delta_reanalysis/one_task_edit",
+        "delta_reanalysis/cold_full",
+        10.0,
+    ));
 }
 
-/// The `--suite persist` put workload: `versions` distinct revisions
-/// of a mid-size chain system (stepped WCETs so every put carries a
-/// real diff), as DSL text — the timed passes parse it per put, the
-/// way every wire `store_put` does. Every body round-trips the
-/// persistent DSL format by construction.
+/// The persist put workload: `versions` distinct revisions of a
+/// mid-size chain system (stepped WCETs so every put carries a real
+/// diff), as DSL text — the timed passes parse it per put, the way
+/// every wire `store_put` does. Every body round-trips the persistent
+/// DSL format by construction.
 fn persist_texts(versions: usize) -> Vec<String> {
     (0..versions)
         .map(|step| {
@@ -1137,8 +1037,7 @@ fn persist_texts(versions: usize) -> Vec<String> {
         .collect()
 }
 
-/// Runs the `--suite persist` durability workloads behind
-/// `BENCH_persist.json`:
+/// The durability workloads:
 ///
 /// * `persist/put_in_memory` — 64 `store_put`s (two names, stepped
 ///   bodies, DSL parse included exactly as on the wire path) on a
@@ -1147,14 +1046,15 @@ fn persist_texts(versions: usize) -> Vec<String> {
 ///   over a real directory ([`twca_api::DirIo`]), journal appends
 ///   only (no per-put fsync, no snapshot) so the delta over the
 ///   in-memory entry is the render + frame + checksum + `write(2)`
-///   cost the journal adds per put — the pair is gated by the 1.5×
-///   overhead cap in [`check_against`];
+///   cost the journal adds per put — capped at 1.5× the in-memory
+///   put, or the durability layer has become the bottleneck of every
+///   store-backed deployment;
 /// * `persist/recovery` — reopening the store from a 64-record
 ///   journal (cold replay, no snapshot), the restart-latency number.
 ///
 /// Before timing anything the recovery path is checked: the reopened
 /// store must report both entries at version 32.
-pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
+fn persist_workload(config: &BenchConfig, report: &mut BenchReport) {
     use std::sync::Arc;
     use twca_api::{DirIo, PersistPolicy, SystemStore};
 
@@ -1162,7 +1062,7 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
     const PUTS: usize = 64;
     // Appends only: fsync cadence is a deployment policy measuring
     // disk hardware, not suite code, and would swamp the append cost
-    // this suite gates.
+    // this workload gates.
     let policy = PersistPolicy {
         snapshot_every: 0,
         sync_every: 0,
@@ -1189,15 +1089,15 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
     .expect("fresh durable store opens");
     run_puts(&seed_store);
     drop(seed_store);
-    let (reopened, report) = SystemStore::durable(
+    let (reopened, recovery) = SystemStore::durable(
         Arc::new(DirIo::open(&check_dir).expect("temp store dir reopens")),
         policy,
     )
     .expect("journal recovers");
     assert_eq!(
-        report.replayed, PUTS as u64,
+        recovery.replayed, PUTS as u64,
         "recovery replayed {} of the {PUTS} journaled puts",
-        report.replayed
+        recovery.replayed
     );
     let versions: Vec<(String, u64)> = reopened
         .export()
@@ -1214,15 +1114,10 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
     );
     drop(reopened);
 
-    let mut entries = vec![calibration_entry(samples)];
-    entries.push(BenchEntry {
-        id: "persist/put_in_memory".to_owned(),
-        best_ns: best_ns(samples, || {
-            let store = SystemStore::new();
-            run_puts(&store);
-            std::hint::black_box(store.names());
-        }),
-        samples,
+    report.time("persist/put_in_memory", samples, || {
+        let store = SystemStore::new();
+        run_puts(&store);
+        std::hint::black_box(store.names());
     });
     // One pre-opened store per pass: directory setup is not the
     // workload, the 64 journaled puts are.
@@ -1237,33 +1132,111 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
             store
         })
         .collect();
-    entries.push(BenchEntry {
-        id: "persist/put_journaled".to_owned(),
-        best_ns: best_ns(samples, || {
-            let store = fresh.pop().expect("one store per sample");
-            run_puts(&store);
-            std::hint::black_box(store.persist_stats().journal_bytes);
-        }),
-        samples,
+    report.time("persist/put_journaled", samples, || {
+        let store = fresh.pop().expect("one store per sample");
+        run_puts(&store);
+        std::hint::black_box(store.persist_stats().journal_bytes);
     });
     // Recovery re-reads the same 64-record journal every pass (replay
     // never mutates a journal with no torn tail).
-    entries.push(BenchEntry {
-        id: "persist/recovery".to_owned(),
-        best_ns: best_ns(samples, || {
-            let io = Arc::new(DirIo::open(&check_dir).expect("temp store dir reopens"));
-            let (store, report) = SystemStore::durable(io, policy).expect("journal recovers");
-            std::hint::black_box((store.names(), report));
-        }),
-        samples,
+    report.time("persist/recovery", samples, || {
+        let io = Arc::new(DirIo::open(&check_dir).expect("temp store dir reopens"));
+        let (store, recovery) = SystemStore::durable(io, policy).expect("journal recovers");
+        std::hint::black_box((store.names(), recovery));
     });
     let _ = std::fs::remove_dir_all(&scratch);
-    BenchReport {
-        seed: config.seed,
-        quick: config.quick,
-        entries,
-        overload_heavy_speedup: 0.0,
-        service_requests_per_sec: None,
+    report.contracts.push(Contract::cap(
+        "persist/put_journaled",
+        "persist/put_in_memory",
+        1.5,
+    ));
+}
+
+/// The committed saturation shape: 10 000 concurrent request streams
+/// (one request each) over 32 connections.
+fn saturation_load(seed: u64) -> twca_service::LoadgenConfig {
+    twca_service::LoadgenConfig {
+        streams: 10_000,
+        requests_per_stream: 1,
+        connections: 32,
+        mix: twca_service::RequestMix::Mixed,
+        seed,
+        ..twca_service::LoadgenConfig::default()
+    }
+}
+
+/// The `service_saturation` workload: an in-process
+/// [`twca_service::TcpServer`] saturated by the load generator running
+/// `load`. Every run must be clean — zero analysis errors, zero
+/// `overloaded` rejections, zero lost responses — or the workload
+/// panics. The entries are the wall time per request (the inverse of
+/// sustained requests/sec) and the p50/p95/p99 tail latency.
+fn service_workload(
+    config: &BenchConfig,
+    load: &twca_service::LoadgenConfig,
+    report: &mut BenchReport,
+) {
+    use std::time::Duration;
+
+    let samples = if config.quick { 2 } else { 3 };
+    let service_config = twca_service::ServiceConfig {
+        workers: 2,
+        // Roomy enough that a clean run never trips admission control:
+        // saturation measures throughput, not the rejection path.
+        queue_capacity: (load.streams * load.requests_per_stream).max(1024),
+        deadline: None,
+        max_frame_bytes: 1 << 20,
+        // The acceptance bar is measured with the production edge
+        // hardening armed: generous timeouts that a healthy loadgen
+        // never trips, but the reaping machinery is live.
+        read_timeout: Some(Duration::from_secs(5)),
+        idle_timeout: Some(Duration::from_secs(10)),
+        write_timeout: Some(Duration::from_secs(5)),
+        write_buffer_bytes: 4 << 20,
+    };
+    let total_requests = (load.streams * load.requests_per_stream) as u64;
+    let mut best_elapsed_ns = u64::MAX;
+    let mut p50 = u64::MAX;
+    let mut p95 = u64::MAX;
+    let mut p99 = u64::MAX;
+    for _ in 0..samples {
+        let server = twca_service::TcpServer::start(
+            "127.0.0.1:0",
+            Session::new().with_options(bench_options()),
+            &service_config,
+        )
+        .expect("loopback bind");
+        let run = twca_service::run_loadgen(server.local_addr(), load).expect("loopback connect");
+        let summary = server.shutdown(Duration::from_secs(120));
+        assert_eq!(
+            run.ok,
+            total_requests,
+            "the saturation run must be clean:\n{}",
+            run.render()
+        );
+        assert_eq!(summary.errors, 0, "the server saw errors under saturation");
+        // Per-metric minima across runs, the same noise-robust
+        // estimator as `best_ns`.
+        best_elapsed_ns =
+            best_elapsed_ns.min(u64::try_from(run.elapsed.as_nanos()).unwrap_or(u64::MAX));
+        p50 = p50.min(run.percentile_ns(0.50));
+        p95 = p95.min(run.percentile_ns(0.95));
+        p99 = p99.min(run.percentile_ns(0.99));
+    }
+    for (id, best_ns) in [
+        (
+            "service_saturation/wall_per_request_ns",
+            best_elapsed_ns / total_requests.max(1),
+        ),
+        ("service_saturation/p50_ns", p50),
+        ("service_saturation/p95_ns", p95),
+        ("service_saturation/p99_ns", p99),
+    ] {
+        report.entries.push(BenchEntry {
+            id: id.to_owned(),
+            best_ns,
+            samples,
+        });
     }
 }
 
@@ -1273,10 +1246,11 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
 /// seeds mean different workloads — comparing them validates nothing).
 /// Best-of-N times are normalized by the two reports'
 /// `calibration/spin` entries (so a baseline recorded on a faster
-/// machine does not fail CI spuriously), then every shared benchmark id
-/// must stay within `tolerance` × baseline; the overload-heavy speedup
-/// must not collapse below `baseline / tolerance` and must keep the
-/// ≥ 5× contract. Returns the list of regressions (empty = pass).
+/// machine does not fail CI spuriously), then every baseline entry
+/// must be measured and stay within `tolerance` × baseline, and every
+/// contract of the baseline must hold on `current` (a contract whose
+/// entry is missing fails). Returns the list of failures (empty =
+/// pass).
 pub fn check_against(current: &BenchReport, baseline: &BenchReport, tolerance: f64) -> Vec<String> {
     let mut regressions = Vec::new();
     if current.seed != baseline.seed {
@@ -1315,41 +1289,12 @@ pub fn check_against(current: &BenchReport, baseline: &BenchReport, tolerance: f
             ));
         }
     }
-    // The overload-heavy contract only applies to reports that measured
-    // it (the service suite, say, has no combination-engine entries).
-    if baseline.entry("overload_heavy/combinations/lazy").is_some() {
-        if current.overload_heavy_speedup < baseline.overload_heavy_speedup / tolerance {
-            regressions.push(format!(
-                "overload-heavy speedup collapsed: {:.2}x vs baseline {:.2}x",
-                current.overload_heavy_speedup, baseline.overload_heavy_speedup
-            ));
-        }
-        if current.overload_heavy_speedup < 5.0 {
-            regressions.push(format!(
-                "overload-heavy speedup below the 5x contract: {:.2}x",
-                current.overload_heavy_speedup
-            ));
-        }
-    }
-    for (fast, slow, floor) in SPEEDUP_CONTRACTS {
-        if let Some(speedup) = current.speedup(fast, slow) {
-            if speedup < floor {
-                regressions.push(format!(
-                    "`{fast}` speedup below its {floor}x contract: {speedup:.2}x vs `{slow}`"
-                ));
-            }
-        }
-    }
-    for (capped, base, cap) in OVERHEAD_CAPS {
-        // speedup(base, capped) is capped_ns / base_ns — the overhead.
-        if let Some(overhead) = current.speedup(base, capped) {
-            if overhead > cap {
-                regressions.push(format!(
-                    "`{capped}` overhead above its {cap}x cap: {overhead:.2}x vs `{base}`"
-                ));
-            }
-        }
-    }
+    regressions.extend(
+        baseline
+            .contracts
+            .iter()
+            .filter_map(|contract| contract.check(current).err()),
+    );
     regressions
 }
 
@@ -1357,178 +1302,105 @@ pub fn check_against(current: &BenchReport, baseline: &BenchReport, tolerance: f
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = BenchReport {
-            seed: 7,
+    fn report(entries: &[(&str, u64)], contracts: Vec<Contract>) -> BenchReport {
+        BenchReport {
+            seed: 1,
             quick: true,
-            entries: vec![
-                BenchEntry {
-                    id: "calibration/spin".into(),
-                    best_ns: 1_000,
+            entries: entries
+                .iter()
+                .map(|&(id, best_ns)| BenchEntry {
+                    id: id.to_owned(),
+                    best_ns,
                     samples: 3,
-                },
-                BenchEntry {
-                    id: "x/y".into(),
-                    best_ns: 42,
-                    samples: 3,
-                },
-            ],
-            overload_heavy_speedup: 12.5,
-            service_requests_per_sec: None,
-        };
-        let json = report.to_json().to_string();
-        let reparsed = BenchReport::from_json(&Json::parse(&json).expect("valid json"))
-            .expect("well-formed report");
-        assert_eq!(reparsed, report);
-        assert!(report.render().contains("x/y"));
+                })
+                .collect(),
+            contracts,
+        }
     }
 
     #[test]
     fn regression_check_scales_by_calibration_and_flags_slowdowns() {
-        let mk = |spin: u64, work: u64, speedup: f64| BenchReport {
-            seed: 1,
-            quick: true,
-            entries: vec![
-                BenchEntry {
-                    id: "calibration/spin".into(),
-                    best_ns: spin,
-                    samples: 3,
-                },
-                BenchEntry {
-                    id: "work".into(),
-                    best_ns: work,
-                    samples: 3,
-                },
-                // Present so the overload-heavy speedup contract applies.
-                BenchEntry {
-                    id: "overload_heavy/combinations/lazy".into(),
-                    best_ns: work,
-                    samples: 3,
-                },
-            ],
-            overload_heavy_speedup: speedup,
-            service_requests_per_sec: None,
+        let mk = |spin: u64, work: u64| {
+            report(&[("calibration/spin", spin), ("work", work)], Vec::new())
         };
-        let baseline = mk(1_000, 10_000, 50.0);
+        let baseline = mk(1_000, 10_000);
         // Twice-slower machine, work scaled accordingly: clean.
-        assert!(check_against(&mk(2_000, 20_000, 50.0), &baseline, 1.5).is_empty());
+        assert!(check_against(&mk(2_000, 20_000), &baseline, 1.5).is_empty());
         // Same machine, work 2x slower: regression.
-        assert!(!check_against(&mk(1_000, 20_001, 50.0), &baseline, 1.5).is_empty());
-        // Speedup collapse and sub-contract speedups are caught.
-        assert!(!check_against(&mk(1_000, 10_000, 20.0), &baseline, 1.5).is_empty());
-        assert!(!check_against(&mk(1_000, 10_000, 4.0), &baseline, 1.5).is_empty());
+        assert!(!check_against(&mk(1_000, 20_001), &baseline, 1.5).is_empty());
+        // A different seed is a different workload.
+        let mut other_seed = baseline.clone();
+        other_seed.seed = 2;
+        assert!(!check_against(&other_seed, &baseline, 1.5).is_empty());
     }
 
     #[test]
-    fn overhead_cap_flags_expensive_journaling() {
-        let mk = |journaled: u64| BenchReport {
-            seed: 1,
-            quick: true,
-            entries: vec![
-                BenchEntry {
-                    id: "persist/put_in_memory".into(),
-                    best_ns: 10_000,
-                    samples: 3,
-                },
-                BenchEntry {
-                    id: "persist/put_journaled".into(),
-                    best_ns: journaled,
-                    samples: 3,
-                },
-            ],
-            overload_heavy_speedup: 0.0,
-            service_requests_per_sec: None,
-        };
-        let baseline = mk(12_000);
-        assert!(check_against(&mk(14_000), &baseline, 1.5).is_empty());
-        let flagged = check_against(&mk(16_000), &baseline, 1.5);
-        assert!(
-            flagged.iter().any(|r| r.contains("1.5x cap")),
-            "journal overhead above the cap was not flagged: {flagged:?}"
-        );
-    }
-
-    #[test]
-    fn quick_suite_runs_and_keeps_the_contract() {
-        let report = run_bench(&BenchConfig {
-            seed: 42,
-            quick: true,
-        });
-        assert!(report.entry("table2_dmm").is_some());
-        assert!(report.entry("engine_scaling").is_some());
-        assert!(report.entry("overload_heavy/combinations/lazy").is_some());
-        // No wall-clock ratio assertions here: this runs unoptimized
-        // and time-shared under `cargo test`. run_bench itself asserts
-        // the engines *agree* on the workload (deterministic), and the
-        // release-mode CI bench step gates the speedup contract.
-        assert!(report.overload_heavy_speedup.is_finite());
-    }
-
-    #[test]
-    fn delta_suite_localizes_the_edit_and_round_trips() {
-        let report = run_delta_bench(&BenchConfig {
-            seed: 42,
-            quick: true,
-        });
-        for id in [
-            "calibration/spin",
-            "delta_reanalysis/cold_full",
-            "delta_reanalysis/one_task_edit",
-        ] {
-            assert!(report.entry(id).is_some(), "missing entry `{id}`");
+    fn contracts_hold_inside_and_fail_outside_their_thresholds() {
+        const LAZY: &str = "overload_heavy/combinations/lazy";
+        const MATERIALIZED: &str = "overload_heavy/combinations/materialized";
+        let floor = Contract::speedup("fast", "slow", 2.0);
+        let cap = Contract::cap("capped", "base", 1.5);
+        let overload = Contract::speedup(LAZY, MATERIALIZED, 68.05);
+        type Entries<'a> = &'a [(&'a str, u64)];
+        let cases: [(&Contract, Entries, bool); 10] = [
+            (&floor, &[("fast", 1_000), ("slow", 2_000)], true),
+            (&floor, &[("fast", 1_000), ("slow", 1_999)], false),
+            (&cap, &[("base", 1_000), ("capped", 1_500)], true),
+            (&cap, &[("base", 1_000), ("capped", 1_501)], false),
+            (&overload, &[(LAZY, 1_000), (MATERIALIZED, 68_050)], true),
+            (&overload, &[(LAZY, 1_000), (MATERIALIZED, 68_000)], false),
+            // A contract whose entry is missing fails, either side.
+            (&floor, &[("fast", 1_000)], false),
+            (&floor, &[("slow", 9_000)], false),
+            (&cap, &[("capped", 1_000)], false),
+            (&cap, &[("base", 1_000)], false),
+        ];
+        for (contract, entries, holds) in cases {
+            // The baseline measured both sides; only `current` varies.
+            let mut baseline = report(entries, vec![contract.clone()]);
+            for id in contract.ids() {
+                if baseline.entry(id).is_none() {
+                    baseline.entries.push(BenchEntry {
+                        id: id.to_owned(),
+                        best_ns: 1_000,
+                        samples: 3,
+                    });
+                }
+            }
+            let current = report(entries, Vec::new());
+            let failures: Vec<String> = check_against(&current, &baseline, 1.5)
+                .into_iter()
+                .filter(|r| r.starts_with("contract"))
+                .collect();
+            assert_eq!(
+                failures.is_empty(),
+                holds,
+                "{contract} on {entries:?}: {failures:?}"
+            );
+            assert_eq!(contract.check(&current).is_ok(), holds);
         }
-        // No wall-clock ratio floor here (unoptimized, time-shared);
-        // run_delta_bench itself asserts the delta pass matches the
-        // from-scratch fixed point and analyzed strictly fewer rows.
-        // The release-mode CI bench step gates the 10x contract.
-        let json = report.to_json().to_string();
-        let reparsed =
-            BenchReport::from_json(&Json::parse(&json).expect("valid json")).expect("well-formed");
-        assert_eq!(reparsed.entries, report.entries);
-        // check_against on a delta report may legitimately flag the 10x
-        // contract here (unoptimized build), but never a timing
-        // regression against its own reparse.
-        assert!(check_against(&report, &reparsed, 1.5)
-            .iter()
-            .all(|r| r.contains("contract")));
-        assert!(report.render().contains("delta_reanalysis"));
     }
 
     #[test]
-    fn persist_suite_recovers_its_own_journal_and_round_trips() {
-        let report = run_persist_bench(&BenchConfig {
-            seed: 42,
-            quick: true,
-        });
-        for id in [
-            "calibration/spin",
-            "persist/put_in_memory",
-            "persist/put_journaled",
-            "persist/recovery",
-        ] {
-            assert!(report.entry(id).is_some(), "missing entry `{id}`");
-        }
-        let json = report.to_json().to_string();
-        let reparsed =
-            BenchReport::from_json(&Json::parse(&json).expect("valid json")).expect("well-formed");
-        assert_eq!(reparsed.entries, report.entries);
-        // No wall-clock cap assertion here (unoptimized, time-shared —
-        // the release-mode CI bench step gates the 1.5x overhead cap);
-        // run_persist_bench itself asserts the journal recovers to the
-        // exact final state. Self-comparison may only ever flag the
-        // cap, never a timing regression.
-        assert!(check_against(&report, &reparsed, 1.5)
-            .iter()
-            .all(|r| r.contains("cap")));
-        assert!(report.render().contains("persist/recovery"));
+    fn a_baseline_contract_must_name_its_own_entries() {
+        let contract = Contract::speedup("fast", "slow", 2.0);
+        let whole = report(&[("fast", 1), ("slow", 3)], vec![contract.clone()]);
+        let json = Json::parse(&whole.to_json().to_string()).expect("valid json");
+        assert_eq!(BenchReport::from_json(&json), Ok(whole));
+        let partial = report(&[("fast", 1)], vec![contract]);
+        let json = Json::parse(&partial.to_json().to_string()).expect("valid json");
+        let error = BenchReport::from_json(&json).unwrap_err();
+        assert!(error.contains("`slow`"), "{error}");
     }
 
     #[test]
-    fn service_suite_measures_saturation_and_round_trips() {
-        // A scaled-down saturation shape: `cargo test` runs unoptimized,
-        // so the committed-baseline 10k-stream shape belongs to the
-        // release-mode CI bench step, not here.
+    fn merged_report_runs_every_workload_and_round_trips() {
+        // The service workload at a scaled-down saturation shape:
+        // `cargo test` runs unoptimized, so the committed 10k-stream
+        // shape belongs to the release-mode CI bench step. Every other
+        // workload runs as committed; each asserts its own invariants
+        // (the engines agree, delta localizes the edit, the journal
+        // recovers, the service runs clean) before timing anything.
         let config = BenchConfig {
             seed: 42,
             quick: true,
@@ -1537,29 +1409,44 @@ mod tests {
             streams: 40,
             requests_per_stream: 2,
             connections: 8,
-            mix: twca_service::RequestMix::Mixed,
-            seed: config.seed,
-            ..twca_service::LoadgenConfig::default()
+            ..saturation_load(config.seed)
         };
-        let report = service_bench(&config, &load, 1);
+        let report = run_with_load(&config, &load);
         for id in [
             "calibration/spin",
-            "service_saturation/wall_per_request_ns",
-            "service_saturation/p50_ns",
-            "service_saturation/p95_ns",
+            "overload_heavy/combinations/lazy",
+            "table2_dmm",
+            "engine_scaling",
+            "sim_throughput/classic",
+            "delta_reanalysis/one_task_edit",
+            "persist/recovery",
             "service_saturation/p99_ns",
         ] {
             assert!(report.entry(id).is_some(), "missing entry `{id}`");
         }
-        assert!(report.service_requests_per_sec.unwrap() > 0.0);
-        let json = report.to_json().to_string();
-        let reparsed =
-            BenchReport::from_json(&Json::parse(&json).expect("valid json")).expect("well-formed");
-        assert_eq!(reparsed.entries, report.entries);
-        assert!(reparsed.service_requests_per_sec.is_some());
-        // A service-suite baseline must not demand the combination-engine
-        // contract of a service-suite measurement.
-        assert!(check_against(&report, &reparsed, 1.5).is_empty());
-        assert!(report.render().contains("service_saturation"));
+        assert_eq!(report.contracts.len(), 7);
+        let reparsed = BenchReport::from_json(
+            &Json::parse(&report.to_json().to_string()).expect("valid json"),
+        )
+        .expect("well-formed report");
+        assert_eq!(reparsed, report);
+        // No wall-clock ratio assertions here (unoptimized and
+        // time-shared): self-comparison may only ever fail a contract,
+        // never a timing regression.
+        assert!(check_against(&report, &reparsed, 1.5)
+            .iter()
+            .all(|r| r.starts_with("contract")));
+        let rendered = report.render();
+        assert!(rendered.contains("service_saturation/p50_ns"));
+        assert_eq!(rendered.matches("contract ").count(), 7);
+    }
+
+    #[test]
+    fn committed_baseline_is_canonical_and_carries_every_contract() {
+        let text = include_str!("../../../BENCH.json");
+        let baseline = BenchReport::from_json(&Json::parse(text).expect("valid json"))
+            .expect("well-formed baseline");
+        assert_eq!(format!("{}\n", baseline.to_json()), text);
+        assert_eq!(baseline.contracts.len(), 7);
     }
 }

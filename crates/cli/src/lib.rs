@@ -1556,27 +1556,17 @@ pub fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
     Err(CliError::Verify(out))
 }
 
-/// The workload family `twca bench --suite` selects.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BenchSuite {
-    Core,
-    Service,
-    Delta,
-    Persist,
-}
-
 /// Parsed flags of `twca bench`.
 struct BenchCliArgs {
     config: twca_bench::runner::BenchConfig,
     json: bool,
     out: Option<String>,
     check: Option<String>,
-    suite: BenchSuite,
 }
 
 impl BenchCliArgs {
-    const USAGE: &'static str = "twca bench [--suite core|service|delta|persist] [--json] \
-                                 [--out FILE] [--seed S] [--quick] [--check BASELINE.json]";
+    const USAGE: &'static str =
+        "twca bench [--json] [--out FILE] [--seed S] [--quick] [--check BASELINE.json]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut parsed = BenchCliArgs {
@@ -1584,7 +1574,6 @@ impl BenchCliArgs {
             json: false,
             out: None,
             check: None,
-            suite: BenchSuite::Core,
         };
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
@@ -1603,19 +1592,6 @@ impl BenchCliArgs {
                 }
                 "--out" => parsed.out = Some(value_of("--out")?.clone()),
                 "--check" => parsed.check = Some(value_of("--check")?.clone()),
-                "--suite" => {
-                    parsed.suite = match value_of("--suite")?.as_str() {
-                        "core" => BenchSuite::Core,
-                        "service" => BenchSuite::Service,
-                        "delta" => BenchSuite::Delta,
-                        "persist" => BenchSuite::Persist,
-                        suite => {
-                            return Err(CliError::Usage(format!(
-                                "`--suite` must be core, service, delta or persist, not `{suite}`"
-                            )));
-                        }
-                    };
-                }
                 flag => {
                     return Err(CliError::Usage(format!(
                         "unknown bench flag `{flag}`; {}",
@@ -1629,24 +1605,18 @@ impl BenchCliArgs {
 }
 
 /// `twca bench`: the in-process perf-trajectory runner
-/// ([`twca_bench::runner`]) — best-of-N timings for the combination-engine
-/// ablations (`ablation_combinations`, `overload_heavy/combinations`),
-/// `table2_dmm` and `engine_scaling`, rendered as a table or as the
-/// `BENCH_combinations.json` artifact with `--json`/`--out`.
-/// `--suite service` instead runs the `service_saturation` workload —
-/// an in-process TCP server saturated by 10 000 concurrent request
-/// streams — whose requests/sec and p50/p95/p99 tail latency land in
-/// `BENCH_service.json`. `--suite delta` measures memoized holistic
-/// re-analysis after a one-task WCET edit on a 100-resource pipeline
-/// against the cold full fixed point (`BENCH_delta.json`, ≥ 10x
-/// contract). `--suite persist` measures durable-store `store_put`
-/// journaling against the in-memory put plus cold recovery time
-/// (`BENCH_persist.json`); journal append overhead is capped at 1.5×
-/// the in-memory put.
+/// ([`twca_bench::runner`]). One run times every workload — the core
+/// analysis stages (combination engine, Table II, batch engine,
+/// busy-window and latency solvers, holistic worklist, simulation),
+/// delta re-analysis after a one-task edit, durable-store puts and
+/// recovery, and saturation of an in-process TCP server by 10 000
+/// concurrent request streams — and renders best-of-N timings plus
+/// the ratio contracts between them as a table, or as the `BENCH.json`
+/// artifact with `--json`/`--out`.
 /// `--check BASELINE.json` re-measures and fails (non-zero exit) when
-/// any benchmark regresses more than 1.5× against the committed
-/// baseline after machine-speed normalization, or when the
-/// overload-heavy lazy-engine speedup falls below its contract.
+/// any baseline entry regresses more than 1.5× after machine-speed
+/// normalization, is missing, or when a contract of the baseline fails
+/// on the measured report.
 ///
 /// # Errors
 ///
@@ -1654,10 +1624,7 @@ impl BenchCliArgs {
 /// unreadable/unwritable files, and [`CliError::Verify`] with the
 /// regression list when `--check` fails.
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    use twca_bench::runner::{
-        check_against, run_bench, run_delta_bench, run_persist_bench, run_service_bench,
-        BenchReport,
-    };
+    use twca_bench::runner::{check_against, run_bench, BenchReport};
 
     let parsed = BenchCliArgs::parse(args)?;
     // Load the baseline before measuring anything: a missing or
@@ -1673,12 +1640,7 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             })?)
         }
     };
-    let report = match parsed.suite {
-        BenchSuite::Core => run_bench(&parsed.config),
-        BenchSuite::Service => run_service_bench(&parsed.config),
-        BenchSuite::Delta => run_delta_bench(&parsed.config),
-        BenchSuite::Persist => run_persist_bench(&parsed.config),
-    };
+    let report = run_bench(&parsed.config);
     let json = format!("{}\n", report.to_json());
     if let Some(path) = &parsed.out {
         std::fs::write(path, &json)?;

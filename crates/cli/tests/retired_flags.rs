@@ -1,6 +1,7 @@
-//! The reference implementations are verifier entry points, not
-//! product options: the real `twca` binary must refuse every flag that
-//! used to select one with a usage error (exit code 2).
+//! Retired flags stay retired: the real `twca` binary must refuse with
+//! a usage error (exit code 2) every flag that used to select a
+//! reference implementation (now verifier entry points) or a
+//! `twca bench` suite (one run now measures every workload).
 
 use std::process::Command;
 
@@ -44,4 +45,9 @@ fn sim_rejects_the_engine_flag() {
     let file = path.to_string_lossy().to_string();
     assert_usage_error(&["sim", &file, "--engine", "classic"], "--engine");
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn bench_rejects_the_suite_flag() {
+    assert_usage_error(&["bench", "--suite", "core"], "--suite");
 }

@@ -685,7 +685,7 @@ fn budgets(
 /// budgets `Ω_a^b` and the packing do. A sweep prepares the former once
 /// and re-solves only the (small) packing per `k`, which makes dmm curves
 /// and design-space sweeps much cheaper than repeated
-/// [`deadline_miss_model`] calls (see `cargo bench ablation_ilp`).
+/// [`deadline_miss_model`] calls.
 ///
 /// # Examples
 ///

@@ -12,8 +12,9 @@
 //!
 //! This is an integer program with a 0/1 constraint matrix and an all-ones
 //! objective. The dedicated depth-first search below is exact and usually
-//! much faster than the general branch-and-bound; `cargo bench
-//! ablation_ilp` compares the two.
+//! much faster than the general branch-and-bound; the
+//! `packing_matches_general_ilp` property test holds the two to the same
+//! optimum.
 
 use crate::error::IlpError;
 use crate::problem::Problem;
