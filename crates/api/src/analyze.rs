@@ -10,10 +10,7 @@ use crate::response::{
     SimChainOutcome, SimulateOutcome, WitnessOutcome,
 };
 use crate::session::{RequestControl, Session};
-use twca_chains::{
-    latency_analysis, max_overload_scaling, AnalysisContext, AnalysisOptions, DmmSweep,
-    MkConstraint, OverloadMode,
-};
+use twca_chains::{max_overload_scaling, AnalysisContext, AnalysisOptions, DmmSweep, MkConstraint};
 use twca_dist::{
     analyze as dist_analyze, max_path_overload_scaling, DistError, DistOptions, DistPath,
     DistResults, DistributedSystem, SiteId,
@@ -165,16 +162,7 @@ impl Analyze for ChainBackend<'_> {
                 let mut rows = Vec::new();
                 for id in self.selected(chain)? {
                     env.control.charge(1)?;
-                    let full = latency_analysis(ctx, id, OverloadMode::Include, env.options);
-                    let typical = latency_analysis(ctx, id, OverloadMode::Exclude, env.options);
-                    let chain = self.system.chain(id);
-                    rows.push(LatencyOutcome {
-                        name: chain.name().to_owned(),
-                        deadline: chain.deadline(),
-                        overload: chain.is_overload(),
-                        worst_case_latency: full.map(|r| r.worst_case_latency),
-                        typical_latency: typical.map(|r| r.worst_case_latency),
-                    });
+                    rows.push(LatencyOutcome::analyze(ctx, id, env.options));
                 }
                 Ok(QueryOutcome::Latency(rows))
             }
@@ -182,30 +170,14 @@ impl Analyze for ChainBackend<'_> {
                 let explicit = chain.is_some();
                 let mut rows = Vec::new();
                 for id in self.selected(chain)? {
-                    let target = self.system.chain(id);
-                    if target.deadline().is_none() && !explicit {
+                    if self.system.chain(id).deadline().is_none() && !explicit {
                         continue;
                     }
                     // At least one unit even for an empty `ks` list:
                     // the sweep preparation itself (combination
                     // enumeration) is the expensive part.
                     env.control.charge(ks.len().max(1) as u64)?;
-                    let (points, error) = match DmmSweep::prepare(ctx, id, env.options) {
-                        Ok(sweep) => (
-                            sweep
-                                .curve(ks.iter().copied())
-                                .into_iter()
-                                .map(DmmPoint::from)
-                                .collect(),
-                            None,
-                        ),
-                        Err(e) => (Vec::new(), Some(e.to_string())),
-                    };
-                    rows.push(DmmOutcome {
-                        name: target.name().to_owned(),
-                        points,
-                        error,
-                    });
+                    rows.push(DmmOutcome::sweep(ctx, id, ks, env.options));
                 }
                 Ok(QueryOutcome::Dmm(rows))
             }
@@ -562,6 +534,7 @@ mod tests {
     use super::*;
     use crate::request::{AnalysisRequest, Target};
     use crate::ApiErrorKind;
+    use twca_chains::{latency_analysis, OverloadMode};
     use twca_model::case_study;
 
     const DOWNSTREAM: &str = "chain act periodic=200 deadline=200 sync { task a1 prio=1 wcet=20 }";

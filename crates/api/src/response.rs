@@ -9,8 +9,9 @@
 use crate::error::ApiError;
 use crate::json::Json;
 use crate::request::SCHEMA_VERSION;
-use twca_chains::DmmResult;
+use twca_chains::{AnalysisContext, AnalysisOptions, ChainReport, DmmResult, DmmSweep};
 use twca_curves::Time;
+use twca_model::ChainId;
 
 /// One `dmm(k)` point on the wire: the window length, the miss bound,
 /// and whether the bound beats the trivial `k` fallback. The richer
@@ -176,6 +177,25 @@ pub struct LatencyOutcome {
     pub typical_latency: Option<Time>,
 }
 
+impl LatencyOutcome {
+    /// The latency row of one uniprocessor chain — shared by the
+    /// `latency` query, `store_analyze` and the batch pipeline.
+    pub(crate) fn analyze(
+        ctx: &AnalysisContext<'_>,
+        id: ChainId,
+        options: AnalysisOptions,
+    ) -> Self {
+        let report = ChainReport::analyze(ctx, id, options);
+        LatencyOutcome {
+            name: report.name,
+            deadline: report.deadline,
+            overload: report.overload,
+            worst_case_latency: report.worst_case_latency,
+            typical_latency: report.typical_latency,
+        }
+    }
+}
+
 /// One miss-model row of a [`QueryOutcome::Dmm`] answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmmOutcome {
@@ -185,6 +205,33 @@ pub struct DmmOutcome {
     pub points: Vec<DmmPoint>,
     /// Per-chain analysis error, if the sweep failed.
     pub error: Option<String>,
+}
+
+impl DmmOutcome {
+    /// The miss-model row of one uniprocessor chain: its [`DmmSweep`]
+    /// curve over `ks`, or the error that stopped the sweep's
+    /// preparation — shared by the `dmm` query, `store_analyze` and the
+    /// batch pipeline.
+    pub(crate) fn sweep(
+        ctx: &AnalysisContext<'_>,
+        id: ChainId,
+        ks: &[u64],
+        options: AnalysisOptions,
+    ) -> Self {
+        let name = ctx.system().chain(id).name().to_owned();
+        match DmmSweep::prepare(ctx, id, options) {
+            Ok(sweep) => DmmOutcome {
+                name,
+                points: ks.iter().map(|&k| DmmPoint::from(sweep.at(k))).collect(),
+                error: None,
+            },
+            Err(e) => DmmOutcome {
+                name,
+                points: Vec::new(),
+                error: Some(e.to_string()),
+            },
+        }
+    }
 }
 
 /// One verdict row of a [`QueryOutcome::WeaklyHard`] answer.

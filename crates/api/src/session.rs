@@ -13,10 +13,7 @@ use crate::response::{
     StatsOutcome, StoreAnalyzeOutcome, StorePutOutcome, SystemOutcome,
 };
 use crate::store::{StoredBody, SystemStore};
-use twca_chains::{
-    latency_analysis, AnalysisCache, AnalysisContext, AnalysisOptions, CacheStats, DmmSweep,
-    OverloadMode,
-};
+use twca_chains::{AnalysisCache, AnalysisContext, AnalysisOptions, CacheStats};
 use twca_dist::{analyze_with_memo, DistributedSystemBuilder};
 use twca_model::{parse_system, System};
 
@@ -571,34 +568,10 @@ impl Session {
                 let mut latency = Vec::new();
                 let mut dmm = Vec::new();
                 for (id, chain) in system.iter() {
-                    let full = latency_analysis(&ctx, id, OverloadMode::Include, env.options);
-                    let typical = latency_analysis(&ctx, id, OverloadMode::Exclude, env.options);
-                    latency.push(LatencyOutcome {
-                        name: chain.name().to_owned(),
-                        deadline: chain.deadline(),
-                        overload: chain.is_overload(),
-                        worst_case_latency: full.map(|r| r.worst_case_latency),
-                        typical_latency: typical.map(|r| r.worst_case_latency),
-                    });
-                    if chain.deadline().is_none() {
-                        continue;
+                    latency.push(LatencyOutcome::analyze(&ctx, id, env.options));
+                    if chain.deadline().is_some() {
+                        dmm.push(DmmOutcome::sweep(&ctx, id, ks, env.options));
                     }
-                    let (points, error) = match DmmSweep::prepare(&ctx, id, env.options) {
-                        Ok(sweep) => (
-                            sweep
-                                .curve(ks.iter().copied())
-                                .into_iter()
-                                .map(DmmPoint::from)
-                                .collect(),
-                            None,
-                        ),
-                        Err(e) => (Vec::new(), Some(e.to_string())),
-                    };
-                    dmm.push(DmmOutcome {
-                        name: chain.name().to_owned(),
-                        points,
-                        error,
-                    });
                 }
                 (0, 0, latency, dmm)
             }
@@ -699,29 +672,19 @@ impl Session {
         let ctx = AnalysisContext::with_cache(system, self.cache());
         let mut chains = Vec::with_capacity(system.chains().len());
         for (id, chain) in system.iter() {
-            let full = latency_analysis(&ctx, id, OverloadMode::Include, options);
-            let typical = latency_analysis(&ctx, id, OverloadMode::Exclude, options);
+            let row = LatencyOutcome::analyze(&ctx, id, options);
             let (miss_models, error) = if chain.deadline().is_some() {
-                match DmmSweep::prepare(&ctx, id, options) {
-                    Ok(sweep) => (
-                        sweep
-                            .curve(ks.iter().copied())
-                            .into_iter()
-                            .map(DmmPoint::from)
-                            .collect(),
-                        None,
-                    ),
-                    Err(e) => (Vec::new(), Some(e.to_string())),
-                }
+                let dmm = DmmOutcome::sweep(&ctx, id, ks, options);
+                (dmm.points, dmm.error)
             } else {
                 (Vec::new(), None)
             };
             chains.push(ChainOutcome {
-                name: chain.name().to_owned(),
-                deadline: chain.deadline(),
-                overload: chain.is_overload(),
-                worst_case_latency: full.as_ref().map(|r| r.worst_case_latency),
-                typical_latency: typical.as_ref().map(|r| r.worst_case_latency),
+                name: row.name,
+                deadline: row.deadline,
+                overload: row.overload,
+                worst_case_latency: row.worst_case_latency,
+                typical_latency: row.typical_latency,
                 miss_models,
                 error,
             });

@@ -698,9 +698,9 @@ struct ServeArgs {
 
 impl ServeArgs {
     const USAGE: &'static str = "twca serve [--file F] [--budget UNITS] [--horizon H] [--max-q Q] \
-                                 [--listen ADDR] [--workers N] [--queue N] [--deadline-ms MS] \
-                                 [--read-timeout MS] [--idle-timeout MS] [--write-buffer BYTES] \
-                                 [--cache-entries N] [--cache-bytes B] [--store-dir DIR]";
+                                 [--cache-entries N] [--cache-bytes B] [--store-dir DIR] \
+                                 [--listen ADDR [--workers N] [--queue N] [--deadline-ms MS] \
+                                 [--read-timeout MS] [--idle-timeout MS] [--write-buffer BYTES]]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut parsed = ServeArgs {
@@ -933,7 +933,11 @@ fn render_serve_summary(
 /// queue (overflow draws typed `overloaded` errors), `--deadline-ms`
 /// cancels requests that outlive their deadline. End-of-input on the
 /// stdio lane triggers a graceful drain of the whole server, so
-/// holding stdin open (e.g. a FIFO) keeps the server up.
+/// holding stdin open (e.g. a FIFO) keeps the server up. The pool and
+/// edge flags (`--workers`, `--queue`, `--deadline-ms`,
+/// `--read-timeout`, `--idle-timeout`, `--write-buffer`) configure
+/// that server only, so without `--listen` they are a usage error
+/// rather than silently ignored.
 ///
 /// With `--store-dir DIR` the session's system store is durable:
 /// every `store_put` is journaled to `DIR` before it is acknowledged,
@@ -952,6 +956,22 @@ pub fn cmd_serve(
     output: impl Write,
 ) -> Result<String, CliError> {
     let parsed = ServeArgs::parse(args)?;
+    if parsed.listen.is_none() {
+        let pool_flags = [
+            ("--workers", parsed.workers.is_some()),
+            ("--queue", parsed.queue.is_some()),
+            ("--deadline-ms", parsed.deadline_ms.is_some()),
+            ("--read-timeout", parsed.read_timeout_ms.is_some()),
+            ("--idle-timeout", parsed.idle_timeout_ms.is_some()),
+            ("--write-buffer", parsed.write_buffer.is_some()),
+        ];
+        if let Some((flag, _)) = pool_flags.iter().find(|(_, given)| *given) {
+            return Err(CliError::Usage(format!(
+                "`{flag}` configures the TCP server and needs `--listen ADDR`; {}",
+                ServeArgs::USAGE
+            )));
+        }
+    }
     let mut session = parsed.session();
     let recovery = match parsed.durable_store()? {
         None => None,

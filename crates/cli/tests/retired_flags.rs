@@ -1,9 +1,11 @@
 //! Retired flags stay retired: the real `twca` binary must refuse with
 //! a usage error (exit code 2) every flag that used to select a
 //! reference implementation (now verifier entry points) or a
-//! `twca bench` suite (one run now measures every workload).
+//! `twca bench` suite (one run now measures every workload), and every
+//! `twca serve` pool or edge flag given without the `--listen` server
+//! it configures.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const SYSTEM: &str = "chain control periodic=100 deadline=100 sync {
     task sense prio=5 wcet=10
@@ -11,9 +13,11 @@ const SYSTEM: &str = "chain control periodic=100 deadline=100 sync {
 }
 ";
 
-fn assert_usage_error(args: &[&str], flag: &str) {
+/// Asserts the usage error and returns its stderr.
+fn assert_usage_error(args: &[&str], flag: &str) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_twca"))
         .args(args)
+        .stdin(Stdio::null())
         .output()
         .expect("spawn twca");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -23,6 +27,7 @@ fn assert_usage_error(args: &[&str], flag: &str) {
         "{args:?}: {stderr}"
     );
     assert!(output.stdout.is_empty(), "{args:?} printed a result");
+    stderr.into_owned()
 }
 
 #[test]
@@ -50,4 +55,19 @@ fn sim_rejects_the_engine_flag() {
 #[test]
 fn bench_rejects_the_suite_flag() {
     assert_usage_error(&["bench", "--suite", "core"], "--suite");
+}
+
+#[test]
+fn serve_rejects_pool_flags_without_listen() {
+    for (flag, value) in [
+        ("--workers", "0"),
+        ("--queue", "0"),
+        ("--deadline-ms", "0"),
+        ("--read-timeout", "100"),
+        ("--idle-timeout", "100"),
+        ("--write-buffer", "4096"),
+    ] {
+        let stderr = assert_usage_error(&["serve", flag, value], flag);
+        assert!(stderr.contains("`--listen ADDR`"), "{flag}: {stderr}");
+    }
 }

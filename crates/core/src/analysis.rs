@@ -162,18 +162,7 @@ impl<'a> ChainAnalysis<'a> {
         let rows = self
             .system()
             .iter()
-            .map(|(id, chain)| {
-                let full = latency_analysis(&self.ctx, id, OverloadMode::Include, self.options);
-                let typical = latency_analysis(&self.ctx, id, OverloadMode::Exclude, self.options);
-                ChainReport {
-                    chain: id,
-                    name: chain.name().to_owned(),
-                    worst_case_latency: full.map(|r| r.worst_case_latency),
-                    typical_latency: typical.map(|r| r.worst_case_latency),
-                    deadline: chain.deadline(),
-                    overload: chain.is_overload(),
-                }
-            })
+            .map(|(id, _)| ChainReport::analyze(&self.ctx, id, self.options))
             .collect();
         SystemReport { rows }
     }

@@ -1,17 +1,27 @@
 //! Deadline miss models for task chains (Theorem 3 and Lemma 3 of the
 //! paper).
+//!
+//! Every entry point — [`deadline_miss_model`],
+//! [`deadline_miss_model_exact`], [`deadline_miss_model_with_caps`],
+//! [`DmmSweep::at`] and [`DmmSweep::witness`] — runs one pipeline,
+//! split at its only `k`-dependent step: a `k`-independent *prepare*
+//! (validation, latency analysis, `N_b`, typical slack and the
+//! Definition 9 classification) and a per-`k` *pack* (Ω budgets,
+//! capacities, packing and `min(k, N_b · packed)`).
 
 use crate::combinations::{
     Combination, CombinationSet, ItemArena, OverloadSegment, PreparedCombinations,
 };
 use crate::config::AnalysisOptions;
 use crate::context::AnalysisContext;
-use crate::criterion::typical_slack;
+use crate::criterion::{
+    combination_schedulable_exact, combination_schedulable_exact_seeded, typical_slack,
+};
 use crate::error::AnalysisError;
 use crate::latency::{latency_analysis, OverloadMode};
 use crate::omega::overload_budget;
 use crate::reference::Reference;
-use twca_curves::EventModel;
+use twca_curves::{EventModel, Time};
 use twca_ilp::{PackingProblem, PackingSolution};
 use twca_model::ChainId;
 
@@ -19,6 +29,18 @@ use twca_model::ChainId;
 /// `usize` fields of [`DmmResult`].
 fn saturate_count(count: u128) -> usize {
     count.min(usize::MAX as u128) as usize
+}
+
+/// The schedulability test that classifies combinations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Criterion {
+    /// Equation 5: a combination is unschedulable iff its cost exceeds
+    /// the typical slack.
+    Sufficient,
+    /// Equation 3: the busy-window fixed point with the combination's
+    /// cost injected. Costs within the slack are schedulable by
+    /// Equation 5 already, so only borderline ones pay for the check.
+    Exact,
 }
 
 /// The classified Definition 9 state the Theorem 3 packing consumes:
@@ -54,8 +76,8 @@ enum PackingItems {
     /// Explicit member lists of every unschedulable combination, in
     /// enumeration order — the materialized reference shape.
     Explicit(ItemArena),
-    /// The inclusion-minimal antichain, plus the engine and slack
-    /// needed to re-expand explicit members on the witness path.
+    /// The inclusion-minimal antichain, plus the engine and threshold
+    /// needed to re-expand explicit members on demand.
     Pruned {
         minimal: ItemArena,
         prepared: Box<PreparedCombinations>,
@@ -81,14 +103,94 @@ impl PackingItems {
     }
 }
 
-/// Classifies the combination space of `observed` against `slack`
-/// through the lazy engine (or, on a
-/// [`Reference::MaterializedEngine`] context, the materialized one).
-fn classify_combinations(
+impl ClassifiedCombinations {
+    /// Every unschedulable combination explicitly, in enumeration
+    /// order, or `None` when the pruned tier would have to expand more
+    /// than `cap` of them.
+    fn explicit(&self, cap: usize) -> Option<Vec<Combination>> {
+        match &self.items {
+            PackingItems::Explicit(items) => Some(
+                items
+                    .iter()
+                    .map(|members| Combination {
+                        members: members.to_vec(),
+                        wcet: members.iter().map(|&i| self.segments[i].wcet).sum(),
+                    })
+                    .collect(),
+            ),
+            PackingItems::Pruned {
+                prepared, slack, ..
+            } => prepared.expand_unschedulable(*slack, cap),
+        }
+    }
+
+    /// The witness rows of a packing whose per-item multiplicities are
+    /// `counts`.
+    ///
+    /// Non-minimal items never carry a positive multiplicity in the
+    /// pruned tier (the solver reduces to the antichain itself), so its
+    /// explicit rows are the lazy expansion with the antichain's counts
+    /// scattered onto the minimal members and zero elsewhere. Past
+    /// `cap` expanded combinations the rows are truncated to the
+    /// antichain.
+    fn witness_rows(&self, counts: &[u64], cap: usize) -> Vec<WitnessRow> {
+        let row = |members: &[usize], windows: u64| WitnessRow {
+            segments: members.iter().map(|&i| self.segments[i].clone()).collect(),
+            wcet: members.iter().map(|&i| self.segments[i].wcet).sum(),
+            windows,
+        };
+        let zipped = |items: &ItemArena| -> Vec<WitnessRow> {
+            items.iter().zip(counts).map(|(m, &w)| row(m, w)).collect()
+        };
+        match &self.items {
+            PackingItems::Explicit(items) => zipped(items),
+            PackingItems::Pruned {
+                minimal,
+                prepared,
+                slack,
+            } => match prepared.expand_unschedulable(*slack, cap) {
+                Some(all) => {
+                    let by_members: std::collections::HashMap<&[usize], u64> =
+                        minimal.iter().zip(counts.iter().copied()).collect();
+                    all.iter()
+                        .map(|c| {
+                            let windows = by_members.get(c.members.as_slice()).copied();
+                            row(&c.members, windows.unwrap_or(0))
+                        })
+                        .collect()
+                }
+                None => zipped(minimal),
+            },
+        }
+    }
+}
+
+/// Step 3 of Theorem 3: classifies the combination space of `observed`
+/// under `criterion`, costing each segment by its window multiplier
+/// (the activations of its chain per deadline horizon; all 1 on the
+/// paper's rare-overload domain).
+///
+/// A [`Reference::MaterializedEngine`] context enumerates every
+/// combination and tests each one. The lazy engine classifies against
+/// one threshold — the slack, or under Equation 3 the
+/// [`exact_threshold`] — and picks the packing tier that is
+/// bit-identical to the reference (see [`PackingItems`]).
+///
+/// # Errors
+///
+/// [`AnalysisError::TooManyCombinations`] when the materialized product
+/// exceeds `max_combinations`, or when the lazy counting or antichain
+/// walk exhausts its deterministic budget — possible only on
+/// adversarial instances whose schedulable/unschedulable *boundary* is
+/// itself combinatorial (instances the materialized reference could
+/// run can never exhaust it; see
+/// [`PreparedCombinations::walk_budget`]).
+fn classify(
     ctx: &AnalysisContext<'_>,
     observed: ChainId,
     k_b: u64,
     slack: i128,
+    criterion: Criterion,
     options: AnalysisOptions,
 ) -> Result<ClassifiedCombinations, AnalysisError> {
     if ctx.reference() == Some(Reference::MaterializedEngine) {
@@ -96,6 +198,13 @@ fn classify_combinations(
         let multipliers = set.window_multipliers(ctx, observed, k_b);
         let items: ItemArena = set
             .unschedulable_scaled(slack, &multipliers)
+            .filter(|c| match criterion {
+                Criterion::Sufficient => true,
+                Criterion::Exact => {
+                    let cost = set.effective_cost(c, &multipliers);
+                    !combination_schedulable_exact(ctx, observed, cost, k_b, options)
+                }
+            })
             .map(|c| c.members.clone())
             .collect();
         return Ok(ClassifiedCombinations {
@@ -106,32 +215,29 @@ fn classify_combinations(
         });
     }
     let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-    classify_lazy(prepared, slack, options)
-}
-
-/// The lazy tier choice; see [`PackingItems`] for why each tier is
-/// bit-identical to the reference on its regime.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyCombinations`] when the counting or
-/// antichain walk exhausts its deterministic budget — possible only on
-/// adversarial instances whose schedulable/unschedulable *boundary* is
-/// itself combinatorial (instances the materialized reference could
-/// run can never exhaust it; see
-/// [`PreparedCombinations::walk_budget`]).
-fn classify_lazy(
-    prepared: PreparedCombinations,
-    slack: i128,
-    options: AnalysisOptions,
-) -> Result<ClassifiedCombinations, AnalysisError> {
+    let threshold = match criterion {
+        Criterion::Sufficient => slack,
+        // Equation 3 only sees a combination through its total cost,
+        // and the injected cost enters the busy-window fixed point as a
+        // constant, so exact schedulability is monotone (downward
+        // closed) in the cost: one threshold bisection replaces the
+        // per-combination fixed points.
+        Criterion::Exact => exact_threshold(
+            ctx,
+            observed,
+            k_b,
+            slack,
+            prepared.max_total_cost(),
+            options,
+        ),
+    };
     let too_many = || AnalysisError::TooManyCombinations {
         limit: options.max_combinations,
     };
     let budget = PreparedCombinations::walk_budget(&options);
     let total = prepared.total_combinations();
     let count = prepared
-        .count_unschedulable_within(slack, budget)
+        .count_unschedulable_within(threshold, budget)
         .ok_or_else(too_many)?;
     let segments = prepared.segments().to_vec();
     let items = if count <= PackingProblem::DOMINANCE_LIMIT as u128
@@ -139,17 +245,17 @@ fn classify_lazy(
     {
         PackingItems::Pruned {
             minimal: prepared
-                .minimal_unschedulable_within(slack, budget)
+                .minimal_unschedulable_within(threshold, budget)
                 .ok_or_else(too_many)?,
             prepared: Box::new(prepared),
-            slack,
+            slack: threshold,
         }
     } else {
         // Between the reference's dominance-prefilter limit and its
         // explicit product bound: reproduce its raw item list exactly
         // (the reference would not have reduced to the antichain here).
         let expanded = prepared
-            .expand_unschedulable(slack, options.max_combinations)
+            .expand_unschedulable(threshold, options.max_combinations)
             .expect("the unschedulable count is bounded by the product, which fits the cap");
         PackingItems::Explicit(expanded.into_iter().map(|c| c.members).collect())
     };
@@ -161,36 +267,252 @@ fn classify_lazy(
     })
 }
 
-/// Every unschedulable combination explicitly, for the per-combination
-/// cap hook (whose artificial cap resources defeat the antichain
-/// reduction). Mirrors the materialized product gate on every context.
-fn explicit_unschedulable_for_hook(
+/// The largest cost `T ≥ slack` such that a combination costing `T` is
+/// schedulable under the exact Equation 3 criterion (costs at or below
+/// the slack are schedulable by Equation 5 without any fixed point).
+/// Combinations are then exactly-unschedulable iff their cost exceeds
+/// `T`, by monotonicity of the injected-cost fixed point.
+fn exact_threshold(
     ctx: &AnalysisContext<'_>,
     observed: ChainId,
     k_b: u64,
     slack: i128,
+    max_cost: u64,
     options: AnalysisOptions,
-) -> Result<(Vec<OverloadSegment>, usize, Vec<Combination>), AnalysisError> {
-    if ctx.reference() == Some(Reference::MaterializedEngine) {
-        let set = CombinationSet::enumerate(ctx, observed, options)?;
-        let multipliers = set.window_multipliers(ctx, observed, k_b);
-        let combos: Vec<Combination> = set
-            .unschedulable_scaled(slack, &multipliers)
-            .cloned()
-            .collect();
-        return Ok((set.segments().to_vec(), set.combinations().len(), combos));
+) -> i128 {
+    if slack >= max_cost as i128 {
+        // No combination costs more than the slack.
+        return slack;
     }
-    let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-    let total = prepared.total_combinations();
-    if total >= options.max_combinations as u128 {
-        return Err(AnalysisError::TooManyCombinations {
-            limit: options.max_combinations,
+    let mut lo: u64 = if slack < 0 { 0 } else { slack as u64 };
+    let mut hi: u64 = max_cost;
+    if combination_schedulable_exact(ctx, observed, hi, k_b, options) {
+        // Even the costliest combination closes its busy window in time.
+        return hi as i128;
+    }
+    // Invariant: schedulable at `lo` (or `lo` is the slack boundary),
+    // unschedulable at `hi`. The injected-cost fixed point is monotone
+    // in the cost, so the busy times of the best schedulable probe so
+    // far (`lo`) warm-start every later probe (all at costs > `lo`);
+    // the verdicts are identical to cold checks.
+    let mut lo_seeds: Vec<Time> = Vec::new();
+    let mut probe_seeds: Vec<Time> = Vec::new();
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if combination_schedulable_exact_seeded(
+            ctx,
+            observed,
+            mid,
+            k_b,
+            options,
+            &lo_seeds,
+            &mut probe_seeds,
+        ) {
+            lo = mid;
+            std::mem::swap(&mut lo_seeds, &mut probe_seeds);
+        } else {
+            hi = mid;
+        }
+    }
+    lo as i128
+}
+
+/// The `k`-independent outcome of Theorem 3 for one chain.
+#[derive(Debug, Clone)]
+enum SweepState {
+    /// The busy window diverges (`misses_per_window` is `None`, reported
+    /// as `k`) or the chain misses even with every overload chain
+    /// silent: `dmm(k) = k`.
+    TrivialK { misses_per_window: Option<u64> },
+    /// Never misses: `dmm(k) = 0`.
+    Zero,
+    /// An informative bound: only the packing depends on `k`.
+    Packing(Packing),
+}
+
+/// The `k`-independent state of an informative Theorem 3 bound.
+#[derive(Debug, Clone)]
+struct Packing {
+    misses_per_window: u64,
+    slack: i128,
+    worst_case_latency: Time,
+    /// The Definition 9 classification, shared by every window length.
+    classified: ClassifiedCombinations,
+}
+
+impl SweepState {
+    /// The prepare step: validation, then
+    ///
+    /// 1. full latency analysis → `K_b`, `WCL_b`, `N_b` (Lemma 3);
+    /// 2. typical slack (Equations 4–5), and the criterion's check that
+    ///    the empty combination (all overload silent) is schedulable —
+    ///    otherwise TWCA cannot help;
+    /// 3. the combination classification (Definition 9).
+    fn prepare(
+        ctx: &AnalysisContext<'_>,
+        observed: ChainId,
+        criterion: Criterion,
+        options: AnalysisOptions,
+    ) -> Result<SweepState, AnalysisError> {
+        if !ctx.contains(observed) {
+            return Err(AnalysisError::UnknownChain { chain: observed });
+        }
+        let chain_b = ctx.system().chain(observed);
+        let Some(deadline) = chain_b.deadline() else {
+            return Err(AnalysisError::MissingDeadline { chain: observed });
+        };
+        let Some(full) = latency_analysis(ctx, observed, OverloadMode::Include, options) else {
+            return Ok(SweepState::TrivialK {
+                misses_per_window: None,
+            });
+        };
+        let activation = chain_b.activation();
+        let misses_per_window = full.misses_per_window(deadline, |q| activation.delta_min(q));
+        if misses_per_window == 0 {
+            // Schedulable even in the full worst case.
+            return Ok(SweepState::Zero);
+        }
+        let k_b = full.busy_window_activations;
+        let slack = typical_slack(ctx, observed, k_b);
+        let typically_schedulable = match criterion {
+            Criterion::Sufficient => slack >= 0,
+            Criterion::Exact => combination_schedulable_exact(ctx, observed, 0, k_b, options),
+        };
+        if !typically_schedulable {
+            return Ok(SweepState::TrivialK {
+                misses_per_window: Some(misses_per_window),
+            });
+        }
+        Ok(SweepState::Packing(Packing {
+            misses_per_window,
+            slack,
+            worst_case_latency: full.worst_case_latency,
+            classified: classify(ctx, observed, k_b, slack, criterion, options)?,
+        }))
+    }
+
+    /// `dmm(k)` from the prepared state.
+    fn at(
+        &self,
+        ctx: &AnalysisContext<'_>,
+        observed: ChainId,
+        k: u64,
+        options: AnalysisOptions,
+    ) -> DmmResult {
+        match self {
+            SweepState::TrivialK { misses_per_window } => DmmResult::trivial(k, *misses_per_window),
+            SweepState::Zero => DmmResult::zero(k),
+            SweepState::Packing(packing) => packing.pack(ctx, observed, k, options).0,
+        }
+    }
+}
+
+impl Packing {
+    /// Step 4: the budgets `Ω_a^b` per overload chain (Lemma 4).
+    fn budgets(&self, ctx: &AnalysisContext<'_>, observed: ChainId, k: u64) -> Vec<(ChainId, u64)> {
+        ctx.system()
+            .overload_chains()
+            .filter(|&a| a != observed)
+            .map(|a| {
+                let omega = overload_budget(ctx, a, observed, k, self.worst_case_latency);
+                (a, omega)
+            })
+            .collect()
+    }
+
+    /// The pack step, steps 4–6 at one window length: budgets, one
+    /// capacity per segment, the packing of the unschedulable
+    /// combinations into busy windows, and the bound. Also returns the
+    /// packing solution, which is `None` when no combination is
+    /// unschedulable (a busy window can only miss when one executes in
+    /// it, so the packing is zero without touching the solver).
+    fn pack(
+        &self,
+        ctx: &AnalysisContext<'_>,
+        observed: ChainId,
+        k: u64,
+        options: AnalysisOptions,
+    ) -> (DmmResult, Option<PackingSolution>) {
+        let omegas = self.budgets(ctx, observed, k);
+        let solution = (self.classified.unschedulable > 0).then(|| {
+            let capacities = capacities(&self.classified.segments, &omegas);
+            self.classified
+                .items
+                .solve(capacities, options.packing_budget)
         });
+        (self.result(k, omegas, solution.as_ref()), solution)
     }
-    let combos = prepared
-        .expand_unschedulable(slack, options.max_combinations)
-        .expect("the product fits the explicit cap");
-    Ok((prepared.segments().to_vec(), total as usize, combos))
+
+    /// Step 6: `dmm_b(k) = min(k, N_b · packed)` — the `min(k, ·)` cap
+    /// is implicit in the definition of a DMM over `k` activations.
+    fn result(
+        &self,
+        k: u64,
+        omegas: Vec<(ChainId, u64)>,
+        solution: Option<&PackingSolution>,
+    ) -> DmmResult {
+        let (packed, packing_exact) =
+            solution.map_or((0, true), |s| (s.packed_total(), s.is_exact()));
+        DmmResult {
+            k,
+            bound: k.min(self.misses_per_window.saturating_mul(packed)),
+            informative: true,
+            misses_per_window: self.misses_per_window,
+            packed_windows: packed,
+            packing_exact,
+            typical_slack: self.slack,
+            omegas,
+            combinations: self.classified.combinations,
+            unschedulable_combinations: self.classified.unschedulable,
+        }
+    }
+}
+
+/// The packing resources: one per overload active segment, holding its
+/// chain's Ω budget.
+fn capacities(segments: &[OverloadSegment], omegas: &[(ChainId, u64)]) -> Vec<u64> {
+    segments
+        .iter()
+        .map(|s| {
+            omegas
+                .iter()
+                .find(|(id, _)| *id == s.chain)
+                .map(|&(_, w)| w)
+                .expect("every overload chain has a budget")
+        })
+        .collect()
+}
+
+/// Goes through the context's [`crate::AnalysisCache`] (when one is
+/// attached) under the criterion's `dmm` key, else runs `compute`.
+fn memoized(
+    ctx: &AnalysisContext<'_>,
+    observed: ChainId,
+    k: u64,
+    options: AnalysisOptions,
+    criterion: Criterion,
+    compute: impl FnOnce() -> Result<DmmResult, AnalysisError>,
+) -> Result<DmmResult, AnalysisError> {
+    match ctx.memo() {
+        Some((cache, sys)) => {
+            let exact = criterion == Criterion::Exact;
+            cache.dmm(sys, observed, k, options, exact, compute)
+        }
+        None => compute(),
+    }
+}
+
+/// One pointwise `dmm(k)`: a cache lookup, else prepare and pack.
+fn pointwise(
+    ctx: &AnalysisContext<'_>,
+    observed: ChainId,
+    k: u64,
+    options: AnalysisOptions,
+    criterion: Criterion,
+) -> Result<DmmResult, AnalysisError> {
+    memoized(ctx, observed, k, options, criterion, || {
+        Ok(SweepState::prepare(ctx, observed, criterion, options)?.at(ctx, observed, k, options))
+    })
 }
 
 /// A computed deadline miss model value `dmm_b(k)`, with the intermediate
@@ -229,6 +551,35 @@ pub struct DmmResult {
     pub combinations: usize,
     /// Number of unschedulable combinations (the ILP items).
     pub unschedulable_combinations: usize,
+}
+
+impl DmmResult {
+    /// The trivial fallback `dmm(k) = k`; a divergent busy window
+    /// (`misses_per_window` unknown) reports `N_b = k`.
+    fn trivial(k: u64, misses_per_window: Option<u64>) -> DmmResult {
+        DmmResult {
+            bound: k,
+            informative: false,
+            misses_per_window: misses_per_window.unwrap_or(k),
+            ..DmmResult::zero(k)
+        }
+    }
+
+    /// A chain that never misses: `dmm(k) = 0`.
+    fn zero(k: u64) -> DmmResult {
+        DmmResult {
+            k,
+            bound: 0,
+            informative: true,
+            misses_per_window: 0,
+            packed_windows: 0,
+            packing_exact: true,
+            typical_slack: 0,
+            omegas: Vec::new(),
+            combinations: 0,
+            unschedulable_combinations: 0,
+        }
+    }
 }
 
 /// Computes `dmm_b(k)` for `observed` (Theorem 3):
@@ -275,172 +626,64 @@ pub fn deadline_miss_model(
     k: u64,
     options: AnalysisOptions,
 ) -> Result<DmmResult, AnalysisError> {
-    if let Some((cache, sys)) = ctx.memo() {
-        return cache.dmm(sys, observed, k, options, false, || {
-            deadline_miss_model_with_caps(ctx, observed, k, options, None)
-        });
-    }
-    deadline_miss_model_with_caps(ctx, observed, k, options, None)
+    pointwise(ctx, observed, k, options, Criterion::Sufficient)
 }
 
-/// Like [`deadline_miss_model`], with an optional per-combination cap on
-/// how many busy windows one combination may spoil.
+/// Like [`deadline_miss_model`], with a per-combination cap on how many
+/// busy windows one combination may spoil.
 ///
 /// The cap hook receives each unschedulable combination together with the
 /// global segment table and returns `Some(cap)` to add the constraint
 /// `x_c̄ ≤ cap`, or `None` to leave the combination unconstrained beyond
-/// the Ω budgets. This is the entry point used by the
-/// [`crate::refinement`] extension; passing `None` for the hook yields
-/// the plain Theorem 3 bound.
+/// the Ω budgets; a hook that never caps yields the plain Theorem 3
+/// bound. This is the entry point used by the [`crate::refinement`]
+/// extension. Its artificial cap resources defeat the antichain
+/// reduction, so every unschedulable combination is expanded
+/// explicitly, within [`AnalysisOptions::max_combinations`].
 ///
 /// # Errors
 ///
-/// See [`deadline_miss_model`].
-#[allow(clippy::type_complexity)]
+/// See [`deadline_miss_model`]; [`AnalysisError::TooManyCombinations`]
+/// also when the Definition 9 product reaches `max_combinations`.
 pub fn deadline_miss_model_with_caps(
     ctx: &AnalysisContext<'_>,
     observed: ChainId,
     k: u64,
     options: AnalysisOptions,
-    item_cap: Option<&dyn Fn(&Combination, &[OverloadSegment]) -> Option<u64>>,
+    item_cap: &dyn Fn(&Combination, &[OverloadSegment]) -> Option<u64>,
 ) -> Result<DmmResult, AnalysisError> {
-    if !ctx.contains(observed) {
-        return Err(AnalysisError::UnknownChain { chain: observed });
-    }
-    let chain_b = ctx.system().chain(observed);
-    let Some(deadline) = chain_b.deadline() else {
-        return Err(AnalysisError::MissingDeadline { chain: observed });
+    let packing = match SweepState::prepare(ctx, observed, Criterion::Sufficient, options)? {
+        SweepState::Packing(packing) => packing,
+        trivial => return Ok(trivial.at(ctx, observed, k, options)),
     };
-
-    let trivial = |informative: bool, misses: u64| DmmResult {
-        k,
-        bound: k,
-        informative,
-        misses_per_window: misses,
-        packed_windows: 0,
-        packing_exact: true,
-        typical_slack: 0,
-        omegas: Vec::new(),
-        combinations: 0,
-        unschedulable_combinations: 0,
-    };
-
-    // Step 1: full worst-case latency analysis.
-    let Some(full) = latency_analysis(ctx, observed, OverloadMode::Include, options) else {
-        return Ok(trivial(false, k));
-    };
-    let activation = chain_b.activation().clone();
-    let misses_per_window = full.misses_per_window(deadline, |q| activation.delta_min(q));
-    if misses_per_window == 0 {
-        // Schedulable even in the full worst case: no misses at all.
-        return Ok(DmmResult {
-            k,
-            bound: 0,
-            informative: true,
-            misses_per_window: 0,
-            packed_windows: 0,
-            packing_exact: true,
-            typical_slack: 0,
-            omegas: Vec::new(),
-            combinations: 0,
-            unschedulable_combinations: 0,
+    let classified = &packing.classified;
+    if classified.combinations >= options.max_combinations {
+        return Err(AnalysisError::TooManyCombinations {
+            limit: options.max_combinations,
         });
     }
-
-    // Step 2: typical slack (Equations 4–5).
-    let slack = typical_slack(ctx, observed, full.busy_window_activations);
-    if slack < 0 {
-        // Misses occur even without overload: TWCA cannot help.
-        return Ok(trivial(false, misses_per_window));
-    }
-
-    // Step 4: budgets Ω_a^b per overload chain, mapped onto the segment
-    // resources. A busy window can only miss when an unschedulable
-    // combination executes in it, so an empty classification solves to
-    // a zero packing without touching the solver.
-    let omegas = budgets(ctx, observed, k, &full);
-    let omega_of = |chain: ChainId| -> u64 {
-        omegas
-            .iter()
-            .find(|(id, _)| *id == chain)
-            .map(|&(_, w)| w)
-            .expect("every overload chain has a budget")
-    };
-
-    // Steps 3 and 5: combinations classified under the soundly scaled
-    // costs (each segment × its chain's activations per deadline
-    // horizon; all multipliers are 1 on the paper's rare-overload
-    // domain), then packed into busy windows under the Ω capacities.
-    // The per-combination cap hook needs every unschedulable
-    // combination explicitly (its artificial cap resources defeat the
-    // antichain reduction); the plain Theorem 3 path goes through the
-    // configured engine's tiers.
-    let (combinations, num_unschedulable, solution) = match item_cap {
-        Some(hook) => {
-            let (segments, combinations, unschedulable) = explicit_unschedulable_for_hook(
-                ctx,
-                observed,
-                full.busy_window_activations,
-                slack,
-                options,
-            )?;
-            let solution = if unschedulable.is_empty() {
-                None
-            } else {
-                // Resources: one per overload active segment (capacity
-                // = its chain's Ω), plus one artificial resource per
-                // capped item.
-                let mut capacities: Vec<u64> = segments.iter().map(|s| omega_of(s.chain)).collect();
-                let mut items: Vec<Vec<usize>> = Vec::with_capacity(unschedulable.len());
-                for combo in &unschedulable {
-                    let mut resources = combo.members.clone();
-                    if let Some(cap) = hook(combo, &segments) {
-                        let extra = capacities.len();
-                        capacities.push(cap);
-                        resources.push(extra);
-                    }
-                    items.push(resources);
-                }
-                Some(
-                    PackingProblem::new(capacities, items)?
-                        .solve_with_budget(options.packing_budget),
-                )
-            };
-            (combinations, unschedulable.len(), solution)
+    let omegas = packing.budgets(ctx, observed, k);
+    let solution = if classified.unschedulable == 0 {
+        None
+    } else {
+        // One extra resource per capped combination, on top of the
+        // per-segment Ω capacities.
+        let mut capacities = capacities(&classified.segments, &omegas);
+        let explicit = classified
+            .explicit(options.max_combinations)
+            .expect("the product is below the cap");
+        let mut items = Vec::with_capacity(explicit.len());
+        for combo in &explicit {
+            let mut resources = combo.members.clone();
+            if let Some(cap) = item_cap(combo, &classified.segments) {
+                resources.push(capacities.len());
+                capacities.push(cap);
+            }
+            items.push(resources);
         }
-        None => {
-            let classified =
-                classify_combinations(ctx, observed, full.busy_window_activations, slack, options)?;
-            let solution = if classified.unschedulable == 0 {
-                None
-            } else {
-                let capacities: Vec<u64> = classified
-                    .segments
-                    .iter()
-                    .map(|s| omega_of(s.chain))
-                    .collect();
-                Some(classified.items.solve(capacities, options.packing_budget))
-            };
-            (classified.combinations, classified.unschedulable, solution)
-        }
+        Some(PackingProblem::new(capacities, items)?.solve_with_budget(options.packing_budget))
     };
-    let (packed, packing_exact) = solution
-        .map(|s| (s.packed_total(), s.is_exact()))
-        .unwrap_or((0, true));
-
-    // Step 6: the DMM value.
-    Ok(DmmResult {
-        k,
-        bound: k.min(misses_per_window.saturating_mul(packed)),
-        informative: true,
-        misses_per_window,
-        packed_windows: packed,
-        packing_exact,
-        typical_slack: slack,
-        omegas,
-        combinations,
-        unschedulable_combinations: num_unschedulable,
-    })
+    Ok(packing.result(k, omegas, solution.as_ref()))
 }
 
 /// Like [`deadline_miss_model`], but classifying combinations with the
@@ -462,219 +705,7 @@ pub fn deadline_miss_model_exact(
     k: u64,
     options: AnalysisOptions,
 ) -> Result<DmmResult, AnalysisError> {
-    if let Some((cache, sys)) = ctx.memo() {
-        if ctx.contains(observed) {
-            return cache.dmm(sys, observed, k, options, true, || {
-                compute_deadline_miss_model_exact(ctx, observed, k, options)
-            });
-        }
-    }
-    compute_deadline_miss_model_exact(ctx, observed, k, options)
-}
-
-/// The uncached Equation 3 classification behind
-/// [`deadline_miss_model_exact`].
-fn compute_deadline_miss_model_exact(
-    ctx: &AnalysisContext<'_>,
-    observed: ChainId,
-    k: u64,
-    options: AnalysisOptions,
-) -> Result<DmmResult, AnalysisError> {
-    if !ctx.contains(observed) {
-        return Err(AnalysisError::UnknownChain { chain: observed });
-    }
-    let chain_b = ctx.system().chain(observed);
-    let Some(deadline) = chain_b.deadline() else {
-        return Err(AnalysisError::MissingDeadline { chain: observed });
-    };
-
-    let Some(full) = latency_analysis(ctx, observed, OverloadMode::Include, options) else {
-        return Ok(DmmResult {
-            k,
-            bound: k,
-            informative: false,
-            misses_per_window: 0,
-            packed_windows: 0,
-            packing_exact: true,
-            typical_slack: 0,
-            omegas: Vec::new(),
-            combinations: 0,
-            unschedulable_combinations: 0,
-        });
-    };
-    let activation = chain_b.activation().clone();
-    let misses_per_window = full.misses_per_window(deadline, |q| activation.delta_min(q));
-    if misses_per_window == 0 {
-        return Ok(DmmResult {
-            k,
-            bound: 0,
-            informative: true,
-            misses_per_window: 0,
-            packed_windows: 0,
-            packing_exact: true,
-            typical_slack: 0,
-            omegas: Vec::new(),
-            combinations: 0,
-            unschedulable_combinations: 0,
-        });
-    }
-    let k_b = full.busy_window_activations;
-    let slack = typical_slack(ctx, observed, k_b);
-    // The *empty* combination must be schedulable for TWCA to apply.
-    if !crate::criterion::combination_schedulable_exact(ctx, observed, 0, k_b, options) {
-        return Ok(DmmResult {
-            k,
-            bound: k,
-            informative: false,
-            misses_per_window,
-            packed_windows: 0,
-            packing_exact: true,
-            typical_slack: slack,
-            omegas: Vec::new(),
-            combinations: 0,
-            unschedulable_combinations: 0,
-        });
-    }
-
-    let classified = if ctx.reference() == Some(Reference::MaterializedEngine) {
-        let set = CombinationSet::enumerate(ctx, observed, options)?;
-        let multipliers = set.window_multipliers(ctx, observed, k_b);
-        let items: ItemArena = set
-            .combinations()
-            .iter()
-            .filter(|c| {
-                let cost = set.effective_cost(c, &multipliers);
-                // Fast path: Equation 5 proves schedulability.
-                if (cost as i128) <= slack {
-                    return false;
-                }
-                !crate::criterion::combination_schedulable_exact(ctx, observed, cost, k_b, options)
-            })
-            .map(|c| c.members.clone())
-            .collect();
-        ClassifiedCombinations {
-            segments: set.segments().to_vec(),
-            combinations: set.combinations().len(),
-            unschedulable: items.len(),
-            items: PackingItems::Explicit(items),
-        }
-    } else {
-        // Equation 3 only sees a combination through its total cost,
-        // and the injected cost enters the busy-window fixed point as a
-        // constant, so exact schedulability is monotone (downward
-        // closed) in the cost: one threshold bisection replaces the
-        // per-combination fixed points, and the slack machinery
-        // classifies against the exact threshold.
-        let prepared = PreparedCombinations::prepare(ctx, observed, k_b, options)?;
-        let threshold = exact_threshold(
-            ctx,
-            observed,
-            k_b,
-            slack,
-            prepared.max_total_cost(),
-            options,
-        );
-        classify_lazy(prepared, threshold, options)?
-    };
-    let omegas = budgets(ctx, observed, k, &full);
-    let (packed, packing_exact) = if classified.unschedulable == 0 {
-        (0, true)
-    } else {
-        let omega_of = |chain: ChainId| -> u64 {
-            omegas
-                .iter()
-                .find(|(id, _)| *id == chain)
-                .map(|&(_, w)| w)
-                .expect("every overload chain has a budget")
-        };
-        let capacities: Vec<u64> = classified
-            .segments
-            .iter()
-            .map(|s| omega_of(s.chain))
-            .collect();
-        let solution = classified.items.solve(capacities, options.packing_budget);
-        (solution.packed_total(), solution.is_exact())
-    };
-    Ok(DmmResult {
-        k,
-        bound: k.min(misses_per_window.saturating_mul(packed)),
-        informative: true,
-        misses_per_window,
-        packed_windows: packed,
-        packing_exact,
-        typical_slack: slack,
-        omegas,
-        combinations: classified.combinations,
-        unschedulable_combinations: classified.unschedulable,
-    })
-}
-
-/// The largest cost `T ≥ slack` such that a combination costing `T` is
-/// schedulable under the exact Equation 3 criterion (costs at or below
-/// the slack are schedulable by Equation 5 without any fixed point).
-/// Combinations are then exactly-unschedulable iff their cost exceeds
-/// `T`, by monotonicity of the injected-cost fixed point.
-fn exact_threshold(
-    ctx: &AnalysisContext<'_>,
-    observed: ChainId,
-    k_b: u64,
-    slack: i128,
-    max_cost: u64,
-    options: AnalysisOptions,
-) -> i128 {
-    if slack >= max_cost as i128 {
-        // No combination costs more than the slack.
-        return slack;
-    }
-    let mut lo: u64 = if slack < 0 { 0 } else { slack as u64 };
-    let mut hi: u64 = max_cost;
-    if crate::criterion::combination_schedulable_exact(ctx, observed, hi, k_b, options) {
-        // Even the costliest combination closes its busy window in time.
-        return hi as i128;
-    }
-    // Invariant: schedulable at `lo` (or `lo` is the slack boundary),
-    // unschedulable at `hi`. The injected-cost fixed point is monotone
-    // in the cost, so the busy times of the best schedulable probe so
-    // far (`lo`) warm-start every later probe (all at costs > `lo`);
-    // the verdicts are identical to cold checks.
-    let mut lo_seeds: Vec<twca_curves::Time> = Vec::new();
-    let mut probe_seeds: Vec<twca_curves::Time> = Vec::new();
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if crate::criterion::combination_schedulable_exact_seeded(
-            ctx,
-            observed,
-            mid,
-            k_b,
-            options,
-            &lo_seeds,
-            &mut probe_seeds,
-        ) {
-            lo = mid;
-            std::mem::swap(&mut lo_seeds, &mut probe_seeds);
-        } else {
-            hi = mid;
-        }
-    }
-    lo as i128
-}
-
-fn budgets(
-    ctx: &AnalysisContext<'_>,
-    observed: ChainId,
-    k: u64,
-    full: &crate::latency::LatencyResult,
-) -> Vec<(ChainId, u64)> {
-    ctx.system()
-        .overload_chains()
-        .filter(|&a| a != observed)
-        .map(|a| {
-            (
-                a,
-                overload_budget(ctx, a, observed, k, full.worst_case_latency),
-            )
-        })
-        .collect()
+    pointwise(ctx, observed, k, options, Criterion::Exact)
 }
 
 /// Precomputed state for evaluating `dmm_b(k)` at many window lengths
@@ -685,7 +716,8 @@ fn budgets(
 /// budgets `Ω_a^b` and the packing do. A sweep prepares the former once
 /// and re-solves only the (small) packing per `k`, which makes dmm curves
 /// and design-space sweeps much cheaper than repeated
-/// [`deadline_miss_model`] calls.
+/// [`deadline_miss_model`] calls (which run the same two steps once
+/// each).
 ///
 /// # Examples
 ///
@@ -713,28 +745,7 @@ pub struct DmmSweep<'a> {
     ctx: &'a AnalysisContext<'a>,
     observed: ChainId,
     options: AnalysisOptions,
-    /// `None` for the trivial cases (divergent, always-schedulable or
-    /// typically unschedulable): `kind` holds the fixed verdict.
     state: SweepState,
-}
-
-#[derive(Debug, Clone)]
-enum SweepState {
-    /// Busy window diverges or typical slack is negative: `dmm(k) = k`.
-    /// `misses_per_window` is `None` for the divergent case (reported as
-    /// `k`, matching [`deadline_miss_model`]).
-    TrivialK { misses_per_window: Option<u64> },
-    /// Never misses: `dmm(k) = 0`.
-    Zero,
-    Packing {
-        misses_per_window: u64,
-        slack: i128,
-        worst_case_latency: twca_curves::Time,
-        /// The `k`-independent Definition 9 classification, computed
-        /// once and shared by every window length of the sweep (the
-        /// budgets and the packing are the only `k`-dependent parts).
-        classified: ClassifiedCombinations,
-    },
 }
 
 impl<'a> DmmSweep<'a> {
@@ -748,56 +759,11 @@ impl<'a> DmmSweep<'a> {
         observed: ChainId,
         options: AnalysisOptions,
     ) -> Result<Self, AnalysisError> {
-        if !ctx.contains(observed) {
-            return Err(AnalysisError::UnknownChain { chain: observed });
-        }
-        let chain_b = ctx.system().chain(observed);
-        let Some(deadline) = chain_b.deadline() else {
-            return Err(AnalysisError::MissingDeadline { chain: observed });
-        };
-        let Some(full) = latency_analysis(ctx, observed, OverloadMode::Include, options) else {
-            return Ok(DmmSweep {
-                ctx,
-                observed,
-                options,
-                state: SweepState::TrivialK {
-                    misses_per_window: None,
-                },
-            });
-        };
-        let activation = chain_b.activation().clone();
-        let misses_per_window = full.misses_per_window(deadline, |q| activation.delta_min(q));
-        if misses_per_window == 0 {
-            return Ok(DmmSweep {
-                ctx,
-                observed,
-                options,
-                state: SweepState::Zero,
-            });
-        }
-        let slack = typical_slack(ctx, observed, full.busy_window_activations);
-        if slack < 0 {
-            return Ok(DmmSweep {
-                ctx,
-                observed,
-                options,
-                state: SweepState::TrivialK {
-                    misses_per_window: Some(misses_per_window),
-                },
-            });
-        }
-        let classified =
-            classify_combinations(ctx, observed, full.busy_window_activations, slack, options)?;
         Ok(DmmSweep {
             ctx,
             observed,
             options,
-            state: SweepState::Packing {
-                misses_per_window,
-                slack,
-                worst_case_latency: full.worst_case_latency,
-                classified,
-            },
+            state: SweepState::prepare(ctx, observed, Criterion::Sufficient, options)?,
         })
     }
 
@@ -808,95 +774,11 @@ impl<'a> DmmSweep<'a> {
     /// produce identical results by construction, so sweeps and
     /// pointwise queries share entries.
     pub fn at(&self, k: u64) -> DmmResult {
-        if let Some((cache, sys)) = self.ctx.memo() {
-            return cache
-                .dmm(sys, self.observed, k, self.options, false, || {
-                    Ok(self.compute_at(k))
-                })
-                .expect("computation is infallible");
-        }
-        self.compute_at(k)
-    }
-
-    /// The uncached evaluation behind [`DmmSweep::at`].
-    fn compute_at(&self, k: u64) -> DmmResult {
-        match &self.state {
-            SweepState::TrivialK { misses_per_window } => DmmResult {
-                k,
-                bound: k,
-                informative: false,
-                misses_per_window: misses_per_window.unwrap_or(k),
-                packed_windows: 0,
-                packing_exact: true,
-                typical_slack: 0,
-                omegas: Vec::new(),
-                combinations: 0,
-                unschedulable_combinations: 0,
-            },
-            SweepState::Zero => DmmResult {
-                k,
-                bound: 0,
-                informative: true,
-                misses_per_window: 0,
-                packed_windows: 0,
-                packing_exact: true,
-                typical_slack: 0,
-                omegas: Vec::new(),
-                combinations: 0,
-                unschedulable_combinations: 0,
-            },
-            SweepState::Packing {
-                misses_per_window,
-                slack,
-                worst_case_latency,
-                classified,
-            } => {
-                let omegas: Vec<(ChainId, u64)> = self
-                    .ctx
-                    .system()
-                    .overload_chains()
-                    .filter(|&a| a != self.observed)
-                    .map(|a| {
-                        (
-                            a,
-                            overload_budget(self.ctx, a, self.observed, k, *worst_case_latency),
-                        )
-                    })
-                    .collect();
-                let (packed, packing_exact) = if classified.unschedulable == 0 {
-                    (0, true)
-                } else {
-                    let omega_of = |chain: ChainId| -> u64 {
-                        omegas
-                            .iter()
-                            .find(|(id, _)| *id == chain)
-                            .map(|&(_, w)| w)
-                            .expect("every overload chain has a budget")
-                    };
-                    let capacities: Vec<u64> = classified
-                        .segments
-                        .iter()
-                        .map(|s| omega_of(s.chain))
-                        .collect();
-                    let solution = classified
-                        .items
-                        .solve(capacities, self.options.packing_budget);
-                    (solution.packed_total(), solution.is_exact())
-                };
-                DmmResult {
-                    k,
-                    bound: k.min(misses_per_window.saturating_mul(packed)),
-                    informative: true,
-                    misses_per_window: *misses_per_window,
-                    packed_windows: packed,
-                    packing_exact,
-                    typical_slack: *slack,
-                    omegas,
-                    combinations: classified.combinations,
-                    unschedulable_combinations: classified.unschedulable,
-                }
-            }
-        }
+        let (ctx, observed, options) = (self.ctx, self.observed, self.options);
+        memoized(ctx, observed, k, options, Criterion::Sufficient, || {
+            Ok(self.state.at(ctx, observed, k, options))
+        })
+        .expect("computation is infallible")
     }
 
     /// Evaluates the sweep over a range of window lengths.
@@ -919,96 +801,22 @@ impl<'a> DmmSweep<'a> {
     /// cannot reach at all), the rows are truncated to the packed
     /// minimal antichain — the bound, budgets and totals stay complete.
     pub fn witness(&self, k: u64) -> Option<DmmWitness> {
-        let SweepState::Packing {
-            misses_per_window,
-            worst_case_latency,
-            classified,
-            ..
-        } = &self.state
-        else {
+        let SweepState::Packing(packing) = &self.state else {
             return None;
         };
-        let segments = &classified.segments;
-        let omegas: Vec<(ChainId, u64)> = self
-            .ctx
-            .system()
-            .overload_chains()
-            .filter(|&a| a != self.observed)
-            .map(|a| {
-                (
-                    a,
-                    overload_budget(self.ctx, a, self.observed, k, *worst_case_latency),
-                )
-            })
-            .collect();
-        let mut rows = Vec::new();
-        let mut packed = 0u64;
-        let mut packing_exact = true;
-        if classified.unschedulable > 0 {
-            let omega_of = |chain: ChainId| -> u64 {
-                omegas
-                    .iter()
-                    .find(|(id, _)| *id == chain)
-                    .map(|&(_, w)| w)
-                    .expect("every overload chain has a budget")
-            };
-            let capacities: Vec<u64> = segments.iter().map(|s| omega_of(s.chain)).collect();
-            let solution = classified
-                .items
-                .solve(capacities, self.options.packing_budget);
-            packed = solution.packed_total();
-            packing_exact = solution.is_exact();
-            let row_for = |members: &[usize], windows: u64| WitnessRow {
-                segments: members.iter().map(|&i| segments[i].clone()).collect(),
-                wcet: members.iter().map(|&i| segments[i].wcet).sum(),
-                windows,
-            };
-            match &classified.items {
-                PackingItems::Explicit(items) => {
-                    for (members, &windows) in items.iter().zip(solution.counts()) {
-                        rows.push(row_for(members, windows));
-                    }
-                }
-                PackingItems::Pruned {
-                    minimal,
-                    prepared,
-                    slack,
-                } => {
-                    // Non-minimal items can never carry a positive
-                    // multiplicity (the solver reduces to the antichain
-                    // itself), so the explicit row list is the lazy
-                    // expansion with the antichain's counts scattered
-                    // onto the minimal members and zero elsewhere.
-                    let by_members: std::collections::HashMap<&[usize], u64> = minimal
-                        .iter()
-                        .zip(solution.counts().iter().copied())
-                        .collect();
-                    match prepared.expand_unschedulable(*slack, self.options.max_combinations) {
-                        Some(all) => {
-                            for combo in &all {
-                                let windows = by_members
-                                    .get(combo.members.as_slice())
-                                    .copied()
-                                    .unwrap_or(0);
-                                rows.push(row_for(&combo.members, windows));
-                            }
-                        }
-                        None => {
-                            for (members, &windows) in minimal.iter().zip(solution.counts()) {
-                                rows.push(row_for(members, windows));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let (dmm, solution) = packing.pack(self.ctx, self.observed, k, self.options);
+        let rows = solution.map_or_else(Vec::new, |s| {
+            packing
+                .classified
+                .witness_rows(s.counts(), self.options.max_combinations)
+        });
         Some(DmmWitness {
             k,
-            bound: k.min(misses_per_window.saturating_mul(packed)),
-            misses_per_window: *misses_per_window,
-            packed_windows: packed,
-            packing_exact,
-            omegas,
+            bound: dmm.bound,
+            misses_per_window: dmm.misses_per_window,
+            packed_windows: dmm.packed_windows,
+            packing_exact: dmm.packing_exact,
+            omegas: dmm.omegas,
             rows,
         })
     }
@@ -1176,9 +984,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn typically_unschedulable_chain_gets_trivial_bound() {
-        let s = SystemBuilder::new()
+    /// `x` misses its deadline even with the overload chain silent.
+    fn typically_unschedulable_system() -> twca_model::System {
+        SystemBuilder::new()
             .chain("x")
             .periodic(100)
             .unwrap()
@@ -1192,17 +1000,13 @@ mod tests {
             .task("o1", 2, 5)
             .done()
             .build()
-            .unwrap();
-        let ctx = AnalysisContext::new(&s);
-        let x = twca_model::ChainId::from_index(0);
-        let dmm = deadline_miss_model(&ctx, x, 9, AnalysisOptions::default()).unwrap();
-        assert_eq!(dmm.bound, 9);
-        assert!(!dmm.informative);
+            .unwrap()
     }
 
-    #[test]
-    fn divergent_chain_gets_trivial_bound() {
-        let s = SystemBuilder::new()
+    /// `x` and `y` together fully load the processor: `x`'s busy
+    /// window diverges under [`divergent_options`].
+    fn divergent_system() -> twca_model::System {
+        SystemBuilder::new()
             .chain("x")
             .periodic(10)
             .unwrap()
@@ -1215,13 +1019,49 @@ mod tests {
             .task("y1", 2, 6)
             .done()
             .build()
-            .unwrap();
-        let ctx = AnalysisContext::new(&s);
-        let opts = AnalysisOptions {
+            .unwrap()
+    }
+
+    fn divergent_options() -> AnalysisOptions {
+        AnalysisOptions {
             horizon: 50_000,
             ..AnalysisOptions::default()
-        };
-        let dmm = deadline_miss_model(&ctx, twca_model::ChainId::from_index(0), 5, opts).unwrap();
+        }
+    }
+
+    /// One chain in each trivial state — divergent, typically
+    /// unschedulable and never missing — with the options it needs.
+    fn trivial_cases() -> Vec<(twca_model::System, ChainId, AnalysisOptions)> {
+        let x = ChainId::from_index(0);
+        let s = case_study();
+        let d = s.chain_by_name("sigma_d").unwrap().0;
+        vec![
+            (divergent_system(), x, divergent_options()),
+            (
+                typically_unschedulable_system(),
+                x,
+                AnalysisOptions::default(),
+            ),
+            (s, d, AnalysisOptions::default()),
+        ]
+    }
+
+    #[test]
+    fn typically_unschedulable_chain_gets_trivial_bound() {
+        let s = typically_unschedulable_system();
+        let ctx = AnalysisContext::new(&s);
+        let x = ChainId::from_index(0);
+        let dmm = deadline_miss_model(&ctx, x, 9, AnalysisOptions::default()).unwrap();
+        assert_eq!(dmm.bound, 9);
+        assert!(!dmm.informative);
+    }
+
+    #[test]
+    fn divergent_chain_gets_trivial_bound() {
+        let s = divergent_system();
+        let ctx = AnalysisContext::new(&s);
+        let dmm =
+            deadline_miss_model(&ctx, ChainId::from_index(0), 5, divergent_options()).unwrap();
         assert_eq!(dmm.bound, 5);
         assert!(!dmm.informative);
     }
@@ -1248,32 +1088,7 @@ mod tests {
         // combinations; Eq. 3 shows the singletons close their busy
         // window before y's second arrival and only {o1, o2} truly
         // overruns — a strictly smaller packing.
-        let s = SystemBuilder::new()
-            .chain("x")
-            .periodic(100)
-            .unwrap()
-            .deadline(100)
-            .task("x1", 1, 10)
-            .done()
-            .chain("y")
-            .periodic(90)
-            .unwrap()
-            .task("y1", 5, 30)
-            .done()
-            .chain("o1")
-            .sporadic(10_000)
-            .unwrap()
-            .overload()
-            .task("o1_t", 9, 31)
-            .done()
-            .chain("o2")
-            .sporadic(10_000)
-            .unwrap()
-            .overload()
-            .task("o2_t", 8, 40)
-            .done()
-            .build()
-            .unwrap();
+        let s = borderline_system();
         let ctx = AnalysisContext::new(&s);
         let x = ChainId::from_index(0);
         let opts = AnalysisOptions::default();
@@ -1290,17 +1105,47 @@ mod tests {
         );
     }
 
+    /// Every entry point runs the same prepare/pack pipeline, so they
+    /// agree field for field: the sweep with the pointwise model, a
+    /// never-capping hook with no hook, and — in every trivial state,
+    /// where no combination is classified — the exact variant with the
+    /// plain one.
     #[test]
     fn sweep_matches_pointwise_dmm() {
         let s = case_study();
-        let (ctx, c, d) = case_ctx(&s);
+        let (c, d) = (
+            s.chain_by_name("sigma_c").unwrap().0,
+            s.chain_by_name("sigma_d").unwrap().0,
+        );
         let opts = AnalysisOptions::default();
-        for chain in [c, d] {
+        let informative = vec![
+            (s.clone(), c, opts),
+            (s, d, opts),
+            (borderline_system(), ChainId::from_index(0), opts),
+        ];
+        let never_caps = |_: &Combination, _: &[OverloadSegment]| None;
+        let cases = informative
+            .into_iter()
+            .map(|case| (case, false))
+            .chain(trivial_cases().into_iter().map(|case| (case, true)));
+        for ((s, chain, opts), trivial) in cases {
+            let ctx = AnalysisContext::new(&s);
             let sweep = DmmSweep::prepare(&ctx, chain, opts).unwrap();
             for k in [1u64, 2, 3, 7, 10, 25, 76, 250] {
                 let direct = deadline_miss_model(&ctx, chain, k, opts).unwrap();
-                let swept = sweep.at(k);
-                assert_eq!(swept, direct, "chain {chain} k={k}");
+                assert_eq!(sweep.at(k), direct, "chain {chain} k={k}");
+                assert_eq!(
+                    deadline_miss_model_with_caps(&ctx, chain, k, opts, &never_caps).unwrap(),
+                    direct,
+                    "never-capping hook, chain {chain} k={k}"
+                );
+                if trivial {
+                    assert_eq!(
+                        deadline_miss_model_exact(&ctx, chain, k, opts).unwrap(),
+                        direct,
+                        "exact, chain {chain} k={k}"
+                    );
+                }
             }
         }
     }
@@ -1318,29 +1163,14 @@ mod tests {
 
     #[test]
     fn sweep_trivial_states() {
-        // Divergent chain.
-        let s = SystemBuilder::new()
-            .chain("x")
-            .periodic(10)
-            .unwrap()
-            .deadline(10)
-            .task("x1", 1, 6)
-            .done()
-            .chain("y")
-            .periodic(10)
-            .unwrap()
-            .task("y1", 2, 6)
-            .done()
-            .build()
-            .unwrap();
-        let ctx = AnalysisContext::new(&s);
-        let opts = AnalysisOptions {
-            horizon: 50_000,
-            ..AnalysisOptions::default()
-        };
-        let sweep = DmmSweep::prepare(&ctx, ChainId::from_index(0), opts).unwrap();
-        assert_eq!(sweep.at(9).bound, 9);
-        assert!(!sweep.at(9).informative);
+        for (s, chain, opts) in trivial_cases() {
+            let ctx = AnalysisContext::new(&s);
+            let sweep = DmmSweep::prepare(&ctx, chain, opts).unwrap();
+            let dmm = sweep.at(9);
+            assert_eq!(dmm.bound, if dmm.informative { 0 } else { 9 });
+            assert_eq!(dmm.packed_windows, 0);
+            assert!(sweep.witness(9).is_none());
+        }
     }
 
     /// A deferred overload chain with two segments: Definition 9 forbids
@@ -1430,9 +1260,8 @@ mod tests {
         let s = case_study();
         let (ctx, c, _) = case_ctx(&s);
         let cap_one = |_c: &Combination, _s: &[OverloadSegment]| Some(1u64);
-        let dmm =
-            deadline_miss_model_with_caps(&ctx, c, 76, AnalysisOptions::default(), Some(&cap_one))
-                .unwrap();
+        let dmm = deadline_miss_model_with_caps(&ctx, c, 76, AnalysisOptions::default(), &cap_one)
+            .unwrap();
         assert_eq!(dmm.packed_windows, 1);
         assert_eq!(dmm.bound, 1);
     }
@@ -1552,8 +1381,8 @@ mod tests {
                     );
                     let cap_one = |_c: &Combination, _s: &[OverloadSegment]| Some(1u64);
                     assert_eq!(
-                        deadline_miss_model_with_caps(&ctx, id, k, opts, Some(&cap_one)).unwrap(),
-                        deadline_miss_model_with_caps(&mat, id, k, opts, Some(&cap_one)).unwrap(),
+                        deadline_miss_model_with_caps(&ctx, id, k, opts, &cap_one).unwrap(),
+                        deadline_miss_model_with_caps(&mat, id, k, opts, &cap_one).unwrap(),
                         "capped dmm({k})"
                     );
                 }

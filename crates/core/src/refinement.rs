@@ -188,7 +188,7 @@ pub fn refined_deadline_miss_model(
         chains.dedup();
         phases.cooccurrence_cap(&chains, window, horizon)
     };
-    deadline_miss_model_with_caps(ctx, observed, k, options, Some(&hook))
+    deadline_miss_model_with_caps(ctx, observed, k, options, &hook)
 }
 
 #[cfg(test)]

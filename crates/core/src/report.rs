@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use crate::config::AnalysisOptions;
+use crate::context::AnalysisContext;
+use crate::latency::{latency_analysis, OverloadMode};
 use twca_curves::Time;
 use twca_model::ChainId;
 
@@ -23,6 +26,26 @@ pub struct ChainReport {
 }
 
 impl ChainReport {
+    /// Analyzes one chain's row: its worst-case latency with overload
+    /// included (Theorem 2) and with overload abstracted away.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` is not a chain of the context's system.
+    pub fn analyze(ctx: &AnalysisContext<'_>, chain: ChainId, options: AnalysisOptions) -> Self {
+        let full = latency_analysis(ctx, chain, OverloadMode::Include, options);
+        let typical = latency_analysis(ctx, chain, OverloadMode::Exclude, options);
+        let declared = ctx.system().chain(chain);
+        ChainReport {
+            chain,
+            name: declared.name().to_owned(),
+            worst_case_latency: full.map(|r| r.worst_case_latency),
+            typical_latency: typical.map(|r| r.worst_case_latency),
+            deadline: declared.deadline(),
+            overload: declared.is_overload(),
+        }
+    }
+
     /// Whether the chain provably meets its deadline in the full worst
     /// case (`None` when it has no deadline).
     pub fn schedulable(&self) -> Option<bool> {
