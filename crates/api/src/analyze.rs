@@ -6,8 +6,8 @@ use std::cell::OnceCell;
 use crate::error::ApiError;
 use crate::request::{Query, SiteSpec};
 use crate::response::{
-    DmmOutcome, DmmPoint, LatencyOutcome, MkOutcome, PathOutcome, QueryOutcome, SensitivityOutcome,
-    SimChainOutcome, SimulateOutcome, WitnessOutcome,
+    site_name, DmmOutcome, DmmPoint, LatencyOutcome, MkOutcome, PathOutcome, QueryOutcome,
+    SensitivityOutcome, SimChainOutcome, SimulateOutcome, WitnessOutcome,
 };
 use crate::session::{RequestControl, Session};
 use twca_chains::{max_overload_scaling, AnalysisContext, AnalysisOptions, DmmSweep, MkConstraint};
@@ -177,7 +177,9 @@ impl Analyze for ChainBackend<'_> {
                     // the sweep preparation itself (combination
                     // enumeration) is the expensive part.
                     env.control.charge(ks.len().max(1) as u64)?;
-                    rows.push(DmmOutcome::sweep(ctx, id, ks, env.options));
+                    let name = self.system.chain(id).name().to_owned();
+                    let prepared = DmmSweep::prepare(ctx, id, env.options);
+                    rows.push(DmmOutcome::sweep(name, prepared, ks));
                 }
                 Ok(QueryOutcome::Dmm(rows))
             }
@@ -337,11 +339,6 @@ impl DistBackend {
             .map_err(|e| e.clone().into())
     }
 
-    fn site_name(&self, site: SiteId) -> String {
-        let (resource, chain) = self.system.site_names(site);
-        format!("{resource}/{chain}")
-    }
-
     fn resolve(&self, spec: &SiteSpec) -> Result<SiteId, ApiError> {
         if self.system.resource_by_name(&spec.resource).is_none() {
             return Err(ApiError::no_such_resource(&spec.resource));
@@ -358,11 +355,14 @@ impl DistBackend {
         }
     }
 
-    fn site_chain(&self, site: SiteId) -> &twca_model::Chain {
-        self.system
-            .resource(site.resource())
-            .system()
-            .chain(site.chain())
+    /// The sites a miss-model query answers: the named one, or every
+    /// site with a deadline.
+    fn deadline_sites(&self, selector: &Option<String>) -> Result<Vec<SiteId>, ApiError> {
+        let mut sites = self.selected(selector)?;
+        if selector.is_none() {
+            sites.retain(|&site| self.system.chain(site).deadline().is_some());
+        }
+        Ok(sites)
     }
 }
 
@@ -379,56 +379,24 @@ impl Analyze for DistBackend {
                 let results = self.results(env)?;
                 let rows = sites
                     .into_iter()
-                    .map(|site| {
-                        let declared = self.site_chain(site);
-                        LatencyOutcome {
-                            name: self.site_name(site),
-                            deadline: declared.deadline(),
-                            overload: declared.is_overload(),
-                            worst_case_latency: results.worst_case_latency(site),
-                            // The typical-system abstraction is a local
-                            // (per-resource) notion; it is not computed
-                            // holistically.
-                            typical_latency: None,
-                        }
-                    })
+                    .map(|site| LatencyOutcome::site(&self.system, results, site))
                     .collect();
                 Ok(QueryOutcome::Latency(rows))
             }
             Query::Dmm { chain, ks } => {
-                let explicit = chain.is_some();
                 // Charge before the holistic iteration runs so a
                 // budget or raised cancel token preempts the expensive
                 // fixed point, not just the readout.
-                let sites: Vec<SiteId> = self
-                    .selected(chain)?
-                    .into_iter()
-                    .filter(|&site| self.site_chain(site).deadline().is_some() || explicit)
-                    .collect();
+                let sites = self.deadline_sites(chain)?;
                 env.control
                     .charge(sites.len() as u64 * ks.len().max(1) as u64)?;
                 let results = self.results(env)?;
-                let mut rows = Vec::new();
-                for site in sites {
-                    let mut points = Vec::with_capacity(ks.len());
-                    let mut error = None;
-                    for &k in ks {
-                        match results.deadline_miss_model_full(site, k) {
-                            Ok(dmm) => points.push(DmmPoint::from(&dmm)),
-                            Err(e) => {
-                                error = Some(e.to_string());
-                                points.clear();
-                                break;
-                            }
-                        }
-                    }
-                    rows.push(DmmOutcome {
-                        name: self.site_name(site),
-                        points,
-                        error,
-                    });
-                }
-                Ok(QueryOutcome::Dmm(rows))
+                Ok(QueryOutcome::Dmm(DmmOutcome::sites(
+                    &self.system,
+                    results,
+                    &sites,
+                    ks,
+                )))
             }
             Query::Witness { chain, k } => {
                 env.control.charge(WITNESS_COST)?;
@@ -442,29 +410,28 @@ impl Analyze for DistBackend {
                 Ok(QueryOutcome::Witness(witness_outcome(
                     &sweep,
                     effective,
-                    self.site_name(site),
+                    site_name(&self.system, site),
                     *k,
                 )))
             }
             Query::WeaklyHard { chain, m, k } => {
-                let explicit = chain.is_some();
                 // As in the Dmm arm: charge before the fixed point.
-                let sites: Vec<SiteId> = self
-                    .selected(chain)?
-                    .into_iter()
-                    .filter(|&site| self.site_chain(site).deadline().is_some() || explicit)
-                    .collect();
+                let sites = self.deadline_sites(chain)?;
                 env.control.charge(sites.len() as u64)?;
                 let results = self.results(env)?;
                 let mut rows = Vec::new();
-                for site in sites {
-                    let bound = results.deadline_miss_model(site, *k)?;
-                    rows.push(MkOutcome {
-                        name: self.site_name(site),
-                        m: *m,
-                        k: *k,
-                        satisfied: bound <= *m,
-                    });
+                // `sites` is resource-major: one context per resource.
+                for group in sites.chunk_by(|a, b| a.resource() == b.resource()) {
+                    let ctx = results.context(group[0].resource());
+                    for &site in group {
+                        let bound = results.sweep(&ctx, site)?.at(*k).bound;
+                        rows.push(MkOutcome {
+                            name: site_name(&self.system, site),
+                            m: *m,
+                            k: *k,
+                            satisfied: bound <= *m,
+                        });
+                    }
                 }
                 Ok(QueryOutcome::WeaklyHard(rows))
             }
@@ -485,7 +452,7 @@ impl Analyze for DistBackend {
                     env.dist_options(),
                 )?;
                 Ok(QueryOutcome::Sensitivity(SensitivityOutcome {
-                    name: self.site_name(site),
+                    name: site_name(&self.system, site),
                     m: *m,
                     k: *k,
                     max_percent: max_percent_found,
@@ -504,12 +471,18 @@ impl Analyze for DistBackend {
                     Err(DistError::UnboundedLatency { .. }) => None,
                     Err(e) => return Err(e.into()),
                 };
-                let mut points = Vec::with_capacity(ks.len());
-                for &k in ks {
-                    points.push(composed_point(path.deadline_miss_model(results, k)?, k));
-                }
+                let points = path
+                    .deadline_miss_curve(results, ks)?
+                    .into_iter()
+                    .zip(ks)
+                    .map(|(bound, &k)| composed_point(bound, k))
+                    .collect();
                 Ok(QueryOutcome::Path(PathOutcome {
-                    hops: path.hops().iter().map(|&h| self.site_name(h)).collect(),
+                    hops: path
+                        .hops()
+                        .iter()
+                        .map(|&h| site_name(&self.system, h))
+                        .collect(),
                     latency,
                     composite_deadline: path.composite_deadline(&self.system),
                     points,
@@ -647,6 +620,35 @@ mod tests {
         assert_eq!(path.composite_deadline, Some(400));
         assert!(path.latency.unwrap() >= 331);
         assert!(path.points.iter().all(|p| p.bound <= p.k));
+    }
+
+    /// A `dmm` query with no window lengths still prepares each sweep,
+    /// so a row whose preparation fails carries its error on both
+    /// backends (distributed sites used to answer `points: []` with no
+    /// error, because nothing was prepared without a `k`).
+    #[test]
+    fn empty_ks_still_reports_the_preparation_error() {
+        let session = Session::new();
+        let chain = AnalysisRequest::for_system(case_study_text()).with_query(Query::Dmm {
+            chain: Some("sigma_a".into()),
+            ks: Vec::new(),
+        });
+        let site = dist_request().with_query(Query::Dmm {
+            chain: Some("ecu0/sigma_a".into()),
+            ks: Vec::new(),
+        });
+        for (request, error) in [
+            (chain, "chain#3 has no deadline"),
+            (site, "resource#0/chain#3 has no deadline"),
+        ] {
+            let outcomes = session.analyze(&request).outcome.unwrap();
+            let QueryOutcome::Dmm(rows) = &outcomes[0] else {
+                panic!("expected dmm outcome");
+            };
+            assert!(rows[0].points.is_empty());
+            let reported = rows[0].error.as_deref().expect("the error is reported");
+            assert!(reported.starts_with(error), "{reported}");
+        }
     }
 
     #[test]

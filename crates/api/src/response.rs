@@ -11,6 +11,7 @@ use crate::json::Json;
 use crate::request::SCHEMA_VERSION;
 use twca_chains::{AnalysisContext, AnalysisOptions, ChainReport, DmmResult, DmmSweep};
 use twca_curves::Time;
+use twca_dist::{DistResults, DistributedSystem, SiteId};
 use twca_model::ChainId;
 
 /// One `dmm(k)` point on the wire: the window length, the miss bound,
@@ -34,12 +35,6 @@ impl From<&DmmResult> for DmmPoint {
             bound: value.bound,
             informative: value.informative,
         }
-    }
-}
-
-impl From<DmmResult> for DmmPoint {
-    fn from(value: DmmResult) -> Self {
-        DmmPoint::from(&value)
     }
 }
 
@@ -194,6 +189,26 @@ impl LatencyOutcome {
             typical_latency: report.typical_latency,
         }
     }
+
+    /// The latency row of one distributed site — shared by the
+    /// `latency` query and `store_analyze`. The typical latency is a
+    /// per-resource notion, not computed holistically.
+    pub(crate) fn site(system: &DistributedSystem, results: &DistResults, site: SiteId) -> Self {
+        let declared = system.chain(site);
+        LatencyOutcome {
+            name: site_name(system, site),
+            deadline: declared.deadline(),
+            overload: declared.is_overload(),
+            worst_case_latency: results.worst_case_latency(site),
+            typical_latency: None,
+        }
+    }
+}
+
+/// The wire name of a distributed site: `resource/chain`.
+pub(crate) fn site_name(system: &DistributedSystem, site: SiteId) -> String {
+    let (resource, chain) = system.site_names(site);
+    format!("{resource}/{chain}")
 }
 
 /// One miss-model row of a [`QueryOutcome::Dmm`] answer.
@@ -208,21 +223,19 @@ pub struct DmmOutcome {
 }
 
 impl DmmOutcome {
-    /// The miss-model row of one uniprocessor chain: its [`DmmSweep`]
-    /// curve over `ks`, or the error that stopped the sweep's
-    /// preparation — shared by the `dmm` query, `store_analyze` and the
-    /// batch pipeline.
+    /// The miss-model row `name`: the prepared sweep's curve over `ks`,
+    /// or the error that stopped its preparation. The one row builder
+    /// of chain and site rows, shared by the `dmm` query,
+    /// `store_analyze` and the batch pipeline.
     pub(crate) fn sweep(
-        ctx: &AnalysisContext<'_>,
-        id: ChainId,
+        name: String,
+        prepared: Result<DmmSweep<'_>, impl std::fmt::Display>,
         ks: &[u64],
-        options: AnalysisOptions,
     ) -> Self {
-        let name = ctx.system().chain(id).name().to_owned();
-        match DmmSweep::prepare(ctx, id, options) {
+        match prepared {
             Ok(sweep) => DmmOutcome {
                 name,
-                points: ks.iter().map(|&k| DmmPoint::from(sweep.at(k))).collect(),
+                points: ks.iter().map(|&k| DmmPoint::from(&sweep.at(k))).collect(),
                 error: None,
             },
             Err(e) => DmmOutcome {
@@ -231,6 +244,26 @@ impl DmmOutcome {
                 error: Some(e.to_string()),
             },
         }
+    }
+
+    /// The rows of distributed `sites`, resource-major as
+    /// [`DistributedSystem::sites`] yields them: one sweep per site on
+    /// one memo-less [`DistResults::context`] per resource.
+    pub(crate) fn sites(
+        system: &DistributedSystem,
+        results: &DistResults,
+        sites: &[SiteId],
+        ks: &[u64],
+    ) -> Vec<Self> {
+        let mut rows = Vec::with_capacity(sites.len());
+        for group in sites.chunk_by(|a, b| a.resource() == b.resource()) {
+            let ctx = results.context(group[0].resource());
+            for &site in group {
+                let name = site_name(system, site);
+                rows.push(DmmOutcome::sweep(name, results.sweep(&ctx, site), ks));
+            }
+        }
+        rows
     }
 }
 

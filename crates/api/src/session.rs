@@ -9,11 +9,11 @@ use crate::analyze::{Analyze, ChainBackend, DistBackend, QueryEnv};
 use crate::error::ApiError;
 use crate::request::{AnalysisRequest, Query, RequestOptions, Target};
 use crate::response::{
-    AnalysisResponse, ChainOutcome, DmmOutcome, DmmPoint, LatencyOutcome, QueryOutcome,
-    StatsOutcome, StoreAnalyzeOutcome, StorePutOutcome, SystemOutcome,
+    AnalysisResponse, ChainOutcome, DmmOutcome, LatencyOutcome, QueryOutcome, StatsOutcome,
+    StoreAnalyzeOutcome, StorePutOutcome, SystemOutcome,
 };
 use crate::store::{StoredBody, SystemStore};
-use twca_chains::{AnalysisCache, AnalysisContext, AnalysisOptions, CacheStats};
+use twca_chains::{AnalysisCache, AnalysisContext, AnalysisOptions, CacheStats, DmmSweep};
 use twca_dist::{analyze_with_memo, DistributedSystemBuilder};
 use twca_model::{parse_system, System};
 
@@ -570,7 +570,8 @@ impl Session {
                 for (id, chain) in system.iter() {
                     latency.push(LatencyOutcome::analyze(&ctx, id, env.options));
                     if chain.deadline().is_some() {
-                        dmm.push(DmmOutcome::sweep(&ctx, id, ks, env.options));
+                        let prepared = DmmSweep::prepare(&ctx, id, env.options);
+                        dmm.push(DmmOutcome::sweep(chain.name().to_owned(), prepared, ks));
                     }
                 }
                 (0, 0, latency, dmm)
@@ -580,43 +581,15 @@ impl Session {
                 env.control
                     .charge(sites.len() as u64 * (1 + ks.len() as u64))?;
                 let (results, report) = analyze_with_memo(system, env.dist_options(), &entry.memo)?;
-                let mut latency = Vec::new();
-                let mut dmm = Vec::new();
-                for site in sites {
-                    let (resource, chain_name) = system.site_names(site);
-                    let site_name = format!("{resource}/{chain_name}");
-                    let declared = system
-                        .resource(site.resource())
-                        .system()
-                        .chain(site.chain());
-                    latency.push(LatencyOutcome {
-                        name: site_name.clone(),
-                        deadline: declared.deadline(),
-                        overload: declared.is_overload(),
-                        worst_case_latency: results.worst_case_latency(site),
-                        typical_latency: None,
-                    });
-                    if declared.deadline().is_none() {
-                        continue;
-                    }
-                    let mut points = Vec::with_capacity(ks.len());
-                    let mut error = None;
-                    for &k in ks {
-                        match results.deadline_miss_model_full(site, k) {
-                            Ok(point) => points.push(DmmPoint::from(&point)),
-                            Err(e) => {
-                                error = Some(e.to_string());
-                                points.clear();
-                                break;
-                            }
-                        }
-                    }
-                    dmm.push(DmmOutcome {
-                        name: site_name,
-                        points,
-                        error,
-                    });
-                }
+                let latency = sites
+                    .iter()
+                    .map(|&site| LatencyOutcome::site(system, &results, site))
+                    .collect();
+                let deadlined: Vec<_> = sites
+                    .into_iter()
+                    .filter(|&site| system.chain(site).deadline().is_some())
+                    .collect();
+                let dmm = DmmOutcome::sites(system, &results, &deadlined, ks);
                 (
                     report.rows_analyzed as u64,
                     report.memo_hits as u64,
@@ -674,7 +647,8 @@ impl Session {
         for (id, chain) in system.iter() {
             let row = LatencyOutcome::analyze(&ctx, id, options);
             let (miss_models, error) = if chain.deadline().is_some() {
-                let dmm = DmmOutcome::sweep(&ctx, id, ks, options);
+                let prepared = DmmSweep::prepare(&ctx, id, options);
+                let dmm = DmmOutcome::sweep(chain.name().to_owned(), prepared, ks);
                 (dmm.points, dmm.error)
             } else {
                 (Vec::new(), None)

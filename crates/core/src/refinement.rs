@@ -172,6 +172,10 @@ pub fn refined_deadline_miss_model(
     phases: &PhasedRecurrence,
     options: AnalysisOptions,
 ) -> Result<DmmResult, AnalysisError> {
+    // Validate before indexing, as the prepare step does.
+    if !ctx.contains(observed) {
+        return Err(AnalysisError::UnknownChain { chain: observed });
+    }
     let chain_b = ctx.system().chain(observed);
     let full = latency_analysis(ctx, observed, OverloadMode::Include, options);
     let horizon = match (&full, chain_b.activation().delta_plus(k)) {
@@ -303,5 +307,23 @@ mod tests {
             refined.bound,
             plain.bound
         );
+    }
+
+    /// An unknown chain is a typed error, not an index panic: the
+    /// refinement validates `observed` the way the prepare step does.
+    #[test]
+    fn unknown_chain_is_a_typed_error() {
+        let system = case_study();
+        let ctx = AnalysisContext::new(&system);
+        let bogus = ChainId::from_index(99);
+        let err = refined_deadline_miss_model(
+            &ctx,
+            bogus,
+            10,
+            &PhasedRecurrence::new(),
+            AnalysisOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, AnalysisError::UnknownChain { chain: bogus });
     }
 }

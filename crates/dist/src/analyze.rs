@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use crate::error::DistError;
 use crate::system::{DistributedSystem, ResourceId, SiteId};
 use twca_chains::reference::Reference;
-use twca_chains::{deadline_miss_model, AnalysisContext, AnalysisOptions, SystemKey};
+use twca_chains::{AnalysisContext, AnalysisError, AnalysisOptions, DmmSweep, SystemKey};
 use twca_curves::{ActivationModel, EventModel, Time};
 use twca_independent::propagate_output_model;
 use twca_model::{ordered_par_map, System};
@@ -139,42 +139,59 @@ impl DistResults {
             .clone()
     }
 
-    /// The local deadline miss model `dmm(k)` of `site` against its own
-    /// deadline, evaluated on the effective system.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::MissingDeadline`] without a deadline; analysis
-    /// errors are forwarded.
-    pub fn deadline_miss_model(&self, site: SiteId, k: u64) -> Result<u64, DistError> {
-        self.deadline_miss_model_full(site, k).map(|dmm| dmm.bound)
+    /// The analysis context of `resource`'s effective system — the
+    /// [`Reference`] context the results were computed under, else a
+    /// memo-less [`AnalysisContext::new`]. Prepare the resource's site
+    /// sweeps on it.
+    pub fn context(&self, resource: ResourceId) -> AnalysisContext<'_> {
+        let system = &self.effective[resource.index()];
+        match self.reference {
+            Some(reference) => reference.context(system),
+            None => AnalysisContext::new(system),
+        }
     }
 
-    /// Like [`DistResults::deadline_miss_model`], but returns the full
-    /// [`twca_chains::DmmResult`] (bound, informativeness, packing
-    /// diagnostics) instead of just the bound.
+    /// Prepares the local miss model of `site` against its own deadline
+    /// on `ctx`, the [`DistResults::context`] of the site's resource:
+    /// one [`DmmSweep`] answers `dmm(k)` for every window length `k`.
     ///
     /// # Errors
     ///
     /// [`DistError::MissingDeadline`] without a deadline; analysis
     /// errors are forwarded.
+    pub fn sweep<'c>(
+        &self,
+        ctx: &'c AnalysisContext<'c>,
+        site: SiteId,
+    ) -> Result<DmmSweep<'c>, DistError> {
+        DmmSweep::prepare(ctx, site.chain(), self.options.chain_options).map_err(|e| match e {
+            AnalysisError::MissingDeadline { .. } => DistError::MissingDeadline { site },
+            e => DistError::Analysis(e),
+        })
+    }
+
+    /// The local deadline miss model `dmm(k)` of `site` at one window
+    /// length; sweep several with [`DistResults::sweep`] instead.
+    ///
+    /// # Errors
+    ///
+    /// See [`DistResults::sweep`].
+    pub fn deadline_miss_model(&self, site: SiteId, k: u64) -> Result<u64, DistError> {
+        Ok(self.deadline_miss_model_full(site, k)?.bound)
+    }
+
+    /// [`DistResults::deadline_miss_model`] with the full
+    /// [`twca_chains::DmmResult`]. Only the traced replay under
+    /// `perfbench/` calls it; it goes when that harness is re-recorded.
+    #[doc(hidden)]
     pub fn deadline_miss_model_full(
         &self,
         site: SiteId,
         k: u64,
     ) -> Result<twca_chains::DmmResult, DistError> {
-        let system = &self.effective[site.resource().index()];
-        let ctx = match self.reference {
-            Some(reference) => reference.context(system),
-            None => AnalysisContext::new(system),
-        };
-        match deadline_miss_model(&ctx, site.chain(), k, self.options.chain_options) {
-            Ok(dmm) => Ok(dmm),
-            Err(twca_chains::AnalysisError::MissingDeadline { .. }) => {
-                Err(DistError::MissingDeadline { site })
-            }
-            Err(e) => Err(DistError::Analysis(e)),
-        }
+        let ctx = self.context(site.resource());
+        let dmm = self.sweep(&ctx, site)?.at(k);
+        Ok(dmm)
     }
 }
 

@@ -89,11 +89,36 @@ impl DistPath {
     /// [`DistError::MissingDeadline`] when a hop has no deadline;
     /// per-resource analysis errors are forwarded.
     pub fn deadline_miss_model(&self, results: &DistResults, k: u64) -> Result<u64, DistError> {
-        let mut total: u64 = 0;
-        for &hop in &self.hops {
-            total = total.saturating_add(results.deadline_miss_model(hop, k)?);
+        Ok(self.deadline_miss_curve(results, &[k])?[0])
+    }
+
+    /// [`DistPath::deadline_miss_model`] at each of `ks`, from one
+    /// [`DistResults::sweep`] per hop (none for an empty `ks`).
+    ///
+    /// # Errors
+    ///
+    /// See [`DistPath::deadline_miss_model`].
+    pub fn deadline_miss_curve(
+        &self,
+        results: &DistResults,
+        ks: &[u64],
+    ) -> Result<Vec<u64>, DistError> {
+        if ks.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(total.min(k))
+        let mut totals = vec![0u64; ks.len()];
+        for &hop in &self.hops {
+            let ctx = results.context(hop.resource());
+            let sweep = results.sweep(&ctx, hop)?;
+            for (total, &k) in totals.iter_mut().zip(ks) {
+                *total = total.saturating_add(sweep.at(k).bound);
+            }
+        }
+        Ok(totals
+            .into_iter()
+            .zip(ks)
+            .map(|(total, &k)| total.min(k))
+            .collect())
     }
 
     /// The composite deadline `Σ D_i`, `None` when a hop has no
@@ -101,13 +126,7 @@ impl DistPath {
     pub fn composite_deadline(&self, system: &DistributedSystem) -> Option<Time> {
         self.hops
             .iter()
-            .map(|&hop| {
-                system
-                    .resource(hop.resource())
-                    .system()
-                    .chain(hop.chain())
-                    .deadline()
-            })
+            .map(|&hop| system.chain(hop).deadline())
             .sum()
     }
 }

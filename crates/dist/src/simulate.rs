@@ -164,29 +164,30 @@ pub fn soundness_violations(
 ) -> Result<Vec<String>, DistError> {
     let sim = propagate_simulation(system, horizon, StimulusKind::MaxRate)?;
     let mut violations = Vec::new();
-    for site in system.sites() {
-        let (resource_name, chain_name) = system.site_names(site);
-        if let (Some(observed), Some(bound)) =
-            (sim.max_latency(site), results.worst_case_latency(site))
-        {
-            if observed > bound {
-                violations.push(format!(
-                    "{resource_name}/{chain_name}: observed latency {observed} > bound {bound}"
-                ));
+    let sites: Vec<SiteId> = system.sites().collect();
+    // `sites()` is resource-major: one context per resource.
+    for group in sites.chunk_by(|a, b| a.resource() == b.resource()) {
+        let ctx = results.context(group[0].resource());
+        for &site in group {
+            let (resource_name, chain_name) = system.site_names(site);
+            if let (Some(observed), Some(bound)) =
+                (sim.max_latency(site), results.worst_case_latency(site))
+            {
+                if observed > bound {
+                    violations.push(format!(
+                        "{resource_name}/{chain_name}: observed latency {observed} > bound {bound}"
+                    ));
+                }
             }
-        }
-        let has_deadline = system
-            .resource(site.resource())
-            .system()
-            .chain(site.chain())
-            .deadline()
-            .is_some();
-        if has_deadline {
+            if system.chain(site).deadline().is_none() {
+                continue;
+            }
+            let Ok(sweep) = results.sweep(&ctx, site) else {
+                continue;
+            };
             let stats = sim.stats(site);
             for k in 1..=max_k {
-                let Ok(bound) = results.deadline_miss_model(site, k) else {
-                    continue;
-                };
+                let bound = sweep.at(k).bound;
                 let observed = stats.max_misses_in_window(k as usize) as u64;
                 if observed > bound {
                     violations.push(format!(

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::DistError;
-use twca_model::{ChainId, System};
+use twca_model::{Chain, ChainId, System};
 
 /// Index of a resource within a [`DistributedSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +125,15 @@ impl DistributedSystem {
             .iter()
             .position(|r| r.name == name)
             .map(ResourceId)
+    }
+
+    /// The declared chain of `site`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range.
+    pub fn chain(&self, site: SiteId) -> &Chain {
+        self.resources[site.resource.0].system.chain(site.chain)
     }
 
     /// All links, in declaration order.

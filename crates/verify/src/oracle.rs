@@ -18,7 +18,10 @@ use twca_chains::{
     AnalysisOptions, DmmResult, DmmSweep, OverloadMode,
 };
 use twca_curves::{EventModel, Time};
-use twca_dist::{analyze as dist_analyze, soundness_violations, DistOptions, DistributedSystem};
+use twca_dist::{
+    analyze as dist_analyze, soundness_violations, DistError, DistOptions, DistResults,
+    DistributedSystem, SiteId,
+};
 use twca_model::{ChainId, System};
 use twca_sim::{
     adversarial_aligned_traces, periodic_trace, MonteCarlo, MonteCarloConfig, Simulation, TraceSet,
@@ -1216,28 +1219,35 @@ fn check_monotonicity(verdicts: &ChainVerdicts, violations: &mut Vec<Violation>)
                 });
             }
         }
-        let Ok(curve) = &row.curve else { continue };
-        for dmm in curve {
-            if dmm.bound > dmm.k {
-                violations.push(Violation {
-                    oracle: OracleKind::Monotonicity,
-                    detail: format!(
-                        "{}: dmm({}) = {} exceeds the window length",
-                        row.name, dmm.k, dmm.bound
-                    ),
-                });
-            }
+        if let Ok(curve) = &row.curve {
+            check_curve_monotonicity(&row.name, curve, violations);
         }
-        for pair in curve.windows(2) {
-            if pair[0].k <= pair[1].k && pair[0].bound > pair[1].bound {
-                violations.push(Violation {
-                    oracle: OracleKind::Monotonicity,
-                    detail: format!(
-                        "{}: dmm({}) = {} > dmm({}) = {} breaks monotonicity in k",
-                        row.name, pair[0].k, pair[0].bound, pair[1].k, pair[1].bound
-                    ),
-                });
-            }
+    }
+}
+
+/// Oracle 5 on one `dmm` curve (chain or site): bounded by the window,
+/// and monotone in `k`.
+fn check_curve_monotonicity(name: &str, curve: &[DmmResult], violations: &mut Vec<Violation>) {
+    for dmm in curve {
+        if dmm.bound > dmm.k {
+            violations.push(Violation {
+                oracle: OracleKind::Monotonicity,
+                detail: format!(
+                    "{name}: dmm({}) = {} exceeds the window length",
+                    dmm.k, dmm.bound
+                ),
+            });
+        }
+    }
+    for pair in curve.windows(2) {
+        if pair[0].k <= pair[1].k && pair[0].bound > pair[1].bound {
+            violations.push(Violation {
+                oracle: OracleKind::Monotonicity,
+                detail: format!(
+                    "{name}: dmm({}) = {} > dmm({}) = {} breaks monotonicity in k",
+                    pair[0].k, pair[0].bound, pair[1].k, pair[1].bound
+                ),
+            });
         }
     }
 }
@@ -1597,6 +1607,57 @@ fn check_backend_agreement_uni(
     }
 }
 
+/// The first disagreement between holistic results `a` and `b` of
+/// `dist`: sweeps, then per site the latency bound, the effective
+/// activation and `dmm(k)` for every `k` of `ks` (unless `sanctioned`
+/// excuses the pair), from one sweep per site and results.
+fn holistic_divergence(
+    dist: &DistributedSystem,
+    a: &DistResults,
+    b: &DistResults,
+    ks: &[u64],
+    sanctioned: impl Fn(&Result<u64, DistError>, &Result<u64, DistError>) -> bool,
+) -> Option<String> {
+    if a.sweeps() != b.sweeps() {
+        return Some(format!("sweeps {} vs {}", a.sweeps(), b.sweeps()));
+    }
+    let bound_at = |sweep: &Result<DmmSweep<'_>, DistError>, k| {
+        sweep.as_ref().map(|s| s.at(k).bound).map_err(Clone::clone)
+    };
+    let sites: Vec<SiteId> = dist.sites().collect();
+    for group in sites.chunk_by(|x, y| x.resource() == y.resource()) {
+        let resource = group[0].resource();
+        let (a_ctx, b_ctx) = (a.context(resource), b.context(resource));
+        for &site in group {
+            let (resource_name, chain_name) = dist.site_names(site);
+            let (a_wcl, b_wcl) = (a.worst_case_latency(site), b.worst_case_latency(site));
+            if a_wcl != b_wcl {
+                return Some(format!(
+                    "{resource_name}/{chain_name}: WCL {a_wcl:?} vs {b_wcl:?}"
+                ));
+            }
+            if a.effective_activation(site) != b.effective_activation(site) {
+                return Some(format!(
+                    "{resource_name}/{chain_name}: effective activation models differ"
+                ));
+            }
+            if dist.chain(site).deadline().is_none() {
+                continue;
+            }
+            let (a_sweep, b_sweep) = (a.sweep(&a_ctx, site), b.sweep(&b_ctx, site));
+            for &k in ks {
+                let (a_dmm, b_dmm) = (bound_at(&a_sweep, k), bound_at(&b_sweep, k));
+                if a_dmm != b_dmm && !sanctioned(&a_dmm, &b_dmm) {
+                    return Some(format!(
+                        "{resource_name}/{chain_name}: dmm({k}) {a_dmm:?} vs {b_dmm:?}"
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
 fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> {
     let mut violations = Vec::new();
     let results = match dist_analyze(dist, opts.dist_options()) {
@@ -1616,152 +1677,69 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
     // solver) must reach the identical fixed point: sweep count,
     // per-site latency bounds, effective activation models and the
     // miss models computed on top.
-    {
-        let worklist = &results;
-        match twca_dist::reference::analyze(dist, opts.dist_options(), Reference::IterativeSolver) {
-            Ok(reference) => {
-                let mut divergence: Option<String> = None;
-                if worklist.sweeps() != reference.sweeps() {
-                    divergence = Some(format!(
-                        "sweeps {} vs {}",
-                        worklist.sweeps(),
-                        reference.sweeps()
-                    ));
-                }
-                for site in dist.sites() {
-                    if divergence.is_some() {
-                        break;
-                    }
-                    let (resource_name, chain_name) = dist.site_names(site);
-                    if worklist.worst_case_latency(site) != reference.worst_case_latency(site) {
-                        divergence = Some(format!(
-                            "{resource_name}/{chain_name}: WCL {:?} vs {:?}",
-                            worklist.worst_case_latency(site),
-                            reference.worst_case_latency(site)
-                        ));
-                        break;
-                    }
-                    if worklist.effective_activation(site) != reference.effective_activation(site) {
-                        divergence = Some(format!(
-                            "{resource_name}/{chain_name}: effective activation models differ"
-                        ));
-                        break;
-                    }
-                    let chain = dist.resource(site.resource()).system().chain(site.chain());
-                    if chain.deadline().is_none() {
-                        continue;
-                    }
-                    for &k in &opts.ks {
-                        if worklist.deadline_miss_model(site, k)
-                            != reference.deadline_miss_model(site, k)
-                        {
-                            divergence =
-                                Some(format!("{resource_name}/{chain_name}: dmm({k}) differs"));
-                            break;
-                        }
-                    }
-                }
-                if let Some(what) = divergence {
-                    violations.push(Violation {
-                        oracle: OracleKind::SolverAgreement,
-                        detail: format!(
-                            "holistic results diverge between the worklist and full-sweep \
-                             drivers: {what}"
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
+    match twca_dist::reference::analyze(dist, opts.dist_options(), Reference::IterativeSolver) {
+        Ok(reference) => {
+            if let Some(what) =
+                holistic_divergence(dist, &results, &reference, &opts.ks, |_, _| false)
+            {
                 violations.push(Violation {
                     oracle: OracleKind::SolverAgreement,
-                    detail: format!("full-sweep driver failed where the worklist succeeded: {e}"),
+                    detail: format!(
+                        "holistic results diverge between the worklist and full-sweep \
+                         drivers: {what}"
+                    ),
                 });
             }
+        }
+        Err(e) => {
+            violations.push(Violation {
+                oracle: OracleKind::SolverAgreement,
+                detail: format!("full-sweep driver failed where the worklist succeeded: {e}"),
+            });
         }
     }
 
     // Oracle 6 (distributed): the holistic fixed point must not care
     // which combination engine classifies Definition 9. The reference
     // side runs the full-sweep driver with the materialized engine; the
-    // comparison covers the outputs: sweep count, per-site latency
-    // bounds and miss models (equal latency bounds pin the propagated
-    // effective systems too — propagation only reads the WCLs).
-    {
-        match twca_dist::reference::analyze(
-            dist,
-            opts.dist_options(),
-            Reference::MaterializedEngine,
-        ) {
-            Ok(materialized) => {
-                let mut divergence: Option<String> = None;
-                if materialized.sweeps() != results.sweeps() {
-                    divergence = Some(format!(
-                        "sweeps {} vs {}",
-                        results.sweeps(),
-                        materialized.sweeps()
-                    ));
-                }
-                for site in dist.sites() {
-                    if divergence.is_some() {
-                        break;
-                    }
-                    let (resource_name, chain_name) = dist.site_names(site);
-                    if materialized.worst_case_latency(site) != results.worst_case_latency(site) {
-                        divergence = Some(format!(
-                            "{resource_name}/{chain_name}: WCL {:?} vs {:?}",
-                            results.worst_case_latency(site),
-                            materialized.worst_case_latency(site)
-                        ));
-                        break;
-                    }
-                    let chain = dist.resource(site.resource()).system().chain(site.chain());
-                    if chain.deadline().is_none() {
-                        continue;
-                    }
-                    for &k in &opts.ks {
-                        let lazy = results.deadline_miss_model(site, k);
-                        let mat = materialized.deadline_miss_model(site, k);
-                        let sanctioned = matches!(
-                            (&lazy, &mat),
-                            (
-                                Ok(_),
-                                Err(twca_dist::DistError::Analysis(
-                                    twca_chains::AnalysisError::TooManyCombinations { .. },
-                                )),
-                            )
-                        );
-                        if !sanctioned && lazy != mat {
-                            divergence = Some(format!(
-                                "{resource_name}/{chain_name}: dmm({k}) {lazy:?} vs {mat:?}"
-                            ));
-                            break;
-                        }
-                    }
-                }
-                if let Some(what) = divergence {
-                    violations.push(Violation {
-                        oracle: OracleKind::LazyAgreement,
-                        detail: format!(
-                            "holistic results diverge between the lazy and materialized \
-                             combination engines: {what}"
-                        ),
-                    });
-                }
-            }
-            // The materialized reference refusing a combination space
-            // the lazy engine streams through is the sanctioned gap;
-            // any other failure where the lazy run succeeded is not.
-            Err(twca_dist::DistError::Analysis(
-                twca_chains::AnalysisError::TooManyCombinations { .. },
-            )) => {}
-            Err(e) => {
+    // comparison covers the same outputs as oracle 7.
+    match twca_dist::reference::analyze(dist, opts.dist_options(), Reference::MaterializedEngine) {
+        Ok(materialized) => {
+            // The materialized engine refusing a combination space the
+            // lazy one streams through is the sanctioned gap.
+            let sanctioned = |lazy: &Result<u64, DistError>, mat: &Result<u64, DistError>| {
+                matches!(
+                    (lazy, mat),
+                    (
+                        Ok(_),
+                        Err(DistError::Analysis(
+                            AnalysisError::TooManyCombinations { .. },
+                        )),
+                    )
+                )
+            };
+            if let Some(what) =
+                holistic_divergence(dist, &results, &materialized, &opts.ks, sanctioned)
+            {
                 violations.push(Violation {
                     oracle: OracleKind::LazyAgreement,
                     detail: format!(
-                        "materialized holistic analysis failed where the lazy one succeeded: {e}"
+                        "holistic results diverge between the lazy and materialized \
+                         combination engines: {what}"
                     ),
                 });
             }
+        }
+        // As above: a refused combination space is the sanctioned gap;
+        // any other failure where the lazy run succeeded is not.
+        Err(DistError::Analysis(AnalysisError::TooManyCombinations { .. })) => {}
+        Err(e) => {
+            violations.push(Violation {
+                oracle: OracleKind::LazyAgreement,
+                detail: format!(
+                    "materialized holistic analysis failed where the lazy one succeeded: {e}"
+                ),
+            });
         }
     }
 
@@ -1784,36 +1762,22 @@ fn check_dist(dist: &DistributedSystem, opts: &VerifyOptions) -> Vec<Violation> 
     }
 
     // Oracle 5: per-site dmm monotonicity on the holistic results.
-    for site in dist.sites() {
-        let chain = dist.resource(site.resource()).system().chain(site.chain());
-        if chain.deadline().is_none() {
-            continue;
-        }
-        let (resource_name, chain_name) = dist.site_names(site);
-        let mut previous: Option<(u64, u64)> = None;
-        for &k in &opts.ks {
-            let Ok(bound) = results.deadline_miss_model(site, k) else {
+    let sites: Vec<SiteId> = dist.sites().collect();
+    for group in sites.chunk_by(|a, b| a.resource() == b.resource()) {
+        let ctx = results.context(group[0].resource());
+        for &site in group {
+            if dist.chain(site).deadline().is_none() {
                 continue;
-            };
-            if bound > k {
-                violations.push(Violation {
-                    oracle: OracleKind::Monotonicity,
-                    detail: format!(
-                        "{resource_name}/{chain_name}: dmm({k}) = {bound} exceeds the window"
-                    ),
-                });
             }
-            if let Some((pk, pb)) = previous {
-                if pk <= k && pb > bound {
-                    violations.push(Violation {
-                        oracle: OracleKind::Monotonicity,
-                        detail: format!(
-                            "{resource_name}/{chain_name}: dmm({pk}) = {pb} > dmm({k}) = {bound}"
-                        ),
-                    });
-                }
+            if let Ok(sweep) = results.sweep(&ctx, site) {
+                let (resource_name, chain_name) = dist.site_names(site);
+                let curve = sweep.curve(opts.ks.iter().copied());
+                check_curve_monotonicity(
+                    &format!("{resource_name}/{chain_name}"),
+                    &curve,
+                    &mut violations,
+                );
             }
-            previous = Some((k, bound));
         }
     }
 
