@@ -14,9 +14,9 @@ use std::fs;
 use std::path::Path;
 
 use twca_api::{
-    AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ChainOutcome, DmmOutcome, DmmPoint,
-    LatencyOutcome, LinkSpec, Query, QueryOutcome, RequestOptions, Session, SiteSpec,
-    SystemOutcome, Target, WitnessOutcome,
+    respond_line, AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ChainOutcome,
+    DmmOutcome, DmmPoint, LatencyOutcome, LinkSpec, Query, QueryOutcome, RequestOptions, Session,
+    SiteSpec, SystemOutcome, Target, WitnessOutcome,
 };
 
 fn golden_request() -> AnalysisRequest {
@@ -137,9 +137,13 @@ fn main() {
     // Replay the recorded request stream through a fresh session.
     let requests = fs::read_to_string(dir.join("stream_v1_requests.jsonl"))
         .expect("stream_v1_requests.jsonl exists");
-    let mut output = Vec::new();
-    twca_api::serve(&Session::new(), requests.as_bytes(), &mut output).unwrap();
-    fs::write(dir.join("stream_v1_responses.jsonl"), output).unwrap();
+    let session = Session::new();
+    let responses: String = requests
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| format!("{}\n", respond_line(&session, line).to_json()))
+        .collect();
+    fs::write(dir.join("stream_v1_responses.jsonl"), responses).unwrap();
 
     println!("re-recorded golden fixtures in {}", dir.display());
 }

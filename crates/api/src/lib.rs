@@ -25,10 +25,11 @@
 //! vendors no serde runtime), with a versioned schema
 //! ([`SCHEMA_VERSION`]).
 //!
-//! The [`serve`] function runs the JSON-Lines streaming loop behind
-//! `twca serve`; the [`batch`] module's [`batch::BatchEngine`] is a
-//! thread fan-out over [`Session::system_outcome`], so the batch and
-//! streaming surfaces share one pipeline and one serializer.
+//! [`respond_line`] answers one JSON-Lines request line — the unit the
+//! `twca serve` worker pool runs; the [`batch`] module's
+//! [`batch::BatchEngine`] is a thread fan-out over
+//! [`Session::system_outcome`], so the batch and streaming surfaces
+//! share one pipeline and one serializer.
 //!
 //! The [`SystemStore`] behind the `store_put`/`store_analyze` queries
 //! can be opened durably ([`SystemStore::durable`]) over the
@@ -64,8 +65,8 @@ mod error;
 mod json;
 pub mod persist;
 mod request;
+mod respond;
 mod response;
-mod serve;
 mod session;
 mod store;
 
@@ -79,11 +80,11 @@ pub use persist::{
 pub use request::{
     AnalysisRequest, LinkSpec, Query, RequestOptions, SiteSpec, Target, SCHEMA_VERSION,
 };
+pub use respond::{respond_line, respond_line_with};
 pub use response::{
     AnalysisResponse, ChainOutcome, DmmOutcome, DmmPoint, LatencyOutcome, MkOutcome, PathOutcome,
     QueryOutcome, SensitivityOutcome, SimChainOutcome, SimulateOutcome, StatsOutcome,
     StoreAnalyzeOutcome, StorePutOutcome, SystemOutcome, WitnessOutcome,
 };
-pub use serve::{respond_line, respond_line_with, serve, serve_with, LatencyStats, ServeSummary};
 pub use session::{CancelToken, EdgeCounters, RequestControl, ServiceCounters, Session};
 pub use store::{PutReceipt, StoreDiff, StoredBody, SystemStore};

@@ -1,13 +1,14 @@
 //! Golden-file tests pinning schema version 1: the wire bytes of a
-//! representative request, a representative response, and a live
-//! served stream must match the recorded fixtures exactly. A failure
-//! here means the schema changed — bump [`twca_api::SCHEMA_VERSION`]
-//! and re-record deliberately, never accidentally.
+//! representative request, a representative response, and a request
+//! stream answered line by line on one live session must match the
+//! recorded fixtures exactly. A failure here means the schema changed
+//! — bump [`twca_api::SCHEMA_VERSION`] and re-record deliberately,
+//! never accidentally.
 
 use twca_api::{
-    AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ChainOutcome, DmmOutcome, DmmPoint,
-    Json, LatencyOutcome, Query, QueryOutcome, RequestOptions, Session, SiteSpec, SystemOutcome,
-    Target, WitnessOutcome,
+    respond_line, AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ChainOutcome,
+    DmmOutcome, DmmPoint, Json, LatencyOutcome, Query, QueryOutcome, RequestOptions, Session,
+    SiteSpec, SystemOutcome, Target, WitnessOutcome,
 };
 
 fn fixture(name: &str) -> String {
@@ -16,6 +17,17 @@ fn fixture(name: &str) -> String {
         .join(name);
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read golden fixture {}: {e}", path.display()))
+}
+
+/// Answers every non-blank line of `input` through [`respond_line`] on
+/// one session, one response line per request line.
+fn replay(input: &str) -> String {
+    let session = Session::new();
+    input
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| format!("{}\n", respond_line(&session, line).to_json()))
+        .collect()
 }
 
 fn golden_request() -> AnalysisRequest {
@@ -144,11 +156,8 @@ fn error_response_schema_v1_is_stable() {
 fn served_stream_v1_is_stable() {
     let input = fixture("stream_v1_requests.jsonl");
     let expected = fixture("stream_v1_responses.jsonl");
-    let mut output = Vec::new();
-    let session = Session::new();
-    twca_api::serve(&session, input.as_bytes(), &mut output).unwrap();
     assert_eq!(
-        String::from_utf8(output).unwrap(),
+        replay(&input),
         expected,
         "served bytes drifted from the recorded schema-v1 stream"
     );
@@ -161,10 +170,8 @@ fn served_stream_v1_is_stable() {
 fn unknown_options_v1_are_rejected_by_name() {
     let input = fixture("unknown_options_v1_requests.jsonl");
     let expected = fixture("unknown_options_v1_responses.jsonl");
-    let mut output = Vec::new();
-    twca_api::serve(&Session::new(), input.as_bytes(), &mut output).unwrap();
     assert_eq!(
-        String::from_utf8(output).unwrap(),
+        replay(&input),
         expected,
         "unknown-option errors drifted from the recorded schema-v1 stream"
     );

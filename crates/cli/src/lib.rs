@@ -862,7 +862,7 @@ impl ServeArgs {
 }
 
 fn render_serve_summary(
-    summary: &twca_api::ServeSummary,
+    summary: &twca_service::ServeSummary,
     stats: twca_chains::CacheStats,
     persist: Option<(twca_api::PersistStats, twca_api::RecoveryReport)>,
 ) -> String {
@@ -921,23 +921,26 @@ fn render_serve_summary(
     out
 }
 
-/// `twca serve`: the long-lived JSON-Lines analysis loop over explicit
-/// input/output streams — one request per line in, one response per
-/// line out, in input order, all answered from one warm
-/// [`Session`]. The binary wires this to stdin/stdout; tests to
-/// buffers.
+/// `twca serve`: the long-lived JSON-Lines analysis server over
+/// explicit input/output streams — one request per line in, one
+/// response per line out, in input order, all answered from one warm
+/// [`Session`]. The input (or `--file F`) is a lane of a
+/// [`twca_service::WorkerPool`], read by
+/// [`twca_service::serve_connection`] with its frame cap: an
+/// oversized or non-UTF-8 line, or a panicking request, draws a typed
+/// error response and the stream goes on. End of input drains the
+/// pool. The binary wires this to stdin/stdout; tests to buffers.
 ///
-/// With `--listen ADDR` the same session instead backs a
-/// [`twca_service::WorkerPool`] shared by a TCP front end and the stdio
-/// lane: `--workers` sizes the pool, `--queue` bounds the pending
-/// queue (overflow draws typed `overloaded` errors), `--deadline-ms`
-/// cancels requests that outlive their deadline. End-of-input on the
-/// stdio lane triggers a graceful drain of the whole server, so
-/// holding stdin open (e.g. a FIFO) keeps the server up. The pool and
-/// edge flags (`--workers`, `--queue`, `--deadline-ms`,
-/// `--read-timeout`, `--idle-timeout`, `--write-buffer`) configure
-/// that server only, so without `--listen` they are a usage error
-/// rather than silently ignored.
+/// Without `--listen` the pool has one worker. With `--listen ADDR`
+/// the pool is a TCP server's, shared with its connections:
+/// `--workers` sizes it, `--queue` bounds the pending queue (overflow
+/// across connections draws typed `overloaded` errors; one lane waits
+/// instead), `--deadline-ms` cancels requests that outlive their
+/// deadline, and holding stdin open (e.g. a FIFO) keeps the server
+/// up. The pool and edge flags (`--workers`, `--queue`,
+/// `--deadline-ms`, `--read-timeout`, `--idle-timeout`,
+/// `--write-buffer`) configure that server only, so without
+/// `--listen` they are a usage error rather than silently ignored.
 ///
 /// With `--store-dir DIR` the session's system store is durable:
 /// every `store_put` is journaled to `DIR` before it is acknowledged,
@@ -948,12 +951,13 @@ fn render_serve_summary(
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for bad flags and stream I/O failures; parse
-/// and analysis failures are streamed as JSON error responses instead.
+/// Returns [`CliError`] for bad flags, a failed bind, and input read
+/// or output write failures (after the drain); parse and analysis
+/// failures are streamed as JSON error responses instead.
 pub fn cmd_serve(
     args: &[String],
     input: impl BufRead,
-    output: impl Write,
+    output: Box<dyn Write + Send>,
 ) -> Result<String, CliError> {
     let parsed = ServeArgs::parse(args)?;
     if parsed.listen.is_none() {
@@ -972,6 +976,10 @@ pub fn cmd_serve(
             )));
         }
     }
+    let input: Box<dyn BufRead + '_> = match &parsed.file {
+        Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
+        None => Box::new(input),
+    };
     let mut session = parsed.session();
     let recovery = match parsed.durable_store()? {
         None => None,
@@ -992,65 +1000,54 @@ pub fn cmd_serve(
     };
     // Held across the serve loop so the drain path can flush the
     // durable store and report its counters after the session moved
-    // into the server.
+    // into the pool.
     let store = session.store();
+    let cache = session.cache();
+    let config = parsed.service_config();
+    let serve = |pool: &twca_service::WorkerPool| {
+        twca_service::serve_connection(pool, input, output, config.max_frame_bytes)
+    };
+    let (summary, served) = match &parsed.listen {
+        Some(addr) => {
+            let server = twca_service::TcpServer::start(addr.as_str(), session, &config)?;
+            eprintln!(
+                "listening on {} with {} worker(s), queue {}",
+                server.local_addr(),
+                config.workers,
+                config.queue_capacity
+            );
+            let served = serve(server.pool());
+            (server.shutdown(std::time::Duration::from_secs(30)), served)
+        }
+        // One worker, always: a stdio stream is a script whose later
+        // lines may read the `store_put`s of earlier lines, so it is
+        // answered strictly one line after another.
+        None => {
+            let pool = twca_service::WorkerPool::new(
+                session,
+                &twca_service::ServiceConfig {
+                    workers: 1,
+                    ..config
+                },
+            );
+            let served = serve(&pool);
+            (pool.shutdown(), served)
+        }
+    };
     // On drain: force a snapshot so a clean shutdown restarts from a
     // snapshot instead of a journal replay. A flush failure keeps the
     // journal intact (nothing acknowledged is lost), so warn and keep
     // the summary.
-    let flush_on_drain = |store: &twca_api::SystemStore| {
-        if recovery.is_some() {
-            if let Err(error) = store.flush() {
-                eprintln!("warning: flush on drain failed: {error}");
-            }
+    if recovery.is_some() {
+        if let Err(error) = store.flush() {
+            eprintln!("warning: flush on drain failed: {error}");
         }
-    };
-    if let Some(addr) = &parsed.listen {
-        let cache = session.cache();
-        let config = parsed.service_config();
-        let server = twca_service::TcpServer::start(addr.as_str(), session, &config)?;
-        eprintln!(
-            "listening on {} with {} worker(s), queue {}",
-            server.local_addr(),
-            config.workers,
-            config.queue_capacity
-        );
-        // The stdio lane feeds the same pool; responses to it go to
-        // real stdout (the generic `output` need not be Send). EOF on
-        // the lane is the drain signal.
-        match &parsed.file {
-            Some(path) => {
-                let file = std::fs::File::open(path)?;
-                twca_service::serve_connection(
-                    server.pool(),
-                    std::io::BufReader::new(file),
-                    Box::new(std::io::stdout()),
-                    server.max_frame_bytes(),
-                );
-            }
-            None => twca_service::serve_connection(
-                server.pool(),
-                input,
-                Box::new(std::io::stdout()),
-                server.max_frame_bytes(),
-            ),
-        }
-        let summary = server.shutdown(std::time::Duration::from_secs(30));
-        flush_on_drain(&store);
-        let persist = recovery.map(|report| (store.persist_stats(), report));
-        return Ok(render_serve_summary(&summary, cache.stats(), persist));
     }
-    let summary = match &parsed.file {
-        Some(path) => {
-            let file = std::fs::File::open(path)?;
-            twca_api::serve(&session, std::io::BufReader::new(file), output)?
-        }
-        None => twca_api::serve(&session, input, output)?,
-    };
-    flush_on_drain(&store);
-    let stats = session.cache_stats();
+    // Everything read before a read or write error has been answered;
+    // the error itself still fails the command.
+    served?;
     let persist = recovery.map(|report| (store.persist_stats(), report));
-    Ok(render_serve_summary(&summary, stats, persist))
+    Ok(render_serve_summary(&summary, cache.stats(), persist))
 }
 
 /// `twca loadgen`: drives the TCP server with a deterministic corpus —
@@ -1708,15 +1705,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         return cmd_dist(&args[1..]);
     }
     if command == "serve" {
-        // The streaming loop writes to stdout as responses are
-        // produced; the returned summary goes to stderr in main.
-        // Stdout must stay UNLOCKED here: in `--listen` mode the pool's
-        // worker threads answer the stdio lane through their own
-        // `std::io::stdout()` handle, and `Stdout`'s lock is reentrant
-        // only on the owning thread — holding it across `cmd_serve`
-        // deadlocks the drain.
+        // The stdio lane writes to stdout as responses are produced;
+        // the returned summary goes to stderr in main. Stdout must
+        // stay UNLOCKED here: the pool's worker threads answer the
+        // stdio lane through their own `std::io::stdout()` handle,
+        // and `Stdout`'s lock is reentrant only on the owning thread —
+        // holding it across `cmd_serve` deadlocks the drain.
         let stdin = std::io::stdin();
-        let summary = cmd_serve(&args[1..], stdin.lock(), std::io::stdout())?;
+        let summary = cmd_serve(&args[1..], stdin.lock(), Box::new(std::io::stdout()))?;
         eprint!("{summary}");
         return Ok(String::new());
     }
@@ -2003,6 +1999,44 @@ chain recovery sporadic=1000 overload {
         ));
     }
 
+    /// Runs `twca serve` over `input` and returns `(summary, responses)`.
+    fn run_serve(serve_args: &[String], input: &str) -> Result<(String, String), CliError> {
+        #[derive(Clone, Default)]
+        struct Sink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = Sink::default();
+        let summary = cmd_serve(serve_args, input.as_bytes(), Box::new(sink.clone()))?;
+        let responses = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        Ok((summary, responses))
+    }
+
+    #[test]
+    fn serve_fails_when_its_output_cannot_be_written() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("no space left"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let input = r#"{"system": "chain c periodic=100 deadline=100 { task t prio=1 wcet=10 }"}"#;
+        let result = cmd_serve(&[], format!("{input}\n").as_bytes(), Box::new(Full));
+        assert!(
+            matches!(&result, Err(CliError::Io(e)) if e.to_string() == "no space left"),
+            "{result:?}"
+        );
+    }
+
     #[test]
     fn serve_store_dir_persists_puts_across_restarts() {
         let dir = std::env::temp_dir().join(format!("twca-cli-store-{}", std::process::id()));
@@ -2016,35 +2050,28 @@ chain recovery sporadic=1000 overload {
             r#"{"queries": [{"store_put": {"name": "plant", "system": "chain c periodic=100 deadline=100 { task t prio=1 wcet=12 }"}}]}"#,
             "\n",
         );
-        let mut out = Vec::new();
-        let summary = cmd_serve(&serve_args, input.as_bytes(), &mut out).unwrap();
+        let (summary, out) = run_serve(&serve_args, input).unwrap();
         assert!(
             summary.contains("persist: 2 journal append(s)"),
             "summary lost the persist line: {summary}"
         );
-        assert!(String::from_utf8(out).unwrap().contains("\"version\": 2"));
+        assert!(out.contains("\"version\": 2"));
 
         // Second life over the same directory: the drain snapshot (plus
         // empty journal) recovers, and analysis sees version 2.
         let input =
             r#"{"queries": [{"store_analyze": {"name": "plant", "ks": [1]}}]}"#.to_owned() + "\n";
-        let mut out = Vec::new();
-        let summary = cmd_serve(&serve_args, input.as_bytes(), &mut out).unwrap();
+        let (summary, out) = run_serve(&serve_args, &input).unwrap();
         assert!(
             summary.contains("recovered 1 entry"),
             "restart did not recover the entry: {summary}"
         );
-        let out = String::from_utf8(out).unwrap();
         assert!(out.contains("\"version\": 2"), "history lost: {out}");
 
         // A store directory that cannot be created is a typed error.
         let bad = dir.join("store.journal").join("nested");
         assert!(matches!(
-            cmd_serve(
-                &args(&["--store-dir", bad.to_str().unwrap()]),
-                &b""[..],
-                Vec::new()
-            ),
+            run_serve(&args(&["--store-dir", bad.to_str().unwrap()]), ""),
             Err(CliError::Api(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);

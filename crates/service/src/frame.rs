@@ -1,10 +1,11 @@
 //! The wire framing layer: bounded line-delimited frames.
 //!
-//! The service speaks the same JSON-Lines protocol as [`twca_api::serve`],
-//! but a network front end cannot trust its peers: a frame longer than
-//! the configured cap is discarded *without buffering it* — the reader
-//! skips to the next newline and reports how many bytes it dropped, so
-//! a hostile client cannot make the server allocate unbounded memory.
+//! The service speaks JSON Lines, one request per line as
+//! [`twca_api::respond_line`] answers it, but a front end cannot trust
+//! its input: a frame longer than the configured cap is discarded
+//! *without buffering it* — the reader skips to the next newline and
+//! reports how many bytes it dropped, so a hostile client cannot make
+//! the server allocate unbounded memory.
 //! Invalid UTF-8 is reported in-band with the offset of the first bad
 //! byte, so a garbage frame becomes a typed error response rather than
 //! a dead connection or a silently mangled request.

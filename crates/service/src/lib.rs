@@ -12,8 +12,9 @@
 //!   [`twca_api::CancelToken`]s, ordered per-connection response
 //!   delivery (synchronous or buffered behind a writer thread with a
 //!   slow-consumer bound), graceful drain,
-//! - [`server`] — the TCP listener plus a stdio lane feeding the same
-//!   pool, with read/idle timeouts and slow-loris reaping,
+//! - [`server`] — the lane read loop (bounded per-lane window of
+//!   unanswered submissions) behind both the TCP listener and the
+//!   stdio lane, with read/idle timeouts and slow-loris reaping,
 //! - [`chaos`] — seeded transport fault injection ([`FaultPlan`],
 //!   [`ChaosRead`]/[`ChaosWrite`]) behind the `chaos-liveness` oracle
 //!   and `twca chaos`,
@@ -25,8 +26,8 @@
 //!   `service-robustness` oracle.
 //!
 //! Everything is `std`-only: the listener is [`std::net::TcpListener`],
-//! workers are plain OS threads, and frames are the same line-delimited
-//! JSON the stdio server already speaks.
+//! workers are plain OS threads, and frames are line-delimited JSON,
+//! each answered by [`twca_api::respond_line_with`].
 
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
@@ -48,6 +49,6 @@ pub use chaos::{ChaosRead, ChaosTally, ChaosWrite, FaultKind, FaultPlan};
 pub use frame::{Frame, FrameReader, FrameStep};
 pub use fuzzing::FrameFuzzer;
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, RequestMix};
-pub use pool::{Connection, ServiceConfig, WorkerPool};
+pub use pool::{Connection, LatencyStats, ServeSummary, ServiceConfig, WorkerPool};
 pub use retry::RetryPolicy;
 pub use server::{serve_connection, serve_lane, LaneEnd, LaneOptions, TcpServer};

@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use twca_api::{
-    respond_line_with, AnalysisResponse, ApiError, CancelToken, Json, LatencyStats, ServeSummary,
+    respond_line_with, AnalysisResponse, ApiError, CancelToken, EdgeCounters, Json,
     ServiceCounters, Session,
 };
 
@@ -110,6 +110,8 @@ struct OutState {
     next_seq: u64,
     parked: BTreeMap<u64, String>,
     parked_bytes: usize,
+    /// The write failure that killed a synchronous lane.
+    write_error: Option<std::io::Error>,
 }
 
 /// The writer thread's side of a buffered lane.
@@ -150,6 +152,7 @@ impl Connection {
                 next_seq: 0,
                 parked: BTreeMap::new(),
                 parked_bytes: 0,
+                write_error: None,
             }),
             dead: Arc::new(AtomicBool::new(false)),
             retired: Condvar::new(),
@@ -240,6 +243,7 @@ impl Connection {
                 next_seq: 0,
                 parked: BTreeMap::new(),
                 parked_bytes: 0,
+                write_error: None,
             }),
             dead,
             retired: Condvar::new(),
@@ -298,8 +302,9 @@ impl Connection {
                 }
                 let writer = out.writer.as_mut().expect("sync lane has a writer");
                 let wrote = writeln!(writer, "{line}").and_then(|()| writer.flush());
-                if wrote.is_err() {
+                if let Err(e) = wrote {
                     self.dead.store(true, Ordering::Relaxed);
+                    out.write_error = Some(e);
                 }
             }
         }
@@ -337,27 +342,41 @@ impl Connection {
         self.retired.notify_all();
     }
 
+    /// The write failure that killed this synchronous lane, if one
+    /// did (taken: a second call returns `None`).
+    pub(crate) fn take_write_error(&self) -> Option<std::io::Error> {
+        lock(&self.out).write_error.take()
+    }
+
+    /// Blocks until the responses of submissions `0..count` have all
+    /// been handed to the lane in order. A synchronous lane has then
+    /// written them; a buffered lane may still hold them for its
+    /// writer thread, bounded by its slow-consumer byte budget — so a
+    /// client that stops reading cannot stall this wait forever.
+    pub(crate) fn await_answered(&self, count: u64) {
+        let mut out = lock(&self.out);
+        while out.next_seq < count {
+            out = self
+                .retired
+                .wait(out)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
     /// Blocks until the responses of submissions `0..count` have all
     /// passed through the lane (written or, on a dead lane, retired).
     /// Lets a front end half-close the connection's write side only
     /// once everything admitted has been answered.
     pub fn await_retired(&self, count: u64) {
-        if let Some(lane) = &self.lane {
-            let mut queue = lock(&lane.queue);
-            while queue.written < count {
-                queue = lane
-                    .done
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        } else {
-            let mut out = lock(&self.out);
-            while out.next_seq < count {
-                out = self
-                    .retired
-                    .wait(out)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+        let Some(lane) = &self.lane else {
+            return self.await_answered(count);
+        };
+        let mut queue = lock(&lane.queue);
+        while queue.written < count {
+            queue = lane
+                .done
+                .wait(queue)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
@@ -376,7 +395,6 @@ struct Job {
     line: String,
     conn: Arc<Connection>,
     cancel: CancelToken,
-    submitted: Instant,
 }
 
 struct PoolState {
@@ -490,10 +508,83 @@ impl Watchdog {
     }
 }
 
+/// Per-request wall-clock latency accumulation: count, total, and the
+/// min/max extremes, all in nanoseconds. Mergeable across workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LatencyStats {
+    /// Requests timed.
+    pub count: u64,
+    /// Summed latency of all timed requests.
+    pub total_ns: u64,
+    /// Fastest request; 0 when nothing was timed.
+    pub min_ns: u64,
+    /// Slowest request; 0 when nothing was timed.
+    pub max_ns: u64,
+}
+
+impl LatencyStats {
+    /// Records one request latency.
+    pub fn record(&mut self, elapsed: Duration) {
+        self.record_ns(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
+
+    /// Records one request latency given in nanoseconds.
+    pub fn record_ns(&mut self, ns: u64) {
+        if self.count == 0 {
+            self.min_ns = ns;
+            self.max_ns = ns;
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
+    }
+
+    /// Folds another accumulation into this one.
+    pub fn merge(&mut self, other: &LatencyStats) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+    }
+
+    /// Mean latency in nanoseconds; 0 when nothing was timed.
+    #[must_use]
+    pub fn mean_ns(&self) -> u64 {
+        self.total_ns.checked_div(self.count).unwrap_or(0)
+    }
+}
+
+/// What a [`WorkerPool`] answered before its drain
+/// ([`WorkerPool::shutdown`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServeSummary {
+    /// Submissions answered, rejections included (blank lines are
+    /// never submitted).
+    pub requests: usize,
+    /// Responses whose outcome was an error.
+    pub errors: usize,
+    /// Analysis time of every request a worker ran, from its pickup
+    /// to its answer (queue wait excluded).
+    pub latency: LatencyStats,
+    /// Connection-edge counters; all-zero when no connection edge saw
+    /// an event (e.g. a stdio-only server).
+    pub edge: EdgeCounters,
+}
+
 /// How a worker turns a request line into a response. Injectable so
 /// tests can drive the panic-isolation path with a purpose-built
 /// panicking executor; production pools use [`respond_line_with`].
-type Executor = Arc<dyn Fn(&Session, &str, Option<&CancelToken>) -> AnalysisResponse + Send + Sync>;
+pub(crate) type Executor =
+    Arc<dyn Fn(&Session, &str, Option<&CancelToken>) -> AnalysisResponse + Send + Sync>;
 
 /// The sharded multi-worker request engine; see the module docs.
 pub struct WorkerPool {
@@ -590,6 +681,12 @@ impl WorkerPool {
         Arc::clone(&self.counters)
     }
 
+    /// The admission queue's capacity (`queue_capacity`, at least 1).
+    #[must_use]
+    pub fn queue_capacity(&self) -> usize {
+        self.shared.capacity
+    }
+
     /// Submits request line number `seq` of `conn`. Never fails: a
     /// full or closed queue answers with a typed `overloaded` error on
     /// the connection's ordered lane.
@@ -608,7 +705,6 @@ impl WorkerPool {
                     line,
                     conn: Arc::clone(conn),
                     cancel,
-                    submitted: Instant::now(),
                 });
                 drop(state);
                 self.shared.ready.notify_one();
@@ -629,13 +725,11 @@ impl WorkerPool {
     fn reject(&self, conn: &Arc<Connection>, seq: u64, line: &str, error: ApiError) {
         self.counters.record_rejected();
         self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        // Echo the id when one is recoverable, as respond_line does.
-        let id = Json::parse(line)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_owned));
         conn.deliver(
             seq,
-            AnalysisResponse::error(id, error).to_json().to_string(),
+            AnalysisResponse::error(request_id(line), error)
+                .to_json()
+                .to_string(),
         );
     }
 
@@ -713,6 +807,7 @@ fn worker_loop(
         // A panicking analysis must never hang the connection or
         // shrink the pool: catch it, answer the lane with a typed
         // `internal` error, count it, and keep the worker alive.
+        let started = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| {
             executor(session, &job.line, Some(&job.cancel))
         }));
@@ -720,16 +815,28 @@ fn worker_loop(
             Ok(response) => response,
             Err(payload) => {
                 counters.record_panic();
-                AnalysisResponse::error(None, ApiError::internal(panic_detail(&*payload)))
+                AnalysisResponse::error(
+                    request_id(&job.line),
+                    ApiError::internal(panic_detail(&*payload)),
+                )
             }
         };
         if response.outcome.is_err() {
             shared.errors.fetch_add(1, Ordering::Relaxed);
         }
         counters.record_served();
-        latency.record(job.submitted.elapsed());
+        latency.record(started.elapsed());
         job.conn.deliver(job.seq, response.to_json().to_string());
     }
+}
+
+/// The `id` of a request line, when one is recoverable: answers the
+/// pool makes itself (rejections, caught panics) echo it, as
+/// [`respond_line_with`] does.
+fn request_id(line: &str) -> Option<String> {
+    Json::parse(line)
+        .ok()
+        .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_owned))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -895,9 +1002,29 @@ pub(crate) mod tests {
             responses[2].outcome.is_ok(),
             "the worker survived the panic"
         );
+        assert_eq!(
+            responses[1].id.as_deref(),
+            Some("boom"),
+            "the panic answer echoes the request id"
+        );
         let error = responses[1].outcome.as_ref().unwrap_err();
         assert_eq!(error.kind, twca_api::ApiErrorKind::Internal);
         assert!(error.message.contains("injected analysis panic"), "{error}");
+    }
+
+    #[test]
+    fn latency_stats_accumulate_and_merge() {
+        let mut a = LatencyStats::default();
+        a.record_ns(10);
+        a.record_ns(30);
+        assert_eq!((a.count, a.min_ns, a.max_ns, a.mean_ns()), (2, 10, 30, 20));
+        let mut b = LatencyStats::default();
+        b.record_ns(5);
+        a.merge(&b);
+        assert_eq!((a.count, a.min_ns, a.max_ns), (3, 5, 30));
+        let mut empty = LatencyStats::default();
+        empty.merge(&a);
+        assert_eq!(empty, a);
     }
 
     #[test]

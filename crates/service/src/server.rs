@@ -1,5 +1,5 @@
-//! The front ends: a TCP listener and a stdio lane, both feeding the
-//! same [`WorkerPool`].
+//! The front ends: a TCP listener and a stdio lane, both read by
+//! [`serve_lane`] into a [`WorkerPool`].
 //!
 //! Shutdown semantics: [`TcpServer::shutdown`] first stops accepting,
 //! then gives connected clients a grace period to finish their input
@@ -14,10 +14,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use twca_api::{ApiError, ServeSummary, Session};
+use twca_api::{ApiError, Session};
 
 use crate::frame::{Frame, FrameReader, FrameStep};
-use crate::pool::{Connection, ServiceConfig, WorkerPool};
+use crate::pool::{Connection, ServeSummary, ServiceConfig, WorkerPool};
 
 /// Per-lane serving knobs; the subset of [`ServiceConfig`] a single
 /// read loop enforces.
@@ -49,7 +49,7 @@ impl LaneOptions {
 
 /// Why a lane's read loop ended. Whatever the reason, everything the
 /// lane admitted has been answered by the time [`serve_lane`] returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum LaneEnd {
     /// The input was exhausted cleanly.
     Eof,
@@ -63,7 +63,7 @@ pub enum LaneEnd {
     /// The peer reset or abandoned the connection mid-stream.
     Reset,
     /// Any other read error.
-    ReadError,
+    ReadError(std::io::Error),
 }
 
 /// Reads frames from `input` and submits them to `pool` on `conn`'s
@@ -71,6 +71,14 @@ pub enum LaneEnd {
 /// timeouts. Returns why the loop ended, and only once every frame
 /// submitted has been answered — a front end may close the connection
 /// as soon as this returns.
+///
+/// A lane never holds more than the pool's queue capacity of
+/// unanswered submissions: past that window it waits for its oldest
+/// answer before reading on, so one lane alone never overflows the
+/// queue. It waits for the answer, not for its write: a client that
+/// stops reading still overflows its buffered lane's byte budget and
+/// is disconnected as a slow consumer. The wait is the server's, not
+/// the client's — both timeout clocks restart after it.
 pub fn serve_lane(
     pool: &WorkerPool,
     input: impl BufRead,
@@ -78,6 +86,7 @@ pub fn serve_lane(
     opts: &LaneOptions,
 ) -> LaneEnd {
     let counters = pool.counters();
+    let window = pool.queue_capacity() as u64;
     let mut reader = FrameReader::new(input, opts.max_frame_bytes);
     let mut seq = 0u64;
     let mut last_byte = Instant::now();
@@ -103,40 +112,33 @@ pub fn serve_lane(
                 }
             }
             Ok(FrameStep::Frame(frame)) => {
+                let blank = matches!(&frame, Frame::Line(line) if line.trim().is_empty());
+                if !blank && seq >= window {
+                    conn.await_answered(seq + 1 - window);
+                }
                 last_byte = Instant::now();
                 last_frame = last_byte;
                 match frame {
-                    Frame::Line(line) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        pool.submit(conn, seq, line);
-                        seq += 1;
-                    }
-                    Frame::Oversized { bytes } => {
-                        pool.respond_local_error(
-                            conn,
-                            seq,
-                            ApiError::request(format!(
-                                "frame too large: {bytes} byte(s) exceed the {} byte \
-                                 frame limit",
-                                opts.max_frame_bytes
-                            )),
-                        );
-                        seq += 1;
-                    }
-                    Frame::Invalid { offset, bytes } => {
-                        pool.respond_local_error(
-                            conn,
-                            seq,
-                            ApiError::request(format!(
-                                "frame is not valid UTF-8: invalid byte at offset \
-                                 {offset} of the {bytes}-byte frame"
-                            )),
-                        );
-                        seq += 1;
-                    }
+                    Frame::Line(_) if blank => continue,
+                    Frame::Line(line) => pool.submit(conn, seq, line),
+                    Frame::Oversized { bytes } => pool.respond_local_error(
+                        conn,
+                        seq,
+                        ApiError::request(format!(
+                            "frame too large: {bytes} byte(s) exceed the {} byte frame limit",
+                            opts.max_frame_bytes
+                        )),
+                    ),
+                    Frame::Invalid { offset, bytes } => pool.respond_local_error(
+                        conn,
+                        seq,
+                        ApiError::request(format!(
+                            "frame is not valid UTF-8: invalid byte at offset {offset} of the \
+                             {bytes}-byte frame"
+                        )),
+                    ),
                 }
+                seq += 1;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // A deadline tick from an armed socket timeout: no
@@ -144,7 +146,7 @@ pub fn serve_lane(
                 // there is nothing to enforce, so treat it as a plain
                 // read error rather than spinning forever.
                 if opts.read_timeout.is_none() && opts.idle_timeout.is_none() {
-                    break LaneEnd::ReadError;
+                    break LaneEnd::ReadError(e);
                 }
                 if opts
                     .read_timeout
@@ -169,7 +171,7 @@ pub fn serve_lane(
                 counters.record_reset();
                 break LaneEnd::Reset;
             }
-            Err(_) => break LaneEnd::ReadError,
+            Err(e) => break LaneEnd::ReadError(e),
         }
     };
     conn.await_retired(seq);
@@ -178,21 +180,38 @@ pub fn serve_lane(
 
 /// Reads frames from `input`, submits them to `pool`, and streams the
 /// ordered responses into `writer`. Returns once the input is
-/// exhausted (or errors, or the client stops reading responses) *and*
-/// every frame submitted up to that point has been answered — so a
-/// front end may close the connection as soon as this returns.
+/// exhausted, or a read or write fails, *and* every frame submitted up
+/// to that point has been answered — so a front end may close the
+/// connection as soon as this returns.
 ///
 /// This is the synchronous-writer, timeout-free lane shape (stdio and
 /// tests); the TCP front end arms timeouts and buffered writers via
 /// [`serve_lane`].
+///
+/// # Errors
+///
+/// The read error that ended the input, or the write error that
+/// stopped the responses (the lane then reads no further).
 pub fn serve_connection(
     pool: &WorkerPool,
     input: impl BufRead,
     writer: Box<dyn Write + Send>,
     max_frame_bytes: usize,
-) {
+) -> std::io::Result<()> {
     let conn = Connection::new(writer);
-    serve_lane(pool, input, &conn, &LaneOptions::unlimited(max_frame_bytes));
+    let end = serve_lane(pool, input, &conn, &LaneOptions::unlimited(max_frame_bytes));
+    // The write may fail on the last answer, after the input ended.
+    if let Some(e) = conn.take_write_error() {
+        return Err(e);
+    }
+    match end {
+        LaneEnd::Eof => Ok(()),
+        LaneEnd::ReadError(e) => Err(e),
+        LaneEnd::Reset => Err(ErrorKind::ConnectionReset.into()),
+        // Not reached: only a failed write kills a synchronous lane,
+        // and a timeout-free lane is never reaped or timed out.
+        other => Err(std::io::Error::other(format!("the lane ended: {other:?}"))),
+    }
 }
 
 /// Live connections: each entry keeps the accepted stream (for the
@@ -207,7 +226,6 @@ pub struct TcpServer {
     accept: Option<JoinHandle<()>>,
     readers: ReaderRegistry,
     pool: Arc<WorkerPool>,
-    max_frame_bytes: usize,
 }
 
 impl TcpServer {
@@ -229,9 +247,8 @@ impl TcpServer {
         let pool = Arc::new(WorkerPool::new(session, config));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
-        let max_frame_bytes = config.max_frame_bytes;
         let lane_opts = LaneOptions {
-            max_frame_bytes,
+            max_frame_bytes: config.max_frame_bytes,
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
         };
@@ -313,7 +330,6 @@ impl TcpServer {
             accept: Some(accept),
             readers,
             pool,
-            max_frame_bytes,
         })
     }
 
@@ -327,12 +343,6 @@ impl TcpServer {
     #[must_use]
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// The configured frame cap, for extra lanes.
-    #[must_use]
-    pub fn max_frame_bytes(&self) -> usize {
-        self.max_frame_bytes
     }
 
     /// Graceful drain: stops accepting, waits up to `grace` for
@@ -380,6 +390,14 @@ mod tests {
     use twca_api::{AnalysisResponse, Json};
 
     const CHAIN: &str = "chain c periodic=100 deadline=100 { task t prio=1 wcet=10 }";
+
+    /// `count` cheap requests, one per line, with ids `{prefix}{i}`.
+    fn request_lines(prefix: &str, count: usize) -> String {
+        (0..count)
+            .map(|i| format!("{{\"id\": \"{prefix}{i}\", \"system\": \"{CHAIN}\"}}\n"))
+            .collect::<Vec<_>>()
+            .concat()
+    }
 
     fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
         let stream = TcpStream::connect(addr).unwrap();
@@ -440,6 +458,177 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_waits_for_its_window_instead_of_overflowing_the_queue() {
+        let pool = WorkerPool::new(
+            Session::new(),
+            &ServiceConfig {
+                workers: 1,
+                queue_capacity: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let input = request_lines("w", 40);
+        let sink = crate::pool::tests::SharedSink::default();
+        serve_connection(&pool, input.as_bytes(), Box::new(sink.clone()), 1 << 20).unwrap();
+        let summary = pool.shutdown();
+        assert_eq!((summary.requests, summary.errors), (40, 0));
+        assert_eq!(pool.counters().snapshot().1, 0, "nothing was rejected");
+        assert_eq!(sink.text().lines().count(), 40);
+    }
+
+    #[test]
+    fn overload_across_lanes_is_still_a_typed_error() {
+        // The only worker holds lane A's request until released; lane B
+        // then fills the one-slot queue, and lane C finds it full.
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let executor: crate::pool::Executor = Arc::new(
+            move |session: &Session, line: &str, cancel: Option<&twca_api::CancelToken>| {
+                if line.contains("hold") {
+                    entered_tx.lock().unwrap().send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                }
+                twca_api::respond_line_with(session, line, cancel)
+            },
+        );
+        let pool = WorkerPool::with_executor(
+            Session::new(),
+            &ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..ServiceConfig::default()
+            },
+            &executor,
+        );
+        let sinks: [crate::pool::tests::SharedSink; 3] = Default::default();
+        let lane = |prefix: &str, sink: &crate::pool::tests::SharedSink| {
+            serve_connection(
+                &pool,
+                request_lines(prefix, 1).as_bytes(),
+                Box::new(sink.clone()),
+                1 << 20,
+            )
+            .unwrap();
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| lane("hold", &sinks[0]));
+            entered.recv().unwrap();
+            let b = scope.spawn(|| lane("b", &sinks[1]));
+            while pool.counters().snapshot().2 < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            lane("c", &sinks[2]);
+            release.send(()).unwrap();
+            a.join().unwrap();
+            b.join().unwrap();
+        });
+        let answer = |sink: &crate::pool::tests::SharedSink| {
+            AnalysisResponse::from_json(&Json::parse(sink.text().trim_end()).unwrap()).unwrap()
+        };
+        assert!(answer(&sinks[0]).outcome.is_ok());
+        assert!(answer(&sinks[1]).outcome.is_ok());
+        let rejected = answer(&sinks[2]).outcome.unwrap_err();
+        assert_eq!(rejected.kind, twca_api::ApiErrorKind::Overloaded);
+    }
+
+    #[test]
+    fn waiting_on_the_window_is_not_charged_to_the_idle_clock() {
+        // Each answer takes twice the idle timeout and the window is one
+        // submission, so the lane waits that long before reading on. The
+        // frames then trickle in one byte per read: had the wait counted
+        // against the idle clock, the lane would reap its own client.
+        let executor: crate::pool::Executor = Arc::new(
+            |session: &Session, line: &str, cancel: Option<&twca_api::CancelToken>| {
+                std::thread::sleep(Duration::from_millis(300));
+                twca_api::respond_line_with(session, line, cancel)
+            },
+        );
+        let pool = WorkerPool::with_executor(
+            Session::new(),
+            &ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..ServiceConfig::default()
+            },
+            &executor,
+        );
+        let input = request_lines("s", 3);
+        let sink = crate::pool::tests::SharedSink::default();
+        let conn = Connection::new(Box::new(sink.clone()));
+        let opts = LaneOptions {
+            idle_timeout: Some(Duration::from_millis(150)),
+            ..LaneOptions::unlimited(1 << 20)
+        };
+        let end = serve_lane(
+            &pool,
+            BufReader::with_capacity(1, input.as_bytes()),
+            &conn,
+            &opts,
+        );
+        assert!(matches!(end, LaneEnd::Eof), "{end:?}");
+        assert_eq!(sink.text().lines().count(), 3);
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_cut_off_not_waited_on() {
+        // A writer that blocks until released: a client that stopped
+        // reading its answers.
+        #[derive(Clone, Default)]
+        struct Stalled(Arc<(Mutex<bool>, std::sync::Condvar)>);
+        impl Write for Stalled {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let (released, wake) = &*self.0;
+                let mut released = released.lock().unwrap();
+                while !*released {
+                    released = wake.wait(released).unwrap();
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let pool = WorkerPool::new(
+            Session::new(),
+            &ServiceConfig {
+                workers: 1,
+                queue_capacity: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let stalled = Stalled::default();
+        // A byte budget of a few answers, well above the window's two.
+        let conn =
+            Connection::buffered(Box::new(stalled.clone()), 1024, Some(pool.counters()), None);
+        let input = request_lines("c", 40);
+        let (cut_off, end) = std::thread::scope(|scope| {
+            let lane = scope.spawn(|| {
+                serve_lane(
+                    &pool,
+                    input.as_bytes(),
+                    &conn,
+                    &LaneOptions::unlimited(1 << 20),
+                )
+            });
+            // The window waits for answers, not for their writes, so
+            // the backlog outgrows the budget and the lane is cut off.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !conn.is_dead() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let cut_off = conn.is_dead();
+            let (released, wake) = &*stalled.0;
+            *released.lock().unwrap() = true;
+            wake.notify_all();
+            (cut_off, lane.join().unwrap())
+        });
+        assert!(cut_off, "the lane waited on a stalled writer");
+        assert!(matches!(end, LaneEnd::ClientGone), "{end:?}");
+        assert_eq!(pool.counters().edge().slow_consumers, 1);
+    }
+
+    #[test]
     fn stdio_lane_shares_the_tcp_pool() {
         let server =
             TcpServer::start("127.0.0.1:0", Session::new(), &ServiceConfig::default()).unwrap();
@@ -449,8 +638,9 @@ mod tests {
             server.pool(),
             input.as_bytes(),
             Box::new(sink.clone()),
-            server.max_frame_bytes(),
-        );
+            ServiceConfig::default().max_frame_bytes,
+        )
+        .unwrap();
         let summary = server.shutdown(Duration::from_secs(5));
         assert_eq!(summary.requests, 1);
         assert!(sink.text().contains("\"id\": \"s\""));

@@ -673,12 +673,17 @@ fn check_service_robustness(
         },
     );
     let sink = CapturedOutput::default();
-    serve_connection(
+    if let Err(error) = serve_connection(
         &pool,
         input.as_slice(),
         Box::new(sink.clone()),
         max_frame_bytes,
-    );
+    ) {
+        violations.push(Violation {
+            oracle: OracleKind::ServiceRobustness,
+            detail: format!("the in-memory lane failed: {error}"),
+        });
+    }
     let summary = pool.shutdown();
 
     let output = String::from_utf8_lossy(&sink.0.lock().unwrap()).into_owned();
@@ -766,7 +771,7 @@ fn chaos_input(body: &ScenarioBody) -> String {
 /// Everything one chaos schedule leaves behind, for invariant checks.
 struct ChaosRun {
     output: String,
-    summary: twca_api::ServeSummary,
+    summary: twca_service::ServeSummary,
     end: twca_service::LaneEnd,
     read_resets: u64,
     read_corrupted: u64,
@@ -1002,12 +1007,17 @@ pub fn check_chaos_liveness(
             },
         );
         let sink = CapturedOutput::default();
-        serve_connection(
+        if let Err(error) = serve_connection(
             &pool,
             input.as_bytes(),
             Box::new(sink.clone()),
             max_frame_bytes,
-        );
+        ) {
+            violations.push(Violation {
+                oracle: OracleKind::ChaosLiveness,
+                detail: format!("the in-memory reference lane failed: {error}"),
+            });
+        }
         let _ = pool.shutdown();
         let bytes = sink.0.lock().unwrap();
         String::from_utf8_lossy(&bytes).into_owned()
