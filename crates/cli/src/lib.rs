@@ -76,8 +76,9 @@ pub enum CliError {
     /// A façade-level failure (request handling, distributed analysis,
     /// budget, cancellation).
     Api(twca_api::ApiError),
-    /// The conformance fuzzer found oracle violations; the string is
-    /// the full report (already containing the shrunk counterexamples).
+    /// A checking command failed its check (`fuzz` oracles, `bench
+    /// --check`, `loadgen --expect-clean`, `chaos`); the string is the
+    /// full report, printed as it is.
     Verify(String),
 }
 
@@ -90,7 +91,7 @@ impl std::fmt::Display for CliError {
             CliError::Analysis(e) => write!(f, "analysis failed: {e}"),
             CliError::NoSuchChain(name) => write!(f, "no chain named `{name}`"),
             CliError::Api(e) => write!(f, "{e}"),
-            CliError::Verify(report) => write!(f, "conformance violations found\n{report}"),
+            CliError::Verify(report) => f.write_str(report),
         }
     }
 }
@@ -137,6 +138,68 @@ fn chain_id(system: &System, name: &str) -> Result<twca_model::ChainId, CliError
         .chain_by_name(name)
         .map(|(id, _)| id)
         .ok_or_else(|| CliError::NoSuchChain(name.to_owned()))
+}
+
+/// One subcommand's arguments, read front to back. Every usage error a
+/// flag can draw is worded here, so all subcommands word them alike.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    command: &'static str,
+    usage: &'static str,
+}
+
+impl<'a> Args<'a> {
+    fn new(command: &'static str, usage: &'static str, args: &'a [String]) -> Self {
+        Args {
+            rest: args.iter(),
+            command,
+            usage,
+        }
+    }
+
+    /// The value that follows `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {}", self.usage)))
+    }
+
+    /// The value that follows `flag`, parsed; `what` names what it must be.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, CliError> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| CliError::Usage(format!("`{flag}` expects {what}")))
+    }
+
+    /// The error for a flag this subcommand does not take.
+    fn unknown(&self, flag: &str) -> CliError {
+        CliError::Usage(format!(
+            "unknown {} flag `{flag}`; {}",
+            self.command, self.usage
+        ))
+    }
+}
+
+impl<'a> Iterator for Args<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+}
+
+/// Parses a `K1,K2,...` list of window lengths; blanks around an entry
+/// are ignored.
+fn window_lengths(list: &str) -> Result<Vec<u64>, CliError> {
+    list.split(',')
+        .map(|s| window_length(s, s.trim()))
+        .collect()
+}
+
+/// Parses `text` as a window length; the error quotes `arg`, the
+/// argument it was written in.
+fn window_length(arg: &str, text: &str) -> Result<u64, CliError> {
+    text.parse()
+        .map_err(|_| CliError::Usage(format!("`{arg}` is not a window length")))
 }
 
 /// `twca analyze <file>`: latency report plus `dmm(10)` per deadline
@@ -223,77 +286,6 @@ pub fn cmd_simulate(system: &System, horizon: u64) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parsed flags of `twca sim`.
-struct SimArgs {
-    file: String,
-    runs: u64,
-    horizon: u64,
-    seed: u64,
-    threads: u64,
-    chain: Option<String>,
-    json: bool,
-}
-
-impl SimArgs {
-    const USAGE: &'static str = "twca sim <file> [--runs N] [--horizon H] [--seed S] \
-                                 [--threads T] [--chain NAME] [--json]";
-
-    fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut file = None;
-        let mut parsed = SimArgs {
-            file: String::new(),
-            runs: 100,
-            horizon: 100_000,
-            seed: 0xD1CE,
-            threads: 4,
-            chain: None,
-            json: false,
-        };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--runs" => {
-                    parsed.runs = value_of("--runs")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--runs` expects a run count".into()))?;
-                }
-                "--horizon" => {
-                    parsed.horizon = value_of("--horizon")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--horizon` expects a time bound".into()))?;
-                }
-                "--seed" => {
-                    parsed.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--threads" => {
-                    parsed.threads = value_of("--threads")?.parse().map_err(|_| {
-                        CliError::Usage("`--threads` expects a worker count".into())
-                    })?;
-                }
-                "--chain" => parsed.chain = Some(value_of("--chain")?.clone()),
-                "--json" => parsed.json = true,
-                flag if flag.starts_with("--") => {
-                    return Err(CliError::Usage(format!(
-                        "unknown sim flag `{flag}`; {}",
-                        Self::USAGE
-                    )));
-                }
-                value if file.is_none() => file = Some(value.to_owned()),
-                _ => return Err(CliError::Usage(format!("too many files; {}", Self::USAGE))),
-            }
-        }
-        parsed.file = file.ok_or_else(|| CliError::Usage(Self::USAGE.into()))?;
-        Ok(parsed)
-    }
-}
-
 /// `twca sim`: Monte Carlo simulation through the façade — per-chain
 /// empirical miss rates with 95% confidence intervals, pooled over
 /// `--runs` seeded runs fanned across `--threads` workers. The report
@@ -304,17 +296,40 @@ impl SimArgs {
 /// Returns [`CliError`] for bad flags, unreadable files and façade
 /// failures (parse errors, unknown chains).
 pub fn cmd_sim(args: &[String]) -> Result<String, CliError> {
-    let parsed = SimArgs::parse(args)?;
-    let text = std::fs::read_to_string(&parsed.file)?;
+    const USAGE: &str = "twca sim <file> [--runs N] [--horizon H] [--seed S] \
+                         [--threads T] [--chain NAME] [--json]";
+    let mut args = Args::new("sim", USAGE, args);
+    let mut file = None;
+    let mut chain = None;
+    let mut runs = 100;
+    let mut horizon = 100_000;
+    let mut seed = 0xD1CE;
+    let mut threads = 4;
+    let mut json = false;
+    while let Some(arg) = args.next() {
+        match arg {
+            "--runs" => runs = args.parse(arg, "a run count")?,
+            "--horizon" => horizon = args.parse(arg, "a time bound")?,
+            "--seed" => seed = args.parse(arg, "an integer")?,
+            "--threads" => threads = args.parse(arg, "a worker count")?,
+            "--chain" => chain = Some(args.value(arg)?.to_owned()),
+            "--json" => json = true,
+            flag if flag.starts_with("--") => return Err(args.unknown(flag)),
+            value if file.is_none() => file = Some(value),
+            _ => return Err(CliError::Usage(format!("too many files; {USAGE}"))),
+        }
+    }
+    let file = file.ok_or_else(|| CliError::Usage(USAGE.into()))?;
+    let text = std::fs::read_to_string(file)?;
     let request = AnalysisRequest::for_system(text).with_query(Query::Simulate {
-        chain: parsed.chain.clone(),
-        runs: parsed.runs,
-        horizon: parsed.horizon,
-        seed: parsed.seed,
-        threads: parsed.threads,
+        chain,
+        runs,
+        horizon,
+        seed,
+        threads,
     });
     let response = Session::new().analyze(&request);
-    if parsed.json {
+    if json {
         return Ok(format!("{}\n", response.to_json()));
     }
     let outcomes = response.outcome.map_err(CliError::Api)?;
@@ -433,6 +448,10 @@ pub fn cmd_report(system: &System) -> Result<String, CliError> {
 
 /// `twca synthesize <file> <m> <k>`: search priorities under which every
 /// deadline chain satisfies `(m, k)`.
+///
+/// # Panics
+///
+/// Panics if `k == 0` or `m > k`; [`run`] rejects those as usage errors.
 pub fn cmd_synthesize(system: &System, m: u64, k: u64) -> Result<String, CliError> {
     let goals: Vec<Goal> = system
         .iter()
@@ -467,118 +486,13 @@ pub fn cmd_synthesize(system: &System, m: u64, k: u64) -> Result<String, CliErro
     Ok(out)
 }
 
-/// Parsed flags of `twca batch`.
-struct BatchArgs {
-    files: Vec<String>,
-    generate: usize,
-    seed: u64,
-    profile: Option<twca_gen::StressProfile>,
-    threads: Option<usize>,
-    serial: bool,
-    ks: Vec<u64>,
-    json: bool,
-    progress: bool,
-    horizon: u64,
-    max_q: u64,
-}
-
-impl BatchArgs {
-    const USAGE: &'static str = "twca batch [files...] [--gen N] [--seed S] [--profile P] \
-                                 [--threads T] [--serial] [--k K1,K2,...] [--horizon H] \
-                                 [--max-q Q] [--json] [--progress]";
-
-    fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut parsed = BatchArgs {
-            files: Vec::new(),
-            generate: 0,
-            seed: 42,
-            profile: None,
-            threads: None,
-            serial: false,
-            ks: vec![1, 10, 100],
-            json: false,
-            progress: false,
-            // Batch sweeps meet adversarial random systems: bound the
-            // divergence search much tighter than the single-system
-            // default (divergent fixed points crawl to the horizon).
-            horizon: 2_000_000,
-            max_q: 20_000,
-        };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--gen" => {
-                    parsed.generate = value_of("--gen")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--gen` expects a system count".into()))?;
-                }
-                "--seed" => {
-                    parsed.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--profile" => {
-                    parsed.profile = Some(value_of("--profile")?.parse().map_err(CliError::Usage)?);
-                }
-                "--threads" => {
-                    parsed.threads = Some(value_of("--threads")?.parse().map_err(|_| {
-                        CliError::Usage("`--threads` expects a worker count".into())
-                    })?);
-                }
-                "--k" => {
-                    parsed.ks = value_of("--k")?
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().map_err(|_| {
-                                CliError::Usage(format!("`{s}` is not a window length"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--horizon" => {
-                    parsed.horizon = value_of("--horizon")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--horizon` expects a time bound".into()))?;
-                }
-                "--max-q" => {
-                    parsed.max_q = value_of("--max-q")?.parse().map_err(|_| {
-                        CliError::Usage("`--max-q` expects an activation count".into())
-                    })?;
-                }
-                "--serial" => parsed.serial = true,
-                "--json" => parsed.json = true,
-                "--progress" => parsed.progress = true,
-                flag if flag.starts_with("--") => {
-                    return Err(CliError::Usage(format!(
-                        "unknown batch flag `{flag}`; {}",
-                        Self::USAGE
-                    )));
-                }
-                file => parsed.files.push(file.to_owned()),
-            }
-        }
-        if parsed.files.is_empty() && parsed.generate == 0 {
-            return Err(CliError::Usage(format!(
-                "batch needs input files or --gen; {}",
-                Self::USAGE
-            )));
-        }
-        Ok(parsed)
-    }
-}
-
 /// `twca batch`: fan a whole set of systems out across cores through the
 /// [`twca_api::batch::BatchEngine`], with shared busy-window memoization.
 ///
 /// Inputs are system description files and/or `--gen N` reproducibly
 /// generated random systems. Output is a per-system summary table, or a
-/// JSON document with `--json`. `--serial` forces the single-threaded
-/// reference path (bit-identical results, for comparison).
+/// JSON document with `--json`. `--serial` is `--threads 1`, wherever it
+/// stands (bit-identical results, for comparison).
 ///
 /// # Errors
 ///
@@ -587,17 +501,61 @@ impl BatchArgs {
 pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     use rand::SeedableRng as _;
 
-    let parsed = BatchArgs::parse(args)?;
+    const USAGE: &str = "twca batch [files...] [--gen N] [--seed S] [--profile P] \
+                         [--threads T] [--serial] [--k K1,K2,...] [--horizon H] \
+                         [--max-q Q] [--json] [--progress]";
+    let mut args = Args::new("batch", USAGE, args);
+    let mut files = Vec::new();
+    let mut generate = 0;
+    let mut seed = 42;
+    let mut profile = twca_gen::StressProfile::Baseline;
+    let mut threads = None;
+    let mut serial = false;
+    let mut ks = vec![1, 10, 100];
+    let mut json = false;
+    let mut progress = false;
+    // Batch sweeps meet adversarial random systems: bound the
+    // divergence search much tighter than the single-system default
+    // (divergent fixed points crawl to the horizon).
+    let mut options = twca_chains::AnalysisOptions {
+        horizon: 2_000_000,
+        max_q: 20_000,
+        ..twca_chains::AnalysisOptions::default()
+    };
+    while let Some(arg) = args.next() {
+        match arg {
+            "--gen" => generate = args.parse(arg, "a system count")?,
+            "--seed" => seed = args.parse(arg, "an integer")?,
+            "--profile" => profile = args.value(arg)?.parse().map_err(CliError::Usage)?,
+            "--threads" => threads = Some(args.parse(arg, "a worker count")?),
+            "--k" => ks = window_lengths(args.value(arg)?)?,
+            "--horizon" => options.horizon = args.parse(arg, "a time bound")?,
+            "--max-q" => options.max_q = args.parse(arg, "an activation count")?,
+            "--serial" => serial = true,
+            "--json" => json = true,
+            "--progress" => progress = true,
+            flag if flag.starts_with("--") => return Err(args.unknown(flag)),
+            file => files.push(file),
+        }
+    }
+    if files.is_empty() && generate == 0 {
+        return Err(CliError::Usage(format!(
+            "batch needs input files or --gen; {USAGE}"
+        )));
+    }
+    if serial {
+        threads = Some(1);
+    }
+
     let mut labels = Vec::new();
     let mut systems = Vec::new();
-    for file in &parsed.files {
-        labels.push(file.clone());
+    for file in files {
+        labels.push(file.to_owned());
         systems.push(load(file)?);
     }
-    if parsed.generate > 0 {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(parsed.seed);
-        let profile = parsed.profile.unwrap_or(twca_gen::StressProfile::Baseline);
-        for i in 0..parsed.generate {
+    if generate > 0 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for i in 0..generate {
             labels.push(format!("gen-{i}"));
             systems.push(
                 twca_gen::random_stress_system(&mut rng, profile)
@@ -606,34 +564,21 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         }
     }
 
-    let options = twca_chains::AnalysisOptions {
-        horizon: parsed.horizon,
-        max_q: parsed.max_q,
-        ..twca_chains::AnalysisOptions::default()
-    };
     // One façade session owns the cache and options; the engine is a
     // thread fan-out over it.
     let session = Session::new().with_options(options);
-    let mut engine =
-        twca_api::batch::BatchEngine::from_session(session).with_ks(parsed.ks.iter().copied());
-    if let Some(threads) = parsed.threads {
+    let mut engine = twca_api::batch::BatchEngine::from_session(session).with_ks(ks);
+    if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
-    if parsed.serial {
-        engine = engine.with_threads(1);
-    }
-    if parsed.progress {
+    if progress {
         engine = engine.with_progress(|done, total| {
             eprintln!("batch: {done}/{total} systems analyzed");
         });
     }
-    let batch = if parsed.serial {
-        engine.run_serial(systems)
-    } else {
-        engine.run(systems)
-    };
+    let batch = engine.run(systems);
 
-    if parsed.json {
+    if json {
         return Ok(twca_api::batch::batch_to_json(
             &batch,
             Some(engine.cache_stats()),
@@ -669,7 +614,7 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         out,
         "analyzed {} system(s) on {} thread(s); cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
         batch.len(),
-        if parsed.serial { 1 } else { engine.effective_threads() },
+        engine.effective_threads(),
         stats.hits,
         stats.misses,
         stats.hit_ratio() * 100.0,
@@ -681,19 +626,14 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
 /// Parsed flags of `twca serve`.
 struct ServeArgs {
     file: Option<String>,
-    budget: Option<u64>,
-    horizon: Option<u64>,
-    max_q: Option<u64>,
     listen: Option<String>,
-    workers: Option<usize>,
-    queue: Option<usize>,
-    deadline_ms: Option<u64>,
-    cache_entries: Option<u64>,
-    cache_bytes: Option<u64>,
     store_dir: Option<String>,
-    read_timeout_ms: Option<u64>,
-    idle_timeout_ms: Option<u64>,
-    write_buffer: Option<usize>,
+    budget: Option<u64>,
+    options: twca_chains::AnalysisOptions,
+    /// Unbounded (the session's own cache) unless a `--cache-*` flag
+    /// was given.
+    cache: twca_chains::CacheCapacity,
+    service: twca_service::ServiceConfig,
 }
 
 impl ServeArgs {
@@ -702,124 +642,79 @@ impl ServeArgs {
                                  [--listen ADDR [--workers N] [--queue N] [--deadline-ms MS] \
                                  [--read-timeout MS] [--idle-timeout MS] [--write-buffer BYTES]]";
 
+    /// The flags that configure the TCP server only, in the order the
+    /// error for one given without `--listen` looks for them.
+    const POOL_FLAGS: [&'static str; 6] = [
+        "--workers",
+        "--queue",
+        "--deadline-ms",
+        "--read-timeout",
+        "--idle-timeout",
+        "--write-buffer",
+    ];
+
     fn parse(args: &[String]) -> Result<Self, CliError> {
+        let millis = |ms| Some(std::time::Duration::from_millis(ms));
+        let mut args = Args::new("serve", Self::USAGE, args);
         let mut parsed = ServeArgs {
             file: None,
-            budget: None,
-            horizon: None,
-            max_q: None,
             listen: None,
-            workers: None,
-            queue: None,
-            deadline_ms: None,
-            cache_entries: None,
-            cache_bytes: None,
             store_dir: None,
-            read_timeout_ms: None,
-            idle_timeout_ms: None,
-            write_buffer: None,
+            budget: None,
+            options: twca_chains::AnalysisOptions::default(),
+            cache: twca_chains::CacheCapacity::default(),
+            service: twca_service::ServiceConfig::default(),
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--file" => parsed.file = Some(value_of("--file")?.clone()),
-                "--budget" => {
-                    parsed.budget =
-                        Some(value_of("--budget")?.parse().map_err(|_| {
-                            CliError::Usage("`--budget` expects a unit count".into())
-                        })?);
-                }
-                "--horizon" => {
-                    parsed.horizon =
-                        Some(value_of("--horizon")?.parse().map_err(|_| {
-                            CliError::Usage("`--horizon` expects a time bound".into())
-                        })?);
-                }
-                "--max-q" => {
-                    parsed.max_q = Some(value_of("--max-q")?.parse().map_err(|_| {
-                        CliError::Usage("`--max-q` expects an activation count".into())
-                    })?);
-                }
-                "--listen" => parsed.listen = Some(value_of("--listen")?.clone()),
-                "--workers" => {
-                    parsed.workers = Some(value_of("--workers")?.parse().map_err(|_| {
-                        CliError::Usage("`--workers` expects a thread count".into())
-                    })?);
-                }
-                "--queue" => {
-                    parsed.queue = Some(value_of("--queue")?.parse().map_err(|_| {
-                        CliError::Usage("`--queue` expects a queue capacity".into())
-                    })?);
-                }
+        let mut given = Vec::new();
+        while let Some(arg) = args.next() {
+            given.push(arg);
+            match arg {
+                "--file" => parsed.file = Some(args.value(arg)?.to_owned()),
+                "--budget" => parsed.budget = Some(args.parse(arg, "a unit count")?),
+                "--horizon" => parsed.options.horizon = args.parse(arg, "a time bound")?,
+                "--max-q" => parsed.options.max_q = args.parse(arg, "an activation count")?,
+                "--listen" => parsed.listen = Some(args.value(arg)?.to_owned()),
+                "--workers" => parsed.service.workers = args.parse(arg, "a thread count")?,
+                "--queue" => parsed.service.queue_capacity = args.parse(arg, "a queue capacity")?,
                 "--deadline-ms" => {
-                    parsed.deadline_ms =
-                        Some(value_of("--deadline-ms")?.parse().map_err(|_| {
-                            CliError::Usage("`--deadline-ms` expects milliseconds".into())
-                        })?);
+                    parsed.service.deadline = millis(args.parse(arg, "milliseconds")?)
                 }
                 "--cache-entries" => {
-                    parsed.cache_entries =
-                        Some(value_of("--cache-entries")?.parse().map_err(|_| {
-                            CliError::Usage("`--cache-entries` expects an entry count".into())
-                        })?);
+                    parsed.cache.max_entries = Some(args.parse(arg, "an entry count")?);
                 }
-                "--cache-bytes" => {
-                    parsed.cache_bytes =
-                        Some(value_of("--cache-bytes")?.parse().map_err(|_| {
-                            CliError::Usage("`--cache-bytes` expects a byte budget".into())
-                        })?);
-                }
-                "--store-dir" => parsed.store_dir = Some(value_of("--store-dir")?.clone()),
+                "--cache-bytes" => parsed.cache.max_bytes = Some(args.parse(arg, "a byte budget")?),
+                "--store-dir" => parsed.store_dir = Some(args.value(arg)?.to_owned()),
                 "--read-timeout" => {
-                    parsed.read_timeout_ms =
-                        Some(value_of("--read-timeout")?.parse().map_err(|_| {
-                            CliError::Usage("`--read-timeout` expects milliseconds".into())
-                        })?);
+                    parsed.service.read_timeout = millis(args.parse(arg, "milliseconds")?);
                 }
                 "--idle-timeout" => {
-                    parsed.idle_timeout_ms =
-                        Some(value_of("--idle-timeout")?.parse().map_err(|_| {
-                            CliError::Usage("`--idle-timeout` expects milliseconds".into())
-                        })?);
+                    parsed.service.idle_timeout = millis(args.parse(arg, "milliseconds")?);
                 }
                 "--write-buffer" => {
-                    parsed.write_buffer =
-                        Some(value_of("--write-buffer")?.parse().map_err(|_| {
-                            CliError::Usage("`--write-buffer` expects a byte budget".into())
-                        })?);
+                    parsed.service.write_buffer_bytes = args.parse(arg, "a byte budget")?;
                 }
-                flag => {
-                    return Err(CliError::Usage(format!(
-                        "unknown serve flag `{flag}`; {}",
-                        Self::USAGE
-                    )));
-                }
+                flag => return Err(args.unknown(flag)),
+            }
+        }
+        if parsed.listen.is_none() {
+            if let Some(flag) = Self::POOL_FLAGS.iter().find(|flag| given.contains(flag)) {
+                return Err(CliError::Usage(format!(
+                    "`{flag}` configures the TCP server and needs `--listen ADDR`; {}",
+                    Self::USAGE
+                )));
             }
         }
         Ok(parsed)
     }
 
     fn session(&self) -> Session {
-        let defaults = twca_chains::AnalysisOptions::default();
-        let mut session = Session::new().with_options(twca_chains::AnalysisOptions {
-            horizon: self.horizon.unwrap_or(defaults.horizon),
-            max_q: self.max_q.unwrap_or(defaults.max_q),
-            ..defaults
-        });
+        let mut session = Session::new().with_options(self.options);
         if let Some(budget) = self.budget {
             session = session.with_default_budget(budget);
         }
-        if self.cache_entries.is_some() || self.cache_bytes.is_some() {
+        if self.cache != twca_chains::CacheCapacity::default() {
             session = session.with_cache(std::sync::Arc::new(
-                twca_chains::AnalysisCache::with_capacity(twca_chains::CacheCapacity {
-                    max_entries: self.cache_entries,
-                    max_bytes: self.cache_bytes,
-                }),
+                twca_chains::AnalysisCache::with_capacity(self.cache),
             ));
         }
         session
@@ -844,20 +739,6 @@ impl ServeArgs {
         let (store, report) =
             twca_api::SystemStore::durable(io, twca_api::PersistPolicy::default())?;
         Ok(Some((std::sync::Arc::new(store), report)))
-    }
-
-    fn service_config(&self) -> twca_service::ServiceConfig {
-        let defaults = twca_service::ServiceConfig::default();
-        twca_service::ServiceConfig {
-            workers: self.workers.unwrap_or(defaults.workers),
-            queue_capacity: self.queue.unwrap_or(defaults.queue_capacity),
-            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
-            max_frame_bytes: defaults.max_frame_bytes,
-            read_timeout: self.read_timeout_ms.map(std::time::Duration::from_millis),
-            idle_timeout: self.idle_timeout_ms.map(std::time::Duration::from_millis),
-            write_timeout: defaults.write_timeout,
-            write_buffer_bytes: self.write_buffer.unwrap_or(defaults.write_buffer_bytes),
-        }
     }
 }
 
@@ -960,22 +841,6 @@ pub fn cmd_serve(
     output: Box<dyn Write + Send>,
 ) -> Result<String, CliError> {
     let parsed = ServeArgs::parse(args)?;
-    if parsed.listen.is_none() {
-        let pool_flags = [
-            ("--workers", parsed.workers.is_some()),
-            ("--queue", parsed.queue.is_some()),
-            ("--deadline-ms", parsed.deadline_ms.is_some()),
-            ("--read-timeout", parsed.read_timeout_ms.is_some()),
-            ("--idle-timeout", parsed.idle_timeout_ms.is_some()),
-            ("--write-buffer", parsed.write_buffer.is_some()),
-        ];
-        if let Some((flag, _)) = pool_flags.iter().find(|(_, given)| *given) {
-            return Err(CliError::Usage(format!(
-                "`{flag}` configures the TCP server and needs `--listen ADDR`; {}",
-                ServeArgs::USAGE
-            )));
-        }
-    }
     let input: Box<dyn BufRead + '_> = match &parsed.file {
         Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
         None => Box::new(input),
@@ -1003,7 +868,7 @@ pub fn cmd_serve(
     // into the pool.
     let store = session.store();
     let cache = session.cache();
-    let config = parsed.service_config();
+    let config = parsed.service;
     let serve = |pool: &twca_service::WorkerPool| {
         twca_service::serve_connection(pool, input, output, config.max_frame_bytes)
     };
@@ -1067,69 +932,39 @@ pub fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
                          [--connections C] [--mix chain|dist|mixed|store] [--seed S] \
                          [--retry N] [--reset-ppm P] [--server-stats] [--json] \
                          [--expect-clean]";
-    let mut addr: Option<String> = None;
+    let mut args = Args::new("loadgen", USAGE, args);
+    let mut addr = None;
     let mut config = twca_service::LoadgenConfig::default();
     let mut json = false;
     let mut expect_clean = false;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
-            "--connect" => addr = Some(value_of("--connect")?.clone()),
-            "--streams" => {
-                config.streams = value_of("--streams")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--streams` expects a count".into()))?;
-            }
-            "--requests" => {
-                config.requests_per_stream = value_of("--requests")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--requests` expects a count".into()))?;
-            }
-            "--connections" => {
-                config.connections = value_of("--connections")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--connections` expects a count".into()))?;
-            }
+    while let Some(arg) = args.next() {
+        match arg {
+            "--connect" => addr = Some(args.value(arg)?),
+            "--streams" => config.streams = args.parse(arg, "a count")?,
+            "--requests" => config.requests_per_stream = args.parse(arg, "a count")?,
+            "--connections" => config.connections = args.parse(arg, "a count")?,
             "--mix" => {
-                let name = value_of("--mix")?;
+                let name = args.value(arg)?;
                 config.mix = twca_service::RequestMix::parse(name).ok_or_else(|| {
                     CliError::Usage(format!(
                         "`--mix` must be chain, dist, mixed or store, not `{name}`"
                     ))
                 })?;
             }
-            "--seed" => {
-                config.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-            }
+            "--seed" => config.seed = args.parse(arg, "an integer")?,
             "--retry" => {
-                let attempts = value_of("--retry")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--retry` expects an attempt count".into()))?;
+                let attempts = args.parse(arg, "an attempt count")?;
                 config.retry = Some(twca_service::RetryPolicy::with_attempts(attempts));
             }
-            "--reset-ppm" => {
-                config.reset_ppm = value_of("--reset-ppm")?.parse().map_err(|_| {
-                    CliError::Usage("`--reset-ppm` expects parts-per-million".into())
-                })?;
-            }
+            "--reset-ppm" => config.reset_ppm = args.parse(arg, "parts-per-million")?,
             "--server-stats" => config.fetch_stats = true,
             "--json" => json = true,
             "--expect-clean" => expect_clean = true,
-            flag => {
-                return Err(CliError::Usage(format!(
-                    "unknown loadgen flag `{flag}`; {USAGE}"
-                )));
-            }
+            flag => return Err(args.unknown(flag)),
         }
     }
     let addr = addr.ok_or_else(|| CliError::Usage(USAGE.into()))?;
-    let report = twca_service::run_loadgen(addr.as_str(), &config)?;
+    let report = twca_service::run_loadgen(addr, &config)?;
     if expect_clean && report.ok != report.requests {
         return Err(CliError::Verify(format!(
             "loadgen expected a clean run but saw failures:\n{}",
@@ -1163,32 +998,16 @@ pub fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     use std::time::Duration;
 
     const USAGE: &str = "twca chaos --connect ADDR [--schedules N] [--seed S]";
-    let mut addr: Option<String> = None;
+    let mut args = Args::new("chaos", USAGE, args);
+    let mut addr = None;
     let mut schedules: u64 = 20;
     let mut seed: u64 = 0xC4A0;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
-            "--connect" => addr = Some(value_of("--connect")?.clone()),
-            "--schedules" => {
-                schedules = value_of("--schedules")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--schedules` expects a count".into()))?;
-            }
-            "--seed" => {
-                seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-            }
-            flag => {
-                return Err(CliError::Usage(format!(
-                    "unknown chaos flag `{flag}`; {USAGE}"
-                )));
-            }
+    while let Some(arg) = args.next() {
+        match arg {
+            "--connect" => addr = Some(args.value(arg)?),
+            "--schedules" => schedules = args.parse(arg, "a count")?,
+            "--seed" => seed = args.parse(arg, "an integer")?,
+            flag => return Err(args.unknown(flag)),
         }
     }
     let addr = addr.ok_or_else(|| CliError::Usage(USAGE.into()))?;
@@ -1204,7 +1023,7 @@ pub fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut early_closes = 0u64;
     for schedule in 0..schedules {
         let schedule_seed = seed.wrapping_add(schedule.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let stream = TcpStream::connect(addr.as_str())?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         let reader = stream.try_clone()?;
         let mut writer = twca_service::ChaosWrite::new(
@@ -1262,7 +1081,7 @@ pub fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
 
     // The liveness probe: after all that, a fresh well-behaved client
     // still gets a prompt, typed, successful answer.
-    let mut probe = TcpStream::connect(addr.as_str())?;
+    let mut probe = TcpStream::connect(addr)?;
     probe.set_read_timeout(Some(Duration::from_secs(10)))?;
     probe.write_all(request("probe".into()).as_bytes())?;
     probe.shutdown(Shutdown::Write)?;
@@ -1311,47 +1130,30 @@ pub fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
 /// documents surface as typed [`twca_api::ApiError`]s, never panics.
 pub fn cmd_dist(args: &[String]) -> Result<String, CliError> {
     const USAGE: &str = "twca dist <file> [--k K1,K2,...] [--path r/c,r/c,...] [--json]";
+    let mut args = Args::new("dist", USAGE, args);
     let mut file = None;
-    let mut ks: Vec<u64> = vec![1, 10, 100];
+    let mut ks = vec![1, 10, 100];
     let mut path: Option<Vec<twca_api::SiteSpec>> = None;
     let mut json = false;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
-            "--k" => {
-                ks = value_of("--k")?
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("`{t}` is not a window length")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
+    while let Some(arg) = args.next() {
+        match arg {
+            "--k" => ks = window_lengths(args.value(arg)?)?,
             "--path" => {
                 path = Some(
-                    value_of("--path")?
+                    args.value(arg)?
                         .split(',')
                         .map(|t| twca_api::SiteSpec::parse(t.trim()).map_err(CliError::Api))
                         .collect::<Result<_, _>>()?,
                 );
             }
             "--json" => json = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!(
-                    "unknown dist flag `{flag}`; {USAGE}"
-                )));
-            }
-            value if file.is_none() => file = Some(value.to_owned()),
+            flag if flag.starts_with("--") => return Err(args.unknown(flag)),
+            value if file.is_none() => file = Some(value),
             _ => return Err(CliError::Usage(format!("too many files; {USAGE}"))),
         }
     }
     let file = file.ok_or_else(|| CliError::Usage(USAGE.into()))?;
-    let text = std::fs::read_to_string(&file)?;
+    let text = std::fs::read_to_string(file)?;
 
     let mut request = AnalysisRequest::for_dist_text(text)
         .with_query(Query::Latency { chain: None })
@@ -1426,116 +1228,68 @@ pub fn cmd_dist(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parsed flags of `twca fuzz`.
-struct FuzzArgs {
-    config: twca_verify::FuzzConfig,
-}
-
-impl FuzzArgs {
-    const USAGE: &'static str = "twca fuzz [--seed S] [--iters N] [--budget SECS] \
-                                 [--profile P1,P2,...] [--k K1,K2,...] [--horizon H] \
-                                 [--corpus DIR] [--no-shrink]";
-
-    fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut config = twca_verify::FuzzConfig {
-            seed: 7,
-            iterations: 200,
-            ..twca_verify::FuzzConfig::default()
-        };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--seed" => {
-                    config.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--iters" => {
-                    config.iterations = value_of("--iters")?.parse().map_err(|_| {
-                        CliError::Usage("`--iters` expects an iteration count".into())
-                    })?;
-                }
-                "--budget" => {
-                    let seconds: f64 = value_of("--budget")?.parse().map_err(|_| {
-                        CliError::Usage("`--budget` expects seconds (fractions allowed)".into())
-                    })?;
-                    if !seconds.is_finite() || seconds < 0.0 {
-                        return Err(CliError::Usage(
-                            "`--budget` expects a finite, non-negative number of seconds".into(),
-                        ));
-                    }
-                    config.time_budget = Some(std::time::Duration::from_secs_f64(seconds));
-                }
-                "--profile" => {
-                    config.profiles = value_of("--profile")?
-                        .split(',')
-                        .map(|p| {
-                            twca_verify::ScenarioProfile::parse(p.trim()).map_err(CliError::Usage)
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--k" => {
-                    config.verify.ks = value_of("--k")?
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().map_err(|_| {
-                                CliError::Usage(format!("`{s}` is not a window length"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--horizon" => {
-                    config.verify.horizon = value_of("--horizon")?.parse().map_err(|_| {
-                        CliError::Usage("`--horizon` expects a simulation horizon".into())
-                    })?;
-                }
-                "--corpus" => {
-                    config.corpus_dir = Some(value_of("--corpus")?.into());
-                }
-                "--no-shrink" => config.shrink = false,
-                flag => {
-                    return Err(CliError::Usage(format!(
-                        "unknown fuzz flag `{flag}`; {}",
-                        Self::USAGE
-                    )));
-                }
-            }
-        }
-        if config.profiles.is_empty() {
-            return Err(CliError::Usage(
-                "`--profile` needs at least one profile".into(),
-            ));
-        }
-        Ok(FuzzArgs { config })
-    }
-}
-
 /// `twca fuzz`: randomized conformance fuzzing through the
 /// [`twca_verify`] oracle battery. Every generated scenario is checked
-/// against all twelve oracles; failures are auto-shrunk to minimal
+/// against all thirteen oracles; failures are auto-shrunk to minimal
 /// counterexamples and (with `--corpus`) persisted as regression
 /// fixtures.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for bad flags and [`CliError::Verify`]
-/// (non-zero exit) when any oracle fired, with the full report.
+/// (non-zero exit) when any oracle fired, with the full report under a
+/// `conformance violations found` heading.
 pub fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
     use twca_verify::OracleKind;
 
-    let parsed = FuzzArgs::parse(args)?;
-    let report = twca_verify::fuzz(&parsed.config);
+    const USAGE: &str = "twca fuzz [--seed S] [--iters N] [--budget SECS] \
+                         [--profile P1,P2,...] [--k K1,K2,...] [--horizon H] \
+                         [--corpus DIR] [--no-shrink]";
+    let mut args = Args::new("fuzz", USAGE, args);
+    let mut config = twca_verify::FuzzConfig {
+        seed: 7,
+        iterations: 200,
+        ..twca_verify::FuzzConfig::default()
+    };
+    while let Some(arg) = args.next() {
+        match arg {
+            "--seed" => config.seed = args.parse(arg, "an integer")?,
+            "--iters" => config.iterations = args.parse(arg, "an iteration count")?,
+            "--budget" => {
+                let seconds: f64 = args.parse(arg, "seconds (fractions allowed)")?;
+                if !seconds.is_finite() || seconds < 0.0 {
+                    return Err(CliError::Usage(
+                        "`--budget` expects a finite, non-negative number of seconds".into(),
+                    ));
+                }
+                config.time_budget = Some(std::time::Duration::from_secs_f64(seconds));
+            }
+            "--profile" => {
+                config.profiles = args
+                    .value(arg)?
+                    .split(',')
+                    .map(|p| twca_verify::ScenarioProfile::parse(p.trim()).map_err(CliError::Usage))
+                    .collect::<Result<_, _>>()?;
+            }
+            "--k" => config.verify.ks = window_lengths(args.value(arg)?)?,
+            "--horizon" => config.verify.horizon = args.parse(arg, "a simulation horizon")?,
+            "--corpus" => config.corpus_dir = Some(args.value(arg)?.into()),
+            "--no-shrink" => config.shrink = false,
+            flag => return Err(args.unknown(flag)),
+        }
+    }
+    if config.profiles.is_empty() {
+        return Err(CliError::Usage(
+            "`--profile` needs at least one profile".into(),
+        ));
+    }
+    let report = twca_verify::fuzz(&config);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "fuzz: seed {}, {} scenario(s) over {} profile(s) in {:.1}s",
-        parsed.config.seed,
+        config.seed,
         report.iterations_run,
         report.per_profile.len(),
         report.elapsed.as_secs_f64()
@@ -1570,55 +1324,9 @@ pub fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "WARNING: counterexample not persisted: {error}");
         }
     }
-    Err(CliError::Verify(out))
-}
-
-/// Parsed flags of `twca bench`.
-struct BenchCliArgs {
-    config: twca_bench::runner::BenchConfig,
-    json: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-impl BenchCliArgs {
-    const USAGE: &'static str =
-        "twca bench [--json] [--out FILE] [--seed S] [--quick] [--check BASELINE.json]";
-
-    fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut parsed = BenchCliArgs {
-            config: twca_bench::runner::BenchConfig::default(),
-            json: false,
-            out: None,
-            check: None,
-        };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--json" => parsed.json = true,
-                "--quick" => parsed.config.quick = true,
-                "--seed" => {
-                    parsed.config.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--out" => parsed.out = Some(value_of("--out")?.clone()),
-                "--check" => parsed.check = Some(value_of("--check")?.clone()),
-                flag => {
-                    return Err(CliError::Usage(format!(
-                        "unknown bench flag `{flag}`; {}",
-                        Self::USAGE
-                    )));
-                }
-            }
-        }
-        Ok(parsed)
-    }
+    Err(CliError::Verify(format!(
+        "conformance violations found\n{out}"
+    )))
 }
 
 /// `twca bench`: the in-process perf-trajectory runner
@@ -1643,10 +1351,26 @@ impl BenchCliArgs {
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     use twca_bench::runner::{check_against, run_bench, BenchReport};
 
-    let parsed = BenchCliArgs::parse(args)?;
+    const USAGE: &str =
+        "twca bench [--json] [--out FILE] [--seed S] [--quick] [--check BASELINE.json]";
+    let mut args = Args::new("bench", USAGE, args);
+    let mut config = twca_bench::runner::BenchConfig::default();
+    let mut json = false;
+    let mut out = None;
+    let mut check = None;
+    while let Some(arg) = args.next() {
+        match arg {
+            "--json" => json = true,
+            "--quick" => config.quick = true,
+            "--seed" => config.seed = args.parse(arg, "an integer")?,
+            "--out" => out = Some(args.value(arg)?),
+            "--check" => check = Some(args.value(arg)?),
+            flag => return Err(args.unknown(flag)),
+        }
+    }
     // Load the baseline before measuring anything: a missing or
     // malformed baseline must fail fast, not after seconds of timing.
-    let baseline = match &parsed.check {
+    let baseline = match check {
         None => None,
         Some(baseline_path) => {
             let text = std::fs::read_to_string(baseline_path)?;
@@ -1657,10 +1381,10 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             })?)
         }
     };
-    let report = run_bench(&parsed.config);
-    let json = format!("{}\n", report.to_json());
-    if let Some(path) = &parsed.out {
-        std::fs::write(path, &json)?;
+    let report = run_bench(&config);
+    let artifact = format!("{}\n", report.to_json());
+    if let Some(path) = out {
+        std::fs::write(path, &artifact)?;
     }
     if let Some(baseline) = baseline {
         let regressions = check_against(&report, &baseline, 1.5);
@@ -1673,8 +1397,8 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             return Err(CliError::Verify(out));
         }
     }
-    if parsed.json {
-        return Ok(json);
+    if json {
+        return Ok(artifact);
     }
     Ok(report.render())
 }
@@ -1689,41 +1413,37 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     const USAGE: &str = "twca <analyze|explain|dmm|simulate|sim|dot|gantt|report|synthesize|batch|\
                          dist|serve|loadgen|chaos|fuzz|bench> <file> [...]";
     let command = args.first().ok_or_else(|| CliError::Usage(USAGE.into()))?;
-    if command == "batch" {
-        return cmd_batch(&args[1..]);
-    }
-    if command == "sim" {
-        return cmd_sim(&args[1..]);
-    }
-    if command == "fuzz" {
-        return cmd_fuzz(&args[1..]);
-    }
-    if command == "bench" {
-        return cmd_bench(&args[1..]);
-    }
-    if command == "dist" {
-        return cmd_dist(&args[1..]);
-    }
-    if command == "serve" {
-        // The stdio lane writes to stdout as responses are produced;
-        // the returned summary goes to stderr in main. Stdout must
-        // stay UNLOCKED here: the pool's worker threads answer the
-        // stdio lane through their own `std::io::stdout()` handle,
-        // and `Stdout`'s lock is reentrant only on the owning thread —
-        // holding it across `cmd_serve` deadlocks the drain.
-        let stdin = std::io::stdin();
-        let summary = cmd_serve(&args[1..], stdin.lock(), Box::new(std::io::stdout()))?;
-        eprint!("{summary}");
-        return Ok(String::new());
-    }
-    if command == "loadgen" {
-        return cmd_loadgen(&args[1..]);
-    }
-    if command == "chaos" {
-        return cmd_chaos(&args[1..]);
+    let rest = &args[1..];
+    match command.as_str() {
+        "batch" => return cmd_batch(rest),
+        "sim" => return cmd_sim(rest),
+        "fuzz" => return cmd_fuzz(rest),
+        "bench" => return cmd_bench(rest),
+        "dist" => return cmd_dist(rest),
+        "serve" => {
+            // The stdio lane writes to stdout as responses are produced;
+            // the returned summary goes to stderr in main. Stdout must
+            // stay UNLOCKED here: the pool's worker threads answer the
+            // stdio lane through their own `std::io::stdout()` handle,
+            // and `Stdout`'s lock is reentrant only on the owning thread —
+            // holding it across `cmd_serve` deadlocks the drain.
+            let stdin = std::io::stdin();
+            let summary = cmd_serve(rest, stdin.lock(), Box::new(std::io::stdout()))?;
+            eprint!("{summary}");
+            return Ok(String::new());
+        }
+        "loadgen" => return cmd_loadgen(rest),
+        "chaos" => return cmd_chaos(rest),
+        _ => {}
     }
     let path = args.get(1).ok_or_else(|| CliError::Usage(USAGE.into()))?;
     let system = load(path)?;
+    let horizon = |default| match args.get(2) {
+        Some(s) => s
+            .parse()
+            .map_err(|_| CliError::Usage(format!("`{s}` is not a horizon"))),
+        None => Ok(default),
+    };
     match command.as_str() {
         "analyze" => cmd_analyze(&system),
         "explain" => {
@@ -1733,50 +1453,34 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             cmd_explain(&system, chain)
         }
         "dmm" => {
-            let chain = args
-                .get(2)
-                .ok_or_else(|| CliError::Usage("twca dmm <file> <chain> <k>...".into()))?;
+            const DMM: &str = "twca dmm <file> <chain> <k>...";
+            let chain = args.get(2).ok_or_else(|| CliError::Usage(DMM.into()))?;
             let ks: Vec<u64> = args[3..]
                 .iter()
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| CliError::Usage(format!("`{s}` is not a window length")))
-                })
+                .map(|s| window_length(s, s))
                 .collect::<Result<_, _>>()?;
             if ks.is_empty() {
-                return Err(CliError::Usage("twca dmm <file> <chain> <k>...".into()));
+                return Err(CliError::Usage(DMM.into()));
             }
             cmd_dmm(&system, chain, &ks)
         }
-        "simulate" => {
-            let horizon = match args.get(2) {
-                Some(s) => s
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("`{s}` is not a horizon")))?,
-                None => 100_000,
-            };
-            cmd_simulate(&system, horizon)
-        }
+        "simulate" => cmd_simulate(&system, horizon(100_000)?),
+        "gantt" => cmd_gantt(&system, horizon(2_000)?),
         "dot" => cmd_dot(&system),
         "report" => cmd_report(&system),
-        "gantt" => {
-            let horizon = match args.get(2) {
-                Some(s) => s
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("`{s}` is not a horizon")))?,
-                None => 2_000,
-            };
-            cmd_gantt(&system, horizon)
-        }
         "synthesize" => {
-            let m: u64 = args
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::Usage("twca synthesize <file> <m> <k>".into()))?;
-            let k: u64 = args
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::Usage("twca synthesize <file> <m> <k>".into()))?;
+            const SYNTHESIZE: &str = "twca synthesize <file> <m> <k>";
+            let number = |i: usize| {
+                args.get(i)
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| CliError::Usage(SYNTHESIZE.into()))
+            };
+            let (m, k) = (number(2)?, number(3)?);
+            if k == 0 || m > k {
+                return Err(CliError::Usage(format!(
+                    "`m` must not exceed `k`, and `k` must be at least 1; {SYNTHESIZE}"
+                )));
+            }
             cmd_synthesize(&system, m, k)
         }
         other => Err(CliError::Usage(format!(
@@ -1893,6 +1597,24 @@ chain recovery sporadic=1000 overload {
     }
 
     #[test]
+    fn synthesize_rejects_an_mk_constraint_outside_its_domain() {
+        let path =
+            std::env::temp_dir().join(format!("twca_cli_synth_test_{}.twca", std::process::id()));
+        std::fs::write(&path, EXAMPLE).unwrap();
+        let p = path.to_string_lossy().to_string();
+        for (m, k) in [("5", "3"), ("0", "0")] {
+            assert!(
+                matches!(
+                    run(&args(&["synthesize", &p, m, k])),
+                    Err(CliError::Usage(_))
+                ),
+                "({m}, {k})"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn serve_cache_flags_bound_the_session_cache() {
         let parsed =
             ServeArgs::parse(&args(&["--cache-entries", "64", "--cache-bytes", "65536"])).unwrap();
@@ -1914,6 +1636,8 @@ chain recovery sporadic=1000 overload {
     #[test]
     fn serve_edge_flags_configure_the_service() {
         let parsed = ServeArgs::parse(&args(&[
+            "--listen",
+            "127.0.0.1:0",
             "--read-timeout",
             "1500",
             "--idle-timeout",
@@ -1922,7 +1646,7 @@ chain recovery sporadic=1000 overload {
             "8192",
         ]))
         .unwrap();
-        let config = parsed.service_config();
+        let config = parsed.service;
         assert_eq!(
             config.read_timeout,
             Some(std::time::Duration::from_millis(1500))
@@ -1935,7 +1659,7 @@ chain recovery sporadic=1000 overload {
 
         // Without the flags, the defaults stand.
         let defaults = twca_service::ServiceConfig::default();
-        let config = ServeArgs::parse(&[]).unwrap().service_config();
+        let config = ServeArgs::parse(&[]).unwrap().service;
         assert_eq!(config.read_timeout, defaults.read_timeout);
         assert_eq!(config.write_buffer_bytes, defaults.write_buffer_bytes);
 
