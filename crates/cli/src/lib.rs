@@ -47,7 +47,9 @@
 //!
 //! `serve` reads one [`twca_api::AnalysisRequest`] per stdin line (or
 //! from `--file F`) and streams one response line per request, in input
-//! order, from one warm [`twca_api::Session`]. `dist` loads a
+//! order, from one warm [`twca_api::Session`] whose cache keeps at most
+//! [`twca_chains::CacheCapacity::SERVE_DEFAULT`] (16 MiB estimated)
+//! unless `--cache-bytes B` replaces it. `dist` loads a
 //! linked-resource document (see [`twca_dist::parse_distributed`]) and
 //! answers through the same request path (`--json` for the wire form).
 
@@ -630,8 +632,8 @@ struct ServeArgs {
     store_dir: Option<String>,
     budget: Option<u64>,
     options: twca_chains::AnalysisOptions,
-    /// Unbounded (the session's own cache) unless a `--cache-*` flag
-    /// was given.
+    /// [`twca_chains::CacheCapacity::SERVE_DEFAULT`]; `--cache-bytes`
+    /// replaces its byte budget and `--cache-entries` adds an entry cap.
     cache: twca_chains::CacheCapacity,
     service: twca_service::ServiceConfig,
 }
@@ -662,7 +664,7 @@ impl ServeArgs {
             store_dir: None,
             budget: None,
             options: twca_chains::AnalysisOptions::default(),
-            cache: twca_chains::CacheCapacity::default(),
+            cache: twca_chains::CacheCapacity::SERVE_DEFAULT,
             service: twca_service::ServiceConfig::default(),
         };
         let mut given = Vec::new();
@@ -712,12 +714,9 @@ impl ServeArgs {
         if let Some(budget) = self.budget {
             session = session.with_default_budget(budget);
         }
-        if self.cache != twca_chains::CacheCapacity::default() {
-            session = session.with_cache(std::sync::Arc::new(
-                twca_chains::AnalysisCache::with_capacity(self.cache),
-            ));
-        }
-        session
+        session.with_cache(std::sync::Arc::new(
+            twca_chains::AnalysisCache::with_capacity(self.cache),
+        ))
     }
 
     /// Opens the durable store behind `--store-dir`, if requested:
@@ -1257,12 +1256,12 @@ pub fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
             "--iters" => config.iterations = args.parse(arg, "an iteration count")?,
             "--budget" => {
                 let seconds: f64 = args.parse(arg, "seconds (fractions allowed)")?;
-                if !seconds.is_finite() || seconds < 0.0 {
-                    return Err(CliError::Usage(
+                let budget = std::time::Duration::try_from_secs_f64(seconds).map_err(|_| {
+                    CliError::Usage(
                         "`--budget` expects a finite, non-negative number of seconds".into(),
-                    ));
-                }
-                config.time_budget = Some(std::time::Duration::from_secs_f64(seconds));
+                    )
+                })?;
+                config.time_budget = Some(budget);
             }
             "--profile" => {
                 config.profiles = args
@@ -1622,10 +1621,14 @@ chain recovery sporadic=1000 overload {
         assert_eq!(cap.max_entries, Some(64));
         assert_eq!(cap.max_bytes, Some(65536));
 
-        // Without the flags the session keeps its default, unbounded cache.
+        // Without the flags the cache gets serve's default byte budget;
+        // `--cache-entries` alone adds an entry cap to it.
         let cap = ServeArgs::parse(&[]).unwrap().session().cache().capacity();
-        assert_eq!(cap.max_entries, None);
-        assert_eq!(cap.max_bytes, None);
+        assert_eq!(cap, twca_chains::CacheCapacity::SERVE_DEFAULT);
+        assert_eq!(cap.max_bytes, Some(16 << 20));
+        let parsed = ServeArgs::parse(&args(&["--cache-entries", "64"])).unwrap();
+        let cap = parsed.session().cache().capacity();
+        assert_eq!((cap.max_entries, cap.max_bytes), (Some(64), Some(16 << 20)));
 
         assert!(matches!(
             ServeArgs::parse(&args(&["--cache-entries", "lots"])),
@@ -1986,7 +1989,7 @@ chain diag sporadic=1500 overload {
             Err(CliError::Usage(_))
         ));
         // Degenerate budgets are usage errors, never panics.
-        for budget in ["-1", "nan", "inf"] {
+        for budget in ["-1", "nan", "inf", "18446744073709551616"] {
             assert!(matches!(
                 cmd_fuzz(&args(&["--budget", budget])),
                 Err(CliError::Usage(_))

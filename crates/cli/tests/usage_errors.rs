@@ -124,6 +124,10 @@ fn cases() -> Vec<(Vec<&'static str>, String)> {
             vec!["fuzz", "--budget", "-1"],
             "usage: `--budget` expects a finite, non-negative number of seconds".into(),
         ),
+        (
+            vec!["fuzz", "--budget", "18446744073709551616"],
+            "usage: `--budget` expects a finite, non-negative number of seconds".into(),
+        ),
         (vec!["fuzz", "--k", "x"], window("x")),
         (vec!["fuzz", "--bogus"], unknown("fuzz", "--bogus", FUZZ)),
         // bench

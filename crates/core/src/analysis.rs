@@ -52,8 +52,8 @@ impl<'a> ChainAnalysis<'a> {
     }
 
     /// Attaches a shared [`crate::AnalysisCache`], memoizing every
-    /// busy-time, latency and budget computation of this analysis (and
-    /// of any other analysis sharing the cache).
+    /// latency analysis and miss-model value of this analysis (and of
+    /// any other analysis of an equal system sharing the cache).
     #[must_use]
     pub fn with_cache(mut self, cache: std::sync::Arc<crate::AnalysisCache>) -> Self {
         self.ctx.attach_cache(cache);

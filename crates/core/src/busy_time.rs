@@ -472,7 +472,7 @@ pub fn busy_times(
     options: AnalysisOptions,
 ) -> Vec<Option<Time>> {
     let mut ladder = Vec::with_capacity(q_max as usize);
-    if ctx.reference().is_none() && ctx.memo().is_none() {
+    if ctx.reference().is_none() {
         // Ladder-native path: one solver instance carries its per-curve
         // state up every rung — rung `q + 1` resumes from rung `q`'s
         // converged window instead of re-initializing every curve.
@@ -521,24 +521,6 @@ pub(crate) fn busy_time_seeded(
     warm: Time,
 ) -> Option<BusyTimeBreakdown> {
     assert!(q > 0, "busy times are defined for q >= 1");
-    if let Some((cache, sys)) = ctx.memo() {
-        return cache.busy_time(sys, observed, q, mode, extra, options.horizon, || {
-            compute_busy_time_with_extra(ctx, observed, q, mode, extra, options, warm)
-        });
-    }
-    compute_busy_time_with_extra(ctx, observed, q, mode, extra, options, warm)
-}
-
-/// Solver dispatch behind [`busy_time_with_extra`].
-fn compute_busy_time_with_extra(
-    ctx: &AnalysisContext<'_>,
-    observed: ChainId,
-    q: u64,
-    mode: OverloadMode,
-    extra: Time,
-    options: AnalysisOptions,
-    warm: Time,
-) -> Option<BusyTimeBreakdown> {
     if ctx.reference() == Some(Reference::IterativeSolver) {
         return crate::reference::iterative_busy_time(ctx, observed, q, mode, extra, options);
     }

@@ -1,45 +1,49 @@
-//! Shared memoization for repeated analyses (the batch-engine seam).
+//! Per-system memoization for repeated analyses (the batch-engine seam).
 //!
-//! The expensive sub-computations of the Theorem 1–3 pipeline — busy-time
-//! fixed points, whole latency analyses, overload budgets `Ω_a^b` and
-//! minimum-distance curve lookups — are pure functions of the analyzed
-//! [`twca_model::System`] plus a handful of scalar parameters. An
-//! [`AnalysisCache`] memoizes them behind interior mutability so that
+//! Two sub-computations of the Theorem 1–3 pipeline are read again
+//! after they are computed: whole latency analyses (Theorem 2), which
+//! every miss-model evaluation of the same system asks for, and
+//! miss-model values `dmm(k)` (Theorem 3), which weakly-hard checks
+//! re-read. Both are pure functions of the analyzed
+//! [`twca_model::System`] plus a handful of scalar options. An
+//! [`AnalysisCache`] keeps one memo of them per analyzed system, so
 //!
 //! * repeated analyses of the **same system** (dmm curves over many `k`,
 //!   holistic distributed sweeps, priority-assignment search revisiting
-//!   an assignment) reuse each fixed point, and
-//! * analyses of **identical sub-structures across systems** in a batch
-//!   sweep share work transparently,
+//!   an assignment, a client sending the same system again) reuse each
+//!   answer, and
+//! * equal systems in a batch sweep share work transparently.
 //!
-//! while guaranteeing **bit-identical results**: every key embeds a
-//! 128-bit structural fingerprint of the system
-//! ([`SystemFingerprint`]) together with all scalar inputs, and every
-//! entry additionally stores a canonical-encoding length/checksum guard
-//! ([`FingerprintGuard`]) — a lookup whose stored guard disagrees with
-//! the probing system's is answered as a *miss* and recomputed, so even
+//! Busy times, overload budgets `Ω_a^b` and distances `δ−(q)` are not
+//! memoized: the busy-time ladder is solved warm in one pass per chain,
+//! and the other two are closed forms of the activation models.
+//!
+//! Results stay **bit-identical**: a system's memo is found by its
+//! 128-bit structural fingerprint ([`SystemFingerprint`]), and a
+//! context that attaches it also checks a canonical-encoding
+//! length/checksum guard ([`FingerprintGuard`]). A memo whose guard
+//! differs from the probing system's is replaced by a fresh one, so even
 //! a full 128-bit fingerprint collision can never surface another
 //! system's bounds.
 //!
 //! Attach a cache with [`AnalysisContext::with_cache`]; contexts built
 //! with [`AnalysisContext::new`] skip the cache entirely and behave as
-//! before.
-//!
-//! The maps are sharded (`dashmap`-style) behind [`std::sync::Mutex`]es
-//! so one `Arc<AnalysisCache>` can be shared by many worker threads of
-//! the batch engine with low contention.
+//! before. The context fetches its system's memo once and holds it for
+//! its whole life, so reuse within one analysis never depends on what
+//! other threads do to the shared map.
 //!
 //! # Bounded caches
 //!
 //! [`AnalysisCache::new`] is unbounded — the right default for one-shot
 //! batch sweeps. Long-lived services attach a capacity with
-//! [`AnalysisCache::with_capacity`] (entries and/or approximate bytes):
-//! inserts then run a second-chance (clock) eviction over the shards
-//! until the cache is back under budget. Eviction is coordination-free
-//! — at most one shard lock is held at a time — and fully counted
-//! ([`CacheStats::evictions`]); an evicted entry is simply recomputed
-//! on its next use, bit-identically, since every entry is a pure
-//! function of its key.
+//! [`AnalysisCache::with_capacity`] (entries and/or approximate bytes).
+//! A memo's entries and bytes are counted when a context that holds it
+//! is dropped; the cache then runs a second-chance (clock) eviction over
+//! whole systems until it is back under budget. Eviction is fully
+//! counted ([`CacheStats::evictions`]); an evicted system is simply
+//! recomputed on its next use, bit-identically, since every answer is a
+//! pure function of its key. A context still holding an evicted memo
+//! keeps using it until the context is dropped.
 //!
 //! [`AnalysisContext::with_cache`]: crate::AnalysisContext::with_cache
 //! [`AnalysisContext::new`]: crate::AnalysisContext::new
@@ -59,8 +63,8 @@
 //! let cold = ChainAnalysis::new(&system).with_cache(Arc::clone(&cache));
 //! let first = cold.deadline_miss_model(c, 10)?;
 //!
-//! // A second analysis of an equal system hits the memoized fixed
-//! // points instead of recomputing them.
+//! // A second analysis of an equal system hits the memoized answers
+//! // instead of recomputing them.
 //! let copy = case_study();
 //! let warm = ChainAnalysis::new(&copy).with_cache(Arc::clone(&cache));
 //! assert_eq!(warm.deadline_miss_model(c, 10)?, first);
@@ -69,11 +73,15 @@
 //! # }
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::busy_time::BusyTimeBreakdown;
+use crate::config::AnalysisOptions;
+use crate::dmm::DmmResult;
+use crate::error::AnalysisError;
 use crate::latency::{LatencyFailure, LatencyResult, OverloadMode};
 use twca_curves::{ActivationModel, Time};
 use twca_model::{ChainId, System};
@@ -227,292 +235,197 @@ fn encode_model(h: &mut Fnv2, model: &ActivationModel) {
     }
 }
 
-fn mode_bit(mode: OverloadMode) -> u8 {
-    match mode {
-        OverloadMode::Include => 0,
-        OverloadMode::Exclude => 1,
-    }
-}
-
-/// Key of one memoized busy-time fixed point (Theorem 1 / Equation 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BusyKey {
-    sys: SystemFingerprint,
-    chain: usize,
-    q: u64,
-    mode: u8,
-    extra: Time,
-    horizon: Time,
-}
-
-/// Key of one memoized latency analysis (Theorem 2).
+/// Key of one memoized latency analysis (Theorem 2) within a system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LatencyKey {
-    sys: SystemFingerprint,
     chain: usize,
-    mode: u8,
+    mode: OverloadMode,
     horizon: Time,
     max_q: u64,
 }
 
-/// Key of one memoized overload budget (Lemma 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OmegaKey {
-    sys: SystemFingerprint,
-    overload: usize,
-    observed: usize,
-    k: u64,
-    wcl: Time,
-}
-
-/// Key of one memoized minimum-distance lookup `δ−(q)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DeltaKey {
-    sys: SystemFingerprint,
-    chain: usize,
-    q: u64,
-}
-
-/// Key of one memoized deadline-miss-model evaluation (Theorem 3).
+/// Key of one memoized deadline-miss-model evaluation (Theorem 3)
+/// within a system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct DmmKey {
-    sys: SystemFingerprint,
     chain: usize,
     k: u64,
     horizon: Time,
     max_q: u64,
     max_combinations: usize,
     packing_budget: u64,
-    /// 0 = sufficient (Equation 5) classification, 1 = exact
-    /// (Equation 3).
-    variant: u8,
+    /// Exact (Equation 3) rather than sufficient (Equation 5)
+    /// classification.
+    exact: bool,
 }
 
-const SHARDS: usize = 16;
+type LatencyValue = Result<LatencyResult, LatencyFailure>;
 
-/// The shared capacity/occupancy state of a bounded cache. All counters
-/// are updated under the owning shard's lock (every increment pairs
-/// with a map mutation), so they can never under-count or underflow —
-/// readers see a consistent, monotone view without taking any lock.
-#[derive(Debug)]
-struct CacheBudget {
-    /// Entry cap; `u64::MAX` = unbounded.
-    max_entries: u64,
-    /// Approximate-bytes cap; `u64::MAX` = unbounded.
-    max_bytes: u64,
-    resident_entries: AtomicU64,
-    resident_bytes: AtomicU64,
-    evictions: AtomicU64,
-    /// Clock hand of the second-chance eviction, indexing
-    /// `(map, shard)` slots round-robin.
-    clock: AtomicU64,
+/// The memoized answers of one analyzed system.
+#[derive(Debug, Default)]
+struct SystemMemo {
+    latency: HashMap<LatencyKey, LatencyValue>,
+    dmm: HashMap<DmmKey, DmmResult>,
+    /// Heap bytes owned by the stored values (busy-time and Ω vectors).
+    heap_bytes: u64,
 }
 
-impl CacheBudget {
-    fn unbounded() -> Self {
-        CacheBudget {
-            max_entries: u64::MAX,
-            max_bytes: u64::MAX,
-            resident_entries: AtomicU64::new(0),
-            resident_bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
+/// Estimated bytes of a hash table with `capacity` usable slots of
+/// `(K, V)`: the table allocates about `8/7` of its capacity in buckets,
+/// each holding the pair and one control byte.
+fn table_bytes<K, V>(capacity: usize) -> u64 {
+    let buckets = capacity as u64 * 8 / 7;
+    buckets * (std::mem::size_of::<(K, V)>() as u64 + 1)
+}
+
+/// Fixed bytes of one resident system: its slot in the system map and
+/// the clock ring, and the shared memo allocation (two reference counts
+/// plus the lock around the memo).
+const SYSTEM_BYTES: u64 = (std::mem::size_of::<(SystemFingerprint, Resident)>()
+    + 1
+    + std::mem::size_of::<SystemFingerprint>()
+    + 2 * std::mem::size_of::<usize>()
+    + std::mem::size_of::<Mutex<SystemMemo>>()) as u64;
+
+impl SystemMemo {
+    fn entries(&self) -> u64 {
+        (self.latency.len() + self.dmm.len()) as u64
+    }
+
+    fn bytes_est(&self) -> u64 {
+        SYSTEM_BYTES
+            + table_bytes::<LatencyKey, LatencyValue>(self.latency.capacity())
+            + table_bytes::<DmmKey, DmmResult>(self.dmm.capacity())
+            + self.heap_bytes
+    }
+}
+
+/// Picks one of a memo's tables.
+type Table<K, V> = fn(&mut SystemMemo) -> &mut HashMap<K, V>;
+
+/// A context's hold on its system's memo: every lookup goes straight to
+/// the memo, and dropping the hold counts the memo's entries and bytes
+/// against the cache's budget.
+#[derive(Debug, Clone)]
+pub(crate) struct MemoHandle {
+    cache: Arc<AnalysisCache>,
+    fingerprint: SystemFingerprint,
+    memo: Arc<Mutex<SystemMemo>>,
+}
+
+impl MemoHandle {
+    /// The cache this memo belongs to.
+    pub(crate) fn cache(&self) -> &Arc<AnalysisCache> {
+        &self.cache
+    }
+
+    fn lookup<K: Hash + Eq, V: Clone>(&self, table: Table<K, V>, key: &K) -> Option<V> {
+        let hit = table(&mut self.lock()).get(key).cloned();
+        let counter = if hit.is_some() {
+            &self.cache.hits
+        } else {
+            &self.cache.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Stores `value` unless another context of the same system stored
+    /// it first (the two are equal); `heap` is the value's heap bytes.
+    fn store<K: Hash + Eq, V>(&self, table: Table<K, V>, key: K, value: V, heap: usize) {
+        let mut memo = self.lock();
+        if let Entry::Vacant(slot) = table(&mut memo).entry(key) {
+            slot.insert(value);
+            memo.heap_bytes += heap as u64;
         }
     }
 
-    fn is_bounded(&self) -> bool {
-        self.max_entries != u64::MAX || self.max_bytes != u64::MAX
+    fn lock(&self) -> MutexGuard<'_, SystemMemo> {
+        self.memo.lock().expect("system memo poisoned")
     }
 
-    fn over_budget(&self) -> bool {
-        self.resident_entries.load(Ordering::Relaxed) > self.max_entries
-            || self.resident_bytes.load(Ordering::Relaxed) > self.max_bytes
-    }
-}
-
-/// One stored entry: the value, its collision guard, its byte estimate
-/// (remembered so removal subtracts exactly what insertion added) and
-/// the second-chance reference bit.
-#[derive(Debug)]
-struct Slot<V> {
-    guard: FingerprintGuard,
-    bytes: u64,
-    referenced: bool,
-    value: V,
-}
-
-#[derive(Debug)]
-struct ShardInner<K, V> {
-    map: HashMap<K, Slot<V>>,
-    /// Insertion-ordered clock ring of the second-chance eviction.
-    ring: VecDeque<K>,
-}
-
-/// What one eviction step at a shard did.
-enum EvictStep {
-    /// An entry was removed (bytes returned for accounting symmetry).
-    Evicted,
-    /// The clock hand advanced (ref bit cleared or stale key skipped)
-    /// without freeing anything.
-    Advanced,
-    /// The shard ring is empty.
-    Empty,
-}
-
-/// A fixed-shard concurrent map (`dashmap`-style, stdlib-only) whose
-/// entries carry collision guards and support second-chance eviction.
-#[derive(Debug)]
-struct Sharded<K, V> {
-    shards: Vec<Mutex<ShardInner<K, V>>>,
-    /// Fixed per-entry byte estimate of this map: key + slot + an
-    /// allowance for the hash-map/ring bookkeeping around them.
-    slot_bytes: u64,
-}
-
-/// Per-entry bookkeeping allowance (hash bucket + ring slot) folded
-/// into every byte estimate.
-const ENTRY_OVERHEAD_BYTES: u64 = 48;
-
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> Sharded<K, V> {
-    fn new() -> Self {
-        Sharded {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(ShardInner {
-                        map: HashMap::new(),
-                        ring: VecDeque::new(),
-                    })
-                })
-                .collect(),
-            slot_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<Slot<V>>()) as u64
-                + ENTRY_OVERHEAD_BYTES,
-        }
-    }
-
-    fn shard_index(&self, key: &K) -> usize {
-        use std::hash::Hasher as _;
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish() as usize % SHARDS
-    }
-
-    fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, ShardInner<K, V>> {
-        self.shards[index].lock().expect("cache shard poisoned")
-    }
-
-    /// Looks `key` up; a present entry whose guard differs from `guard`
-    /// is reported as a miss (the caller recomputes and overwrites).
-    fn get(&self, key: &K, guard: FingerprintGuard) -> Option<V> {
-        let mut shard = self.lock(self.shard_index(key));
-        let slot = shard.map.get_mut(key)?;
-        if slot.guard != guard {
-            return None;
-        }
-        slot.referenced = true;
-        Some(slot.value.clone())
-    }
-
-    /// Inserts (or overwrites) `key`, maintaining the budget's resident
-    /// counters under the shard lock. `heap_bytes` is the value's
-    /// estimated heap footprint beyond its inline size.
-    fn put(
+    /// Memoizes one whole latency analysis (including its typed failure
+    /// reason, so detailed and collapsed lookups share entries).
+    pub(crate) fn latency(
         &self,
-        budget: &CacheBudget,
-        key: K,
-        guard: FingerprintGuard,
-        value: V,
-        heap_bytes: u64,
-    ) {
-        let bytes = self.slot_bytes + heap_bytes;
-        let mut shard = self.lock(self.shard_index(&key));
-        let slot = Slot {
-            guard,
-            bytes,
-            // A fresh entry gets one full clock revolution of grace.
-            referenced: true,
-            value,
+        chain: ChainId,
+        mode: OverloadMode,
+        options: AnalysisOptions,
+        compute: impl FnOnce() -> LatencyValue,
+    ) -> LatencyValue {
+        let key = LatencyKey {
+            chain: chain.index(),
+            mode,
+            horizon: options.horizon,
+            max_q: options.max_q,
         };
-        match shard.map.insert(key.clone(), slot) {
-            Some(old) => {
-                // Overwrite: adjust bytes by the difference, entry
-                // count unchanged, ring already holds the key.
-                budget.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-                budget
-                    .resident_bytes
-                    .fetch_sub(old.bytes, Ordering::Relaxed);
-            }
-            None => {
-                shard.ring.push_back(key);
-                budget.resident_entries.fetch_add(1, Ordering::Relaxed);
-                budget.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
+        let table: Table<LatencyKey, LatencyValue> = |memo| &mut memo.latency;
+        if let Some(hit) = self.lookup(table, &key) {
+            return hit;
         }
+        let value = compute();
+        let stored = value.clone();
+        let heap = stored
+            .as_ref()
+            .map_or(0, |r| r.busy_times.capacity() * std::mem::size_of::<Time>());
+        self.store(table, key, stored, heap);
+        value
     }
 
-    /// Advances the clock hand one step at `shard_index`: clears a set
-    /// reference bit (second chance) or evicts the entry under the
-    /// hand.
-    fn evict_step(&self, budget: &CacheBudget, shard_index: usize) -> EvictStep {
-        let mut shard = self.lock(shard_index);
-        let Some(key) = shard.ring.pop_front() else {
-            return EvictStep::Empty;
+    /// Memoizes one full miss-model evaluation `dmm(k)`; errors pass
+    /// through uncached (they are rare and re-deriving them is cheap
+    /// relative to their packing-free paths).
+    pub(crate) fn dmm(
+        &self,
+        chain: ChainId,
+        k: u64,
+        options: AnalysisOptions,
+        exact: bool,
+        compute: impl FnOnce() -> Result<DmmResult, AnalysisError>,
+    ) -> Result<DmmResult, AnalysisError> {
+        let key = DmmKey {
+            chain: chain.index(),
+            k,
+            horizon: options.horizon,
+            max_q: options.max_q,
+            max_combinations: options.max_combinations,
+            packing_budget: options.packing_budget,
+            exact,
         };
-        match shard.map.get_mut(&key) {
-            // Stale ring slot (entry already gone): just advance.
-            None => EvictStep::Advanced,
-            Some(slot) if slot.referenced => {
-                slot.referenced = false;
-                shard.ring.push_back(key);
-                EvictStep::Advanced
-            }
-            Some(_) => {
-                let removed = shard.map.remove(&key).expect("slot just observed");
-                budget.resident_entries.fetch_sub(1, Ordering::Relaxed);
-                budget
-                    .resident_bytes
-                    .fetch_sub(removed.bytes, Ordering::Relaxed);
-                budget.evictions.fetch_add(1, Ordering::Relaxed);
-                EvictStep::Evicted
-            }
+        let table: Table<DmmKey, DmmResult> = |memo| &mut memo.dmm;
+        if let Some(hit) = self.lookup(table, &key) {
+            return Ok(hit);
         }
-    }
-
-    /// Drops every entry of every shard, keeping the budget counters in
-    /// sync (clears do not count as evictions).
-    fn clear(&self, budget: &CacheBudget) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            let entries = shard.map.len() as u64;
-            let bytes: u64 = shard.map.values().map(|s| s.bytes).sum();
-            shard.map.clear();
-            shard.ring.clear();
-            budget
-                .resident_entries
-                .fetch_sub(entries, Ordering::Relaxed);
-            budget.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        }
+        let value = compute()?;
+        let stored = value.clone();
+        let heap = stored.omegas.capacity() * std::mem::size_of::<(ChainId, u64)>();
+        self.store(table, key, stored, heap);
+        Ok(value)
     }
 }
 
-/// Counters of an [`AnalysisCache`]. All fields are maintained under
-/// the owning shard's lock or by pure atomic increments, so concurrent
-/// insert/evict can never make them inconsistent (no in-flight entry
-/// double-count, no subtraction underflow): `hits`, `misses` and
-/// `evictions` are monotone, and `entries`/`resident_bytes_est` always
-/// equal the sum of what is actually resident.
+impl Drop for MemoHandle {
+    fn drop(&mut self) {
+        self.cache.settle(self.fingerprint, &self.memo);
+    }
+}
+
+/// Counters of an [`AnalysisCache`]. `hits`, `misses` and `evictions`
+/// are monotone; `entries` and `resident_bytes_est` are the sums over
+/// the resident systems as last counted, when a context holding each
+/// was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to a fresh computation (including
-    /// guard-rejected collisions).
+    /// Lookups that fell through to a fresh computation.
     pub misses: u64,
-    /// Entries currently resident across all maps.
+    /// Entries (latency and dmm answers) currently resident.
     pub entries: usize,
     /// Entries removed by capacity eviction since construction.
     pub evictions: u64,
-    /// Approximate bytes currently resident (keys, values, per-entry
-    /// bookkeeping and value heap estimates).
+    /// Approximate bytes currently resident: table capacity, value heap
+    /// and per-system bookkeeping.
     pub resident_bytes_est: u64,
 }
 
@@ -537,22 +450,54 @@ pub struct CacheCapacity {
     pub max_bytes: Option<u64>,
 }
 
+impl CacheCapacity {
+    /// The capacity of a long-running server's cache: 16 MiB estimated,
+    /// no entry cap.
+    pub const SERVE_DEFAULT: CacheCapacity = CacheCapacity {
+        max_entries: None,
+        max_bytes: Some(16 << 20),
+    };
+}
+
+/// One resident system: its memo, its collision guard, what the memo
+/// held when last counted, and the second-chance reference bit.
+#[derive(Debug)]
+struct Resident {
+    guard: FingerprintGuard,
+    memo: Arc<Mutex<SystemMemo>>,
+    entries: u64,
+    bytes: u64,
+    referenced: bool,
+}
+
+/// The resident systems and their totals, kept together under one lock.
+#[derive(Debug, Default)]
+struct Residents {
+    systems: HashMap<SystemFingerprint, Resident>,
+    /// Insertion-ordered clock ring of the second-chance eviction.
+    ring: VecDeque<SystemFingerprint>,
+    entries: u64,
+    bytes: u64,
+    evictions: u64,
+}
+
+impl Residents {
+    /// Forgets `resident`'s counted share of the totals.
+    fn discount(&mut self, resident: &Resident) {
+        self.entries -= resident.entries;
+        self.bytes -= resident.bytes;
+    }
+}
+
 /// Thread-safe memo store for the analysis pipeline; see the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct AnalysisCache {
-    busy: Sharded<BusyKey, Option<BusyTimeBreakdown>>,
-    latency: Sharded<LatencyKey, Result<LatencyResult, LatencyFailure>>,
-    omega: Sharded<OmegaKey, u64>,
-    delta: Sharded<DeltaKey, Time>,
-    dmm: Sharded<DmmKey, crate::dmm::DmmResult>,
-    budget: CacheBudget,
+    residents: Mutex<Residents>,
+    capacity: CacheCapacity,
     hits: AtomicU64,
     misses: AtomicU64,
 }
-
-/// Number of (map, shard) slots the eviction clock rotates over.
-const CLOCK_SLOTS: usize = 5 * SHARDS;
 
 impl Default for AnalysisCache {
     fn default() -> Self {
@@ -563,248 +508,143 @@ impl Default for AnalysisCache {
 impl AnalysisCache {
     /// An empty, unbounded cache.
     pub fn new() -> Self {
+        Self::with_capacity(CacheCapacity::default())
+    }
+
+    /// An empty cache bounded to `capacity`: once either limit is
+    /// exceeded, dropping a context evicts cold systems (second-chance
+    /// clock) until the cache is back under budget. `None` limits are
+    /// unbounded.
+    pub fn with_capacity(capacity: CacheCapacity) -> Self {
         AnalysisCache {
-            busy: Sharded::new(),
-            latency: Sharded::new(),
-            omega: Sharded::new(),
-            delta: Sharded::new(),
-            dmm: Sharded::new(),
-            budget: CacheBudget::unbounded(),
+            residents: Mutex::default(),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// An empty cache bounded to `capacity`: once either limit is
-    /// exceeded, inserts evict cold entries (second-chance clock) until
-    /// the cache is back under budget. `None` limits are unbounded.
-    pub fn with_capacity(capacity: CacheCapacity) -> Self {
-        let mut cache = Self::new();
-        cache.budget.max_entries = capacity.max_entries.unwrap_or(u64::MAX);
-        cache.budget.max_bytes = capacity.max_bytes.unwrap_or(u64::MAX);
-        cache
-    }
-
     /// The configured capacity (`None` fields = unbounded).
     pub fn capacity(&self) -> CacheCapacity {
-        CacheCapacity {
-            max_entries: (self.budget.max_entries != u64::MAX).then_some(self.budget.max_entries),
-            max_bytes: (self.budget.max_bytes != u64::MAX).then_some(self.budget.max_bytes),
-        }
+        self.capacity
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
+        let residents = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.budget.resident_entries.load(Ordering::Relaxed) as usize,
-            evictions: self.budget.evictions.load(Ordering::Relaxed),
-            resident_bytes_est: self.budget.resident_bytes.load(Ordering::Relaxed),
+            entries: residents.entries as usize,
+            evictions: residents.evictions,
+            resident_bytes_est: residents.bytes,
         }
     }
 
-    /// Drops every entry (counters keep running; clears are not counted
-    /// as evictions).
+    /// Drops every resident system (counters keep running; clears are
+    /// not counted as evictions).
     pub fn clear(&self) {
-        self.busy.clear(&self.budget);
-        self.latency.clear(&self.budget);
-        self.omega.clear(&self.budget);
-        self.delta.clear(&self.budget);
-        self.dmm.clear(&self.budget);
+        let mut residents = self.lock();
+        let evictions = residents.evictions;
+        *residents = Residents {
+            evictions,
+            ..Residents::default()
+        };
     }
 
-    fn record(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+    fn lock(&self) -> MutexGuard<'_, Residents> {
+        self.residents.lock().expect("cache residents poisoned")
     }
 
-    /// Brings a bounded cache back under budget after an insert by
-    /// rotating the second-chance clock over every (map, shard) slot.
-    /// Holds at most one shard lock at a time; the iteration bound is a
-    /// safety valve against concurrent inserts outrunning the hand.
-    fn enforce_budget(&self) {
-        if !self.budget.is_bounded() {
-            return;
-        }
-        let resident = self.budget.resident_entries.load(Ordering::Relaxed);
-        // Two full revolutions clear every grace bit and reach every
-        // entry even if all were referenced.
-        let mut steps_left = 2 * resident + 2 * CLOCK_SLOTS as u64;
-        let mut empty_streak = 0usize;
-        while self.budget.over_budget() && steps_left > 0 && empty_streak < CLOCK_SLOTS {
-            let at = self.budget.clock.fetch_add(1, Ordering::Relaxed) as usize % CLOCK_SLOTS;
-            let shard = at % SHARDS;
-            let step = match at / SHARDS {
-                0 => self.busy.evict_step(&self.budget, shard),
-                1 => self.latency.evict_step(&self.budget, shard),
-                2 => self.omega.evict_step(&self.budget, shard),
-                3 => self.delta.evict_step(&self.budget, shard),
-                _ => self.dmm.evict_step(&self.budget, shard),
-            };
-            match step {
-                EvictStep::Empty => empty_streak += 1,
-                EvictStep::Advanced | EvictStep::Evicted => empty_streak = 0,
+    /// The memo of the system keyed `key`, created if none is resident.
+    /// A resident memo whose guard differs (a fingerprint collision) is
+    /// replaced, so the other system's answers are never read.
+    pub(crate) fn checkout(self: Arc<Self>, key: SystemKey) -> MemoHandle {
+        let mut residents = self.lock();
+        let fresh = || Resident {
+            guard: key.guard,
+            memo: Arc::default(),
+            entries: 0,
+            bytes: 0,
+            // Only a second use earns a second chance, so a system
+            // analyzed once leaves before one that clients come back to.
+            referenced: false,
+        };
+        let memo = match residents.systems.entry(key.fingerprint) {
+            Entry::Occupied(mut slot) if slot.get().guard == key.guard => {
+                slot.get_mut().referenced = true;
+                Arc::clone(&slot.get().memo)
             }
-            steps_left -= 1;
+            Entry::Occupied(mut slot) => {
+                let collided = slot.insert(fresh());
+                let memo = Arc::clone(&slot.get().memo);
+                residents.discount(&collided);
+                memo
+            }
+            Entry::Vacant(slot) => {
+                let memo = Arc::clone(&slot.insert(fresh()).memo);
+                residents.ring.push_back(key.fingerprint);
+                memo
+            }
+        };
+        drop(residents);
+        MemoHandle {
+            cache: self,
+            fingerprint: key.fingerprint,
+            memo,
         }
     }
 
-    /// Memoizes one busy-time fixed point.
-    // Every parameter is a component of the cache key; bundling them
-    // into a struct would duplicate `BusyKey` for no gain.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn busy_time(
-        &self,
-        sys: SystemKey,
-        chain: ChainId,
-        q: u64,
-        mode: OverloadMode,
-        extra: Time,
-        horizon: Time,
-        compute: impl FnOnce() -> Option<BusyTimeBreakdown>,
-    ) -> Option<BusyTimeBreakdown> {
-        let key = BusyKey {
-            sys: sys.fingerprint,
-            chain: chain.index(),
-            q,
-            mode: mode_bit(mode),
-            extra,
-            horizon,
+    /// Counts `memo`'s entries and bytes if it is still resident, then
+    /// evicts cold systems until the cache is back under budget. Called
+    /// when a context drops its hold; a poisoned lock skips the count.
+    fn settle(&self, fingerprint: SystemFingerprint, memo: &Arc<Mutex<SystemMemo>>) {
+        let Ok(mut residents) = self.residents.lock() else {
+            return;
         };
-        if let Some(hit) = self.busy.get(&key, sys.guard) {
-            self.record(true);
-            return hit;
+        let residents = &mut *residents;
+        if let Some(resident) = residents
+            .systems
+            .get_mut(&fingerprint)
+            .filter(|resident| Arc::ptr_eq(&resident.memo, memo))
+        {
+            let Ok(memo) = memo.lock() else {
+                return;
+            };
+            let (entries, bytes) = (memo.entries(), memo.bytes_est());
+            residents.entries = residents.entries - resident.entries + entries;
+            residents.bytes = residents.bytes - resident.bytes + bytes;
+            (resident.entries, resident.bytes) = (entries, bytes);
         }
-        self.record(false);
-        let value = compute();
-        self.busy.put(&self.budget, key, sys.guard, value, 0);
-        self.enforce_budget();
-        value
+        self.evict(residents);
     }
 
-    /// Memoizes one whole latency analysis (including its typed failure
-    /// reason, so detailed and collapsed lookups share entries).
-    pub(crate) fn latency(
-        &self,
-        sys: SystemKey,
-        chain: ChainId,
-        mode: OverloadMode,
-        horizon: Time,
-        max_q: u64,
-        compute: impl FnOnce() -> Result<LatencyResult, LatencyFailure>,
-    ) -> Result<LatencyResult, LatencyFailure> {
-        let key = LatencyKey {
-            sys: sys.fingerprint,
-            chain: chain.index(),
-            mode: mode_bit(mode),
-            horizon,
-            max_q,
-        };
-        if let Some(hit) = self.latency.get(&key, sys.guard) {
-            self.record(true);
-            return hit;
+    /// Rotates the second-chance clock over the resident systems until
+    /// the totals are within the capacity. Two revolutions clear every
+    /// reference bit and reach every system.
+    fn evict(&self, residents: &mut Residents) {
+        let max_entries = self.capacity.max_entries.unwrap_or(u64::MAX);
+        let max_bytes = self.capacity.max_bytes.unwrap_or(u64::MAX);
+        let mut steps = 2 * residents.ring.len();
+        while (residents.entries > max_entries || residents.bytes > max_bytes) && steps > 0 {
+            steps -= 1;
+            let Some(fingerprint) = residents.ring.pop_front() else {
+                return;
+            };
+            match residents.systems.get_mut(&fingerprint) {
+                Some(resident) if resident.referenced => {
+                    resident.referenced = false;
+                    residents.ring.push_back(fingerprint);
+                }
+                Some(_) => {
+                    if let Some(evicted) = residents.systems.remove(&fingerprint) {
+                        residents.discount(&evicted);
+                        residents.evictions += evicted.entries;
+                    }
+                }
+                None => {}
+            }
         }
-        self.record(false);
-        let value = compute();
-        let heap = value.as_ref().map_or(0, |r| {
-            (r.busy_times.len() * std::mem::size_of::<Time>()) as u64
-        });
-        self.latency
-            .put(&self.budget, key, sys.guard, value.clone(), heap);
-        self.enforce_budget();
-        value
-    }
-
-    /// Memoizes one overload budget.
-    pub(crate) fn omega(
-        &self,
-        sys: SystemKey,
-        overload: ChainId,
-        observed: ChainId,
-        k: u64,
-        wcl: Time,
-        compute: impl FnOnce() -> u64,
-    ) -> u64 {
-        let key = OmegaKey {
-            sys: sys.fingerprint,
-            overload: overload.index(),
-            observed: observed.index(),
-            k,
-            wcl,
-        };
-        if let Some(hit) = self.omega.get(&key, sys.guard) {
-            self.record(true);
-            return hit;
-        }
-        self.record(false);
-        let value = compute();
-        self.omega.put(&self.budget, key, sys.guard, value, 0);
-        self.enforce_budget();
-        value
-    }
-
-    /// Memoizes one full miss-model evaluation `dmm(k)`; errors pass
-    /// through uncached (they are rare and re-deriving them is cheap
-    /// relative to their packing-free paths).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dmm(
-        &self,
-        sys: SystemKey,
-        chain: ChainId,
-        k: u64,
-        options: crate::config::AnalysisOptions,
-        exact: bool,
-        compute: impl FnOnce() -> Result<crate::dmm::DmmResult, crate::error::AnalysisError>,
-    ) -> Result<crate::dmm::DmmResult, crate::error::AnalysisError> {
-        let key = DmmKey {
-            sys: sys.fingerprint,
-            chain: chain.index(),
-            k,
-            horizon: options.horizon,
-            max_q: options.max_q,
-            max_combinations: options.max_combinations,
-            packing_budget: options.packing_budget,
-            variant: exact as u8,
-        };
-        if let Some(hit) = self.dmm.get(&key, sys.guard) {
-            self.record(true);
-            return Ok(hit);
-        }
-        self.record(false);
-        let value = compute()?;
-        let heap = (value.omegas.len() * std::mem::size_of::<(ChainId, u64)>()) as u64;
-        self.dmm
-            .put(&self.budget, key, sys.guard, value.clone(), heap);
-        self.enforce_budget();
-        Ok(value)
-    }
-
-    /// Memoizes one `δ−(q)` lookup of a chain's activation curve.
-    pub(crate) fn delta_min(
-        &self,
-        sys: SystemKey,
-        chain: ChainId,
-        q: u64,
-        compute: impl FnOnce() -> Time,
-    ) -> Time {
-        let key = DeltaKey {
-            sys: sys.fingerprint,
-            chain: chain.index(),
-            q,
-        };
-        if let Some(hit) = self.delta.get(&key, sys.guard) {
-            self.record(true);
-            return hit;
-        }
-        self.record(false);
-        let value = compute();
-        self.delta.put(&self.budget, key, sys.guard, value, 0);
-        self.enforce_budget();
-        value
     }
 }
 
@@ -818,6 +658,44 @@ mod tests {
             fingerprint: SystemFingerprint(fingerprint.0, fingerprint.1),
             guard: FingerprintGuard(guard.0, guard.1),
         }
+    }
+
+    /// The `i`-th of a family of distinct systems.
+    fn system(i: u64) -> SystemKey {
+        key((i, i), (1, 1))
+    }
+
+    fn answer(wcl: Time) -> LatencyValue {
+        Ok(LatencyResult {
+            busy_window_activations: 1,
+            busy_times: vec![wcl],
+            worst_case_latency: wcl,
+        })
+    }
+
+    /// Memoizes `answer(value)` as chain `chain`'s latency.
+    fn latency(memo: &MemoHandle, chain: usize, value: Time) -> LatencyValue {
+        lookup(memo, chain, || answer(value))
+    }
+
+    fn must_hit(memo: &MemoHandle, chain: usize) -> LatencyValue {
+        lookup(memo, chain, || panic!("must hit"))
+    }
+
+    fn lookup(
+        memo: &MemoHandle,
+        chain: usize,
+        compute: impl FnOnce() -> LatencyValue,
+    ) -> LatencyValue {
+        let (id, mode) = (ChainId::from_index(chain), OverloadMode::Include);
+        memo.latency(id, mode, AnalysisOptions::default(), compute)
+    }
+
+    fn bounded(max_entries: Option<u64>, max_bytes: Option<u64>) -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::with_capacity(CacheCapacity {
+            max_entries,
+            max_bytes,
+        }))
     }
 
     #[test]
@@ -845,19 +723,19 @@ mod tests {
     }
 
     #[test]
-    fn memo_returns_cached_value_and_counts() {
-        let cache = AnalysisCache::new();
-        let sys = SystemKey::of(&case_study());
-        let chain = ChainId::from_index(0);
-        let first = cache.delta_min(sys, chain, 5, || 42);
-        let second = cache.delta_min(sys, chain, 5, || panic!("must hit"));
-        assert_eq!(first, 42);
-        assert_eq!(second, 42);
+    fn memo_returns_cached_value_and_counts_on_drop() {
+        let cache = Arc::new(AnalysisCache::new());
+        let memo = Arc::clone(&cache).checkout(system(1));
+        assert_eq!(latency(&memo, 0, 42), answer(42));
+        // A second context of the same system shares the memo.
+        let twin = Arc::clone(&cache).checkout(system(1));
+        assert_eq!(must_hit(&twin, 0), answer(42));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        assert_eq!(cache.stats().entries, 0, "counted only when dropped");
+        drop((memo, twin));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
-        assert!(stats.resident_bytes_est > 0);
+        assert!(stats.resident_bytes_est > SYSTEM_BYTES);
         cache.clear();
         let cleared = cache.stats();
         assert_eq!(cleared.entries, 0);
@@ -867,59 +745,56 @@ mod tests {
 
     /// Two systems forced onto the same fingerprint (the collision the
     /// two FNV streams make astronomically unlikely, constructed here
-    /// directly) must never see each other's entries: the guard rejects
-    /// the hit, the recomputation wins, and the overwritten entry is
-    /// gone for the first system too.
+    /// directly) must never see each other's answers: the guard replaces
+    /// the memo, and the replaced one is gone for the first system too.
     #[test]
     fn guard_rejects_forced_fingerprint_collisions() {
-        let cache = AnalysisCache::new();
-        let chain = ChainId::from_index(0);
+        let cache = Arc::new(AnalysisCache::new());
         let system_a = key((7, 7), (10, 1111));
         let system_b = key((7, 7), (10, 2222)); // same fingerprint, different encoding
 
-        assert_eq!(cache.delta_min(system_a, chain, 1, || 100), 100);
-        // A colliding lookup must not surface system A's value.
-        assert_eq!(cache.delta_min(system_b, chain, 1, || 200), 200);
-        // The overwrite evicted A's value: A recomputes too.
-        assert_eq!(cache.delta_min(system_a, chain, 1, || 100), 100);
+        let memo = Arc::clone(&cache).checkout(system_a);
+        assert_eq!(latency(&memo, 0, 100), answer(100));
+        drop(memo);
+        // A colliding context must not surface system A's value.
+        let memo = Arc::clone(&cache).checkout(system_b);
+        assert_eq!(latency(&memo, 0, 200), answer(200));
+        drop(memo);
+        // B's memo replaced A's: A recomputes too.
+        let memo = Arc::clone(&cache).checkout(system_a);
+        assert_eq!(latency(&memo, 0, 100), answer(100));
+        drop(memo);
         let stats = cache.stats();
         assert_eq!(stats.hits, 0, "no collision may ever read as a hit");
         assert_eq!(stats.misses, 3);
-        assert_eq!(stats.entries, 1, "guard collisions overwrite in place");
+        assert_eq!(stats.entries, 1, "a collision replaces the memo in place");
     }
 
     #[test]
-    fn entry_capacity_evicts_and_counts() {
-        let cache = AnalysisCache::with_capacity(CacheCapacity {
-            max_entries: Some(8),
-            max_bytes: None,
-        });
-        let sys = SystemKey::of(&case_study());
-        let chain = ChainId::from_index(0);
-        for q in 0..200u64 {
-            let _ = cache.delta_min(sys, chain, q, || q as Time);
+    fn entry_capacity_evicts_whole_systems() {
+        let cache = bounded(Some(8), None);
+        for i in 0..50 {
+            let memo = Arc::clone(&cache).checkout(system(i));
+            for chain in 0..3 {
+                let _ = latency(&memo, chain, i);
+            }
+            drop(memo);
+            let stats = cache.stats();
+            assert!(stats.entries <= 8, "resident {} > 8", stats.entries);
+            assert_eq!(stats.entries % 3, 0, "systems leave whole");
         }
-        let stats = cache.stats();
-        assert!(
-            stats.entries <= 8,
-            "resident {} exceeds the 8-entry cap",
-            stats.entries
-        );
-        assert!(stats.evictions >= 192, "evictions: {}", stats.evictions);
-        // Evicted entries recompute, bit-identically.
-        assert_eq!(cache.delta_min(sys, chain, 0, || 0), 0);
+        assert!(cache.stats().evictions >= 150 - 8);
+        // An evicted system recomputes, bit-identically.
+        let memo = Arc::clone(&cache).checkout(system(0));
+        assert_eq!(latency(&memo, 0, 0), answer(0));
     }
 
     #[test]
     fn byte_capacity_bounds_resident_bytes() {
-        let cache = AnalysisCache::with_capacity(CacheCapacity {
-            max_entries: None,
-            max_bytes: Some(4_096),
-        });
-        let sys = SystemKey::of(&case_study());
-        let chain = ChainId::from_index(0);
-        for q in 0..500u64 {
-            let _ = cache.delta_min(sys, chain, q, || q as Time);
+        let cache = bounded(None, Some(4_096));
+        for i in 0..200 {
+            let memo = Arc::clone(&cache).checkout(system(i));
+            let _ = latency(&memo, 0, i);
         }
         let stats = cache.stats();
         assert!(
@@ -932,66 +807,101 @@ mod tests {
     }
 
     #[test]
-    fn hot_entries_survive_the_clock() {
-        let cache = AnalysisCache::with_capacity(CacheCapacity {
-            max_entries: Some(4),
-            max_bytes: None,
-        });
-        let sys = SystemKey::of(&case_study());
-        let chain = ChainId::from_index(0);
-        let _ = cache.delta_min(sys, chain, 0, || 77);
-        for q in 1..100u64 {
-            // Keep q = 0 hot while colder entries churn through.
-            let _ = cache.delta_min(sys, chain, 0, || panic!("must stay resident"));
-            let _ = cache.delta_min(sys, chain, q, || q as Time);
+    fn byte_estimate_counts_table_capacity_and_value_heap() {
+        let cache = Arc::new(AnalysisCache::new());
+        let memo = Arc::clone(&cache).checkout(system(1));
+        let options = AnalysisOptions::default();
+        let long = || {
+            Ok(LatencyResult {
+                busy_window_activations: 100,
+                busy_times: (0..100).collect(),
+                worst_case_latency: 7,
+            })
+        };
+        let _ = memo.latency(ChainId::from_index(0), OverloadMode::Include, options, long);
+        let table = memo.lock().latency.capacity();
+        drop(memo);
+        let bytes = cache.stats().resident_bytes_est;
+        assert_eq!(
+            bytes,
+            SYSTEM_BYTES + table_bytes::<LatencyKey, LatencyValue>(table) + 100 * 8
+        );
+    }
+
+    #[test]
+    fn hot_systems_survive_the_clock() {
+        let cache = bounded(Some(4), None);
+        let hot = system(0);
+        let memo = Arc::clone(&cache).checkout(hot);
+        let _ = latency(&memo, 0, 77);
+        drop(memo);
+        for i in 1..100 {
+            // Keep system 0 hot while colder systems churn through.
+            let memo = Arc::clone(&cache).checkout(hot);
+            let _ = must_hit(&memo, 0);
+            drop(memo);
+            let memo = Arc::clone(&cache).checkout(system(i));
+            let _ = latency(&memo, 0, i);
         }
-        assert_eq!(cache.delta_min(sys, chain, 0, || panic!("hot")), 77);
+        let memo = Arc::clone(&cache).checkout(hot);
+        assert_eq!(must_hit(&memo, 0), answer(77));
+    }
+
+    /// A context keeps reading its memo after its system was evicted,
+    /// and dropping it then counts nothing.
+    #[test]
+    fn a_held_memo_outlives_its_eviction() {
+        let cache = bounded(Some(1), None);
+        let held = Arc::clone(&cache).checkout(system(1));
+        let _ = latency(&held, 0, 10);
+        let other = Arc::clone(&cache).checkout(system(2));
+        let _ = latency(&other, 0, 20);
+        let _ = latency(&other, 1, 21);
+        drop(other);
+        assert_eq!(cache.stats().entries, 0, "both systems evicted");
+        assert_eq!(must_hit(&held, 0), answer(10));
+        drop(held);
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().resident_bytes_est, 0);
     }
 
     #[test]
     fn unbounded_capacity_reports_none() {
         assert_eq!(AnalysisCache::new().capacity(), CacheCapacity::default());
-        let bounded = AnalysisCache::with_capacity(CacheCapacity {
-            max_entries: Some(3),
-            max_bytes: Some(1_000),
-        });
+        let bounded = bounded(Some(3), Some(1_000));
         assert_eq!(bounded.capacity().max_entries, Some(3));
         assert_eq!(bounded.capacity().max_bytes, Some(1_000));
     }
 
-    /// Concurrent inserts and evictions must keep the counters
-    /// consistent: no underflow, resident ≤ cap at quiescence, and
-    /// hits + misses equal to the lookups issued.
+    /// Concurrent checkouts, lookups and evictions must keep the
+    /// counters consistent: resident ≤ cap at quiescence, hits + misses
+    /// equal to the lookups issued, and the totals equal to the sums
+    /// over the resident systems.
     #[test]
-    fn concurrent_insert_evict_keeps_stats_consistent() {
-        use std::sync::Arc;
-        let cache = Arc::new(AnalysisCache::with_capacity(CacheCapacity {
-            max_entries: Some(16),
-            max_bytes: None,
-        }));
+    fn concurrent_checkouts_keep_stats_consistent() {
+        let cache = bounded(Some(16), None);
         let threads = 4;
-        let per_thread = 300u64;
+        let per_thread = 100u64;
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let cache = Arc::clone(&cache);
                 scope.spawn(move || {
-                    let sys = SystemKey::of(&case_study());
-                    let chain = ChainId::from_index(0);
                     for i in 0..per_thread {
-                        let q = t * per_thread + i;
-                        let _ = cache.delta_min(sys, chain, q, || q as Time);
+                        // Neighbouring threads share every other system.
+                        let memo = Arc::clone(&cache).checkout(system((t + i) % 150));
+                        let _ = latency(&memo, 0, i);
+                        let _ = latency(&memo, 1, i);
                     }
                 });
             }
         });
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, threads * per_thread);
+        assert_eq!(stats.hits + stats.misses, 2 * threads * per_thread);
         assert!(stats.entries <= 16, "resident {} > cap", stats.entries);
         assert!(stats.evictions > 0);
-        // resident_bytes_est must be exactly the per-entry estimate sum
-        // (delta entries have no heap payload) — any drift would reveal
-        // an accounting race.
-        let per_entry = cache.delta.slot_bytes;
-        assert_eq!(stats.resident_bytes_est, stats.entries as u64 * per_entry);
+        let residents = cache.lock();
+        let entries: u64 = residents.systems.values().map(|r| r.entries).sum();
+        let bytes: u64 = residents.systems.values().map(|r| r.bytes).sum();
+        assert_eq!((residents.entries, residents.bytes), (entries, bytes));
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::busy_time::InterferencePlan;
-use crate::cache::{AnalysisCache, SystemKey};
+use crate::cache::{AnalysisCache, MemoHandle, SystemKey};
 use crate::latency::OverloadMode;
 use crate::reference::Reference;
 use twca_model::{ChainId, SegmentView, System};
@@ -50,9 +50,9 @@ pub struct AnalysisContext<'a> {
     /// `views[a][b]`: structure of chain `a` w.r.t. chain `b`; the
     /// diagonal holds `None`.
     views: Vec<Vec<Option<SegmentView>>>,
-    /// Shared memo store plus the system's fingerprint-and-guard key;
-    /// `None` disables memoization (the default).
-    cache: Option<(Arc<AnalysisCache>, SystemKey)>,
+    /// This system's memo in a shared cache, held for the context's
+    /// life; `None` disables memoization (the default).
+    cache: Option<MemoHandle>,
     /// Interference plans of the scheduling-point busy-window solver.
     plans: PlanStore,
     /// The reference implementation this context runs, if any. Only
@@ -93,10 +93,11 @@ impl<'a> AnalysisContext<'a> {
         }
     }
 
-    /// Like [`AnalysisContext::new`], additionally attaching a shared
-    /// [`AnalysisCache`]: every subsequent busy-time, latency, budget
-    /// and distance computation through this context is memoized under
-    /// the system's [`crate::cache::SystemFingerprint`].
+    /// Like [`AnalysisContext::new`], additionally attaching the
+    /// system's memo in a shared [`AnalysisCache`]: every subsequent
+    /// latency analysis and miss-model evaluation through this context
+    /// is memoized there, and reused by later contexts of an equal
+    /// system while the memo stays resident.
     ///
     /// # Examples
     ///
@@ -110,8 +111,8 @@ impl<'a> AnalysisContext<'a> {
     /// let ctx = AnalysisContext::with_cache(&system, Arc::clone(&cache));
     /// let (c, _) = system.chain_by_name("sigma_c").unwrap();
     /// let opts = AnalysisOptions::default();
-    /// let one = twca_chains::busy_time(&ctx, c, 1, OverloadMode::Include, opts);
-    /// let two = twca_chains::busy_time(&ctx, c, 1, OverloadMode::Include, opts);
+    /// let one = twca_chains::latency_analysis(&ctx, c, OverloadMode::Include, opts);
+    /// let two = twca_chains::latency_analysis(&ctx, c, OverloadMode::Include, opts);
     /// assert_eq!(one, two);
     /// assert_eq!(cache.stats().hits, 1);
     /// ```
@@ -121,16 +122,15 @@ impl<'a> AnalysisContext<'a> {
         ctx
     }
 
-    /// Attaches a shared cache to an already-built context (computes
-    /// the fingerprint, keeps the segment views).
+    /// Attaches a shared cache to an already-built context: fetches (or
+    /// creates) the system's memo, keeping the segment views.
     pub(crate) fn attach_cache(&mut self, cache: Arc<AnalysisCache>) {
-        let key = SystemKey::of(self.system);
-        self.cache = Some((cache, key));
+        self.cache = Some(cache.checkout(SystemKey::of(self.system)));
     }
 
-    /// The attached cache and system key, if any.
-    pub(crate) fn memo(&self) -> Option<(&AnalysisCache, SystemKey)> {
-        self.cache.as_ref().map(|(c, k)| (c.as_ref(), *k))
+    /// The system's memo, if a cache is attached.
+    pub(crate) fn memo(&self) -> Option<&MemoHandle> {
+        self.cache.as_ref()
     }
 
     /// The interference plan of `observed` under `mode`, built on first
@@ -157,7 +157,7 @@ impl<'a> AnalysisContext<'a> {
 
     /// The attached shared cache, if any.
     pub fn cache(&self) -> Option<&Arc<AnalysisCache>> {
-        self.cache.as_ref().map(|(c, _)| c)
+        self.cache.as_ref().map(MemoHandle::cache)
     }
 
     /// The analyzed system.

@@ -494,10 +494,7 @@ fn memoized(
     compute: impl FnOnce() -> Result<DmmResult, AnalysisError>,
 ) -> Result<DmmResult, AnalysisError> {
     match ctx.memo() {
-        Some((cache, sys)) => {
-            let exact = criterion == Criterion::Exact;
-            cache.dmm(sys, observed, k, options, exact, compute)
-        }
+        Some(memo) => memo.dmm(observed, k, options, criterion == Criterion::Exact, compute),
         None => compute(),
     }
 }

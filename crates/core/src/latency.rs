@@ -144,12 +144,12 @@ pub fn latency_analysis_detailed(
     mode: OverloadMode,
     options: AnalysisOptions,
 ) -> Result<LatencyResult, LatencyFailure> {
-    if let Some((cache, sys)) = ctx.memo() {
-        return cache.latency(sys, observed, mode, options.horizon, options.max_q, || {
+    match ctx.memo() {
+        Some(memo) => memo.latency(observed, mode, options, || {
             compute_latency_analysis(ctx, observed, mode, options)
-        });
+        }),
+        None => compute_latency_analysis(ctx, observed, mode, options),
     }
-    compute_latency_analysis(ctx, observed, mode, options)
 }
 
 /// The uncached Theorem 2 iteration behind [`latency_analysis`]. Each
@@ -162,12 +162,9 @@ fn compute_latency_analysis(
     mode: OverloadMode,
     options: AnalysisOptions,
 ) -> Result<LatencyResult, LatencyFailure> {
-    let activation = ctx.system().chain(observed).activation().clone();
-    let memo = ctx.memo();
-    let delta_min = |q: u64| match memo {
-        Some((cache, sys)) => cache.delta_min(sys, observed, q, || activation.delta_min(q)),
-        None => activation.delta_min(q),
-    };
+    let activation = ctx.system().chain(observed).activation();
+    // `δ−(q+1)` of one rung is `δ−(q)` of the next: each is computed once.
+    let mut delta_q = activation.delta_min(1);
     let mut busy_times = Vec::new();
     let mut wcl: Time = 0;
     let mut warm: Time = 0;
@@ -185,10 +182,12 @@ fn compute_latency_analysis(
             })?
             .total;
         busy_times.push(busy);
-        wcl = wcl.max(busy.saturating_sub(delta_min(q)));
-        if busy <= delta_min(q + 1) {
+        wcl = wcl.max(busy.saturating_sub(delta_q));
+        let delta_next = activation.delta_min(q + 1);
+        if busy <= delta_next {
             break;
         }
+        delta_q = delta_next;
         warm = busy;
         q += 1;
     }

@@ -48,22 +48,6 @@ pub fn overload_budget(
     worst_case_latency: Time,
 ) -> u64 {
     assert_ne!(overload, observed, "a chain cannot overload itself");
-    if let Some((cache, sys)) = ctx.memo() {
-        return cache.omega(sys, overload, observed, k, worst_case_latency, || {
-            compute_overload_budget(ctx, overload, observed, k, worst_case_latency)
-        });
-    }
-    compute_overload_budget(ctx, overload, observed, k, worst_case_latency)
-}
-
-/// The uncached Lemma 4 formula behind [`overload_budget`].
-fn compute_overload_budget(
-    ctx: &AnalysisContext<'_>,
-    overload: ChainId,
-    observed: ChainId,
-    k: u64,
-    worst_case_latency: Time,
-) -> u64 {
     let system = ctx.system();
     let chain_a = system.chain(overload);
     let chain_b = system.chain(observed);

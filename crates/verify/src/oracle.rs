@@ -1435,8 +1435,10 @@ fn check_miss_rate_soundness(
 /// Oracle 2: the memo cache must be invisible — cold-cached,
 /// warm-cached, uncached and *capacity-starved* analyses agree
 /// bit-for-bit. The tiny-capacity passes run the same analyses through
-/// a two-entry cache, so entries are evicted mid-analysis and the
-/// recompute-on-miss path is oracle-checked too.
+/// a two-entry cache: a context keeps its system's memo while it lives,
+/// and dropping it evicts the whole system, so the tiny-warm pass
+/// recomputes every answer from a fresh memo and the
+/// evict-then-recompute path is oracle-checked too.
 fn check_cache_agreement(
     system: &System,
     uncached: &ChainVerdicts,
