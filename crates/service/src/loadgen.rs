@@ -811,6 +811,37 @@ mod tests {
         }
     }
 
+    /// The human report and its `--json` form, byte for byte, with
+    /// every server edge counter distinct so the field order shows.
+    #[test]
+    fn reports_with_server_stats_render_byte_for_byte() {
+        let report = LoadgenReport {
+            server_stats: Some(StatsOutcome {
+                open_connections: 1,
+                queue_depth_peak: 2,
+                reaped: 3,
+                timeouts: 4,
+                resets: 5,
+                slow_consumers: 6,
+                served: 99,
+                ..StatsOutcome::default()
+            }),
+            ..report_with(vec![1_000, 2_000_000])
+        };
+        assert_eq!(
+            report.render(),
+            "2 request(s) in 1.000s — 2 req/s\n\
+             ok 2 · errors 0 · rejected 0 · lost 0\n\
+             latency p50 1 µs · p95 2000 µs · p99 2000 µs\n\
+             server: open connections 1 · queue depth peak 2 · reaped 3 · timeouts 4 \
+             · resets 5 · slow consumers 6\n"
+        );
+        assert_eq!(
+            report.to_json().to_string(),
+            r#"{"requests": 2, "ok": 2, "errors": 0, "rejected": 0, "lost": 0, "retries": 0, "deduped": 0, "injected_resets": 0, "elapsed_ns": 1000000000, "requests_per_sec": 2, "p50_ns": 1000, "p95_ns": 2000000, "p99_ns": 2000000, "server_stats": {"open_connections": 1, "queue_depth_peak": 2, "reaped": 3, "timeouts": 4, "resets": 5, "slow_consumers": 6}}"#
+        );
+    }
+
     /// Nearest-rank on small sample counts: `rank = ⌈q·n⌉` exactly,
     /// never one past it (the old float ceil indexed past the intended
     /// rank whenever `q·n` was representable a hair above an integer).
