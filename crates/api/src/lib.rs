@@ -63,6 +63,7 @@ mod analyze;
 pub mod batch;
 mod error;
 mod json;
+mod metrics;
 pub mod persist;
 mod request;
 mod respond;
@@ -73,8 +74,9 @@ mod store;
 pub use analyze::{Analyze, ChainBackend, DistBackend, QueryEnv};
 pub use error::{ApiError, ApiErrorKind};
 pub use json::{escape, Json, JsonParseError};
+pub use metrics::{Counter, Metrics};
 pub use persist::{
-    crash_states, DirIo, IoOp, MemIo, PersistError, PersistErrorKind, PersistPolicy, PersistStats,
+    crash_states, DirIo, IoOp, MemIo, PersistError, PersistErrorKind, PersistPolicy,
     RecoveryReport, StoreIo,
 };
 pub use request::{
@@ -86,5 +88,5 @@ pub use response::{
     QueryOutcome, SensitivityOutcome, SimChainOutcome, SimulateOutcome, StatsOutcome,
     StoreAnalyzeOutcome, StorePutOutcome, SystemOutcome, WitnessOutcome,
 };
-pub use session::{CancelToken, EdgeCounters, RequestControl, ServiceCounters, Session};
+pub use session::{CancelToken, RequestControl, Session};
 pub use store::{PutReceipt, StoreDiff, StoredBody, SystemStore};

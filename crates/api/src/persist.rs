@@ -41,7 +41,6 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use twca_dist::parse_distributed;
@@ -815,37 +814,9 @@ impl Default for PersistPolicy {
     }
 }
 
-/// Monotonic persistence counters, readable without any store lock.
-#[derive(Debug, Default)]
-pub(crate) struct PersistCounters {
-    pub(crate) journal_appends: AtomicU64,
-    pub(crate) journal_bytes: AtomicU64,
-    pub(crate) journal_syncs: AtomicU64,
-    pub(crate) snapshots_written: AtomicU64,
-}
-
-/// A point-in-time copy of the persistence counters plus the recovery
-/// report, as surfaced by the `stats` query. All zeros for an
-/// in-memory store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Put records appended to the journal since start.
-    pub journal_appends: u64,
-    /// Journal bytes written since start.
-    pub journal_bytes: u64,
-    /// Journal fsyncs issued since start.
-    pub journal_syncs: u64,
-    /// Snapshots written since start (including flushes).
-    pub snapshots_written: u64,
-    /// Journal records replayed during recovery at startup.
-    pub recovered_records: u64,
-    /// Torn-tail bytes truncated during recovery at startup.
-    pub truncated_bytes: u64,
-}
-
 /// The live persistence half of a durable [`crate::SystemStore`]:
 /// the I/O backend, the policy, the sequence counter, and the
-/// counters. The `seq` mutex is the commit lock — durable puts
+/// recovery report. The `seq` mutex is the commit lock — durable puts
 /// serialize on it so journal order, sequence numbers, and entry
 /// versions always agree.
 #[derive(Debug)]
@@ -853,7 +824,6 @@ pub(crate) struct Persistence {
     pub(crate) io: Arc<dyn StoreIo>,
     pub(crate) policy: PersistPolicy,
     pub(crate) seq: Mutex<PersistSeq>,
-    pub(crate) counters: PersistCounters,
     pub(crate) recovery: RecoveryReport,
 }
 
@@ -865,19 +835,6 @@ pub(crate) struct PersistSeq {
     pub(crate) since_sync: u64,
     /// Records since the last snapshot (for `snapshot_every`).
     pub(crate) since_snapshot: u64,
-}
-
-impl Persistence {
-    pub(crate) fn stats(&self) -> PersistStats {
-        PersistStats {
-            journal_appends: self.counters.journal_appends.load(Ordering::Relaxed),
-            journal_bytes: self.counters.journal_bytes.load(Ordering::Relaxed),
-            journal_syncs: self.counters.journal_syncs.load(Ordering::Relaxed),
-            snapshots_written: self.counters.snapshots_written.load(Ordering::Relaxed),
-            recovered_records: self.recovery.replayed,
-            truncated_bytes: self.recovery.truncated_bytes,
-        }
-    }
 }
 
 #[cfg(test)]

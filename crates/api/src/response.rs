@@ -8,6 +8,7 @@
 
 use crate::error::ApiError;
 use crate::json::Json;
+use crate::metrics::{Counter, Metrics};
 use crate::request::SCHEMA_VERSION;
 use twca_chains::{AnalysisContext, AnalysisOptions, ChainReport, DmmResult, DmmSweep};
 use twca_curves::Time;
@@ -359,8 +360,9 @@ pub struct SimulateOutcome {
 }
 
 /// The answer to a [`QueryOutcome::Stats`] query: the shared cache's
-/// hit/miss counters plus the service counters of the answering
-/// process. Outside a service the counters are all zero.
+/// counters followed by the [`Metrics`] registries of the answering
+/// session and its store, in the order of [`StatsOutcome::fields`].
+/// Outside a service the service counters are all zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsOutcome {
     /// Cache hits since the cache was created.
@@ -377,39 +379,133 @@ pub struct StatsOutcome {
     pub resident_entries: u64,
     /// Estimated bytes currently resident in the cache.
     pub resident_bytes_est: u64,
-    /// Requests answered by the service (ok or error).
+    /// [`Counter::Served`].
     pub served: u64,
-    /// Requests rejected at admission (`overloaded`).
+    /// [`Counter::Rejected`].
     pub rejected: u64,
-    /// Requests admitted but not yet answered.
+    /// [`Counter::InFlight`].
     pub in_flight: u64,
-    /// Worker panics caught and answered with typed `internal` errors.
+    /// [`Counter::Panics`].
     pub panics: u64,
-    /// Put records appended to the store journal.
+    /// [`Counter::JournalAppends`].
     pub journal_appends: u64,
-    /// Bytes appended to the store journal.
+    /// [`Counter::JournalBytes`].
     pub journal_bytes: u64,
-    /// Journal fsyncs issued.
+    /// [`Counter::JournalSyncs`].
     pub journal_syncs: u64,
-    /// Store snapshots written (including drain flushes).
+    /// [`Counter::SnapshotsWritten`].
     pub snapshots_written: u64,
-    /// Journal records replayed when the store was recovered.
+    /// [`Counter::RecoveredRecords`].
     pub recovered_records: u64,
-    /// Torn-tail bytes truncated when the store was recovered.
+    /// [`Counter::TruncatedBytes`].
     pub truncated_bytes: u64,
-    /// Client connections currently open at the service edge.
+    /// [`Counter::OpenConnections`].
     pub open_connections: u64,
-    /// Connections reaped at the idle timeout (slow-loris defense).
+    /// [`Counter::Reaped`].
     pub reaped: u64,
-    /// Connections closed after a per-read timeout expired.
+    /// [`Counter::Timeouts`]: a read or a write timed out.
     pub timeouts: u64,
-    /// Connections that ended in a reset.
+    /// [`Counter::Resets`].
     pub resets: u64,
-    /// Connections disconnected for overflowing their bounded
-    /// outbound response buffer.
+    /// [`Counter::SlowConsumers`].
     pub slow_consumers: u64,
-    /// Largest per-connection response-queue depth observed.
+    /// [`Counter::QueueDepthPeak`].
     pub queue_depth_peak: u64,
+}
+
+/// A `stats` wire field: its name and its slot in [`StatsOutcome`].
+type StatsField = (&'static str, fn(&mut StatsOutcome) -> &mut u64);
+
+/// Every `stats` field in wire order. The six cache fields lead; the
+/// registry's wire counters follow in [`Counter`] order, so counter
+/// `c` sits at `CACHE_FIELDS + c as usize`.
+const STATS_FIELDS: [StatsField; 22] = [
+    ("cache_hits", |s| &mut s.cache_hits),
+    ("cache_misses", |s| &mut s.cache_misses),
+    ("cache_entries", |s| &mut s.cache_entries),
+    ("evictions", |s| &mut s.evictions),
+    ("resident_entries", |s| &mut s.resident_entries),
+    ("resident_bytes_est", |s| &mut s.resident_bytes_est),
+    ("served", |s| &mut s.served),
+    ("rejected", |s| &mut s.rejected),
+    ("in_flight", |s| &mut s.in_flight),
+    ("panics", |s| &mut s.panics),
+    ("journal_appends", |s| &mut s.journal_appends),
+    ("journal_bytes", |s| &mut s.journal_bytes),
+    ("journal_syncs", |s| &mut s.journal_syncs),
+    ("snapshots_written", |s| &mut s.snapshots_written),
+    ("recovered_records", |s| &mut s.recovered_records),
+    ("truncated_bytes", |s| &mut s.truncated_bytes),
+    ("open_connections", |s| &mut s.open_connections),
+    ("reaped", |s| &mut s.reaped),
+    ("timeouts", |s| &mut s.timeouts),
+    ("resets", |s| &mut s.resets),
+    ("slow_consumers", |s| &mut s.slow_consumers),
+    ("queue_depth_peak", |s| &mut s.queue_depth_peak),
+];
+
+/// The cache fields before the first registry counter.
+const CACHE_FIELDS: usize = 6;
+
+impl StatsOutcome {
+    /// Every field as `(wire name, value)`, in wire order.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut stats = *self;
+        STATS_FIELDS
+            .iter()
+            .map(move |(name, slot)| (*name, *slot(&mut stats)))
+    }
+
+    /// The value `counter` is reported as; `None` for a counter that is
+    /// not a `stats` field ([`Counter::Errors`]).
+    #[must_use]
+    pub fn counter(&self, counter: Counter) -> Option<u64> {
+        let (_, slot) = STATS_FIELDS.get(CACHE_FIELDS + counter as usize)?;
+        Some(*slot(&mut { *self }))
+    }
+
+    /// Adds every wire counter of `metrics` to its field.
+    pub(crate) fn add_registry(&mut self, metrics: &Metrics) {
+        for ((_, slot), value) in STATS_FIELDS[CACHE_FIELDS..].iter().zip(metrics.values()) {
+            *slot(self) += value;
+        }
+    }
+
+    fn to_json(self) -> Json {
+        Json::Object(
+            self.fields()
+                .map(|(name, value)| (name.into(), Json::UInt(value)))
+                .collect(),
+        )
+    }
+
+    /// Decodes a `stats` body. The edge counters (from
+    /// [`Counter::OpenConnections`] on) arrived after v1 first shipped;
+    /// their absence reads as zero so older recorded responses still
+    /// parse.
+    fn from_json(body: &Json) -> Result<StatsOutcome, ApiError> {
+        let optional_from = CACHE_FIELDS + Counter::OpenConnections as usize;
+        let mut stats = StatsOutcome::default();
+        for (index, (name, slot)) in STATS_FIELDS.iter().enumerate() {
+            *slot(&mut stats) = if index < optional_from {
+                u64_field(body, name)?
+            } else {
+                opt_u64_field(body, name)?.unwrap_or(0)
+            };
+        }
+        Ok(stats)
+    }
+}
+
+impl Counter {
+    /// The `stats` field this counter is reported under; `None` for
+    /// [`Counter::Errors`], which is not on the wire.
+    #[must_use]
+    pub fn wire_name(self) -> Option<&'static str> {
+        STATS_FIELDS
+            .get(CACHE_FIELDS + self as usize)
+            .map(|(name, _)| *name)
+    }
 }
 
 /// The answer to a [`crate::Query::StorePut`]: the version now current
@@ -742,36 +838,7 @@ fn outcome_to_json(outcome: &QueryOutcome) -> Json {
             ]),
         ),
         QueryOutcome::Full(system) => ("full", system.to_json()),
-        QueryOutcome::Stats(s) => (
-            "stats",
-            Json::Object(vec![
-                ("cache_hits".into(), Json::UInt(s.cache_hits)),
-                ("cache_misses".into(), Json::UInt(s.cache_misses)),
-                ("cache_entries".into(), Json::UInt(s.cache_entries)),
-                ("evictions".into(), Json::UInt(s.evictions)),
-                ("resident_entries".into(), Json::UInt(s.resident_entries)),
-                (
-                    "resident_bytes_est".into(),
-                    Json::UInt(s.resident_bytes_est),
-                ),
-                ("served".into(), Json::UInt(s.served)),
-                ("rejected".into(), Json::UInt(s.rejected)),
-                ("in_flight".into(), Json::UInt(s.in_flight)),
-                ("panics".into(), Json::UInt(s.panics)),
-                ("journal_appends".into(), Json::UInt(s.journal_appends)),
-                ("journal_bytes".into(), Json::UInt(s.journal_bytes)),
-                ("journal_syncs".into(), Json::UInt(s.journal_syncs)),
-                ("snapshots_written".into(), Json::UInt(s.snapshots_written)),
-                ("recovered_records".into(), Json::UInt(s.recovered_records)),
-                ("truncated_bytes".into(), Json::UInt(s.truncated_bytes)),
-                ("open_connections".into(), Json::UInt(s.open_connections)),
-                ("reaped".into(), Json::UInt(s.reaped)),
-                ("timeouts".into(), Json::UInt(s.timeouts)),
-                ("resets".into(), Json::UInt(s.resets)),
-                ("slow_consumers".into(), Json::UInt(s.slow_consumers)),
-                ("queue_depth_peak".into(), Json::UInt(s.queue_depth_peak)),
-            ]),
-        ),
+        QueryOutcome::Stats(s) => ("stats", s.to_json()),
         QueryOutcome::StorePut(p) => (
             "store_put",
             Json::Object(vec![
@@ -915,32 +982,7 @@ fn outcome_from_json(value: &Json) -> Result<QueryOutcome, ApiError> {
                 .collect::<Result<Vec<_>, _>>()?,
         }),
         "full" => QueryOutcome::Full(SystemOutcome::from_json(body)?),
-        "stats" => QueryOutcome::Stats(StatsOutcome {
-            cache_hits: u64_field(body, "cache_hits")?,
-            cache_misses: u64_field(body, "cache_misses")?,
-            cache_entries: u64_field(body, "cache_entries")?,
-            evictions: u64_field(body, "evictions")?,
-            resident_entries: u64_field(body, "resident_entries")?,
-            resident_bytes_est: u64_field(body, "resident_bytes_est")?,
-            served: u64_field(body, "served")?,
-            rejected: u64_field(body, "rejected")?,
-            in_flight: u64_field(body, "in_flight")?,
-            panics: u64_field(body, "panics")?,
-            journal_appends: u64_field(body, "journal_appends")?,
-            journal_bytes: u64_field(body, "journal_bytes")?,
-            journal_syncs: u64_field(body, "journal_syncs")?,
-            snapshots_written: u64_field(body, "snapshots_written")?,
-            recovered_records: u64_field(body, "recovered_records")?,
-            truncated_bytes: u64_field(body, "truncated_bytes")?,
-            // Edge counters arrived after v1 first shipped; tolerate
-            // their absence so older recorded responses still parse.
-            open_connections: opt_u64_field(body, "open_connections")?.unwrap_or(0),
-            reaped: opt_u64_field(body, "reaped")?.unwrap_or(0),
-            timeouts: opt_u64_field(body, "timeouts")?.unwrap_or(0),
-            resets: opt_u64_field(body, "resets")?.unwrap_or(0),
-            slow_consumers: opt_u64_field(body, "slow_consumers")?.unwrap_or(0),
-            queue_depth_peak: opt_u64_field(body, "queue_depth_peak")?.unwrap_or(0),
-        }),
+        "stats" => QueryOutcome::Stats(StatsOutcome::from_json(body)?),
         "store_put" => QueryOutcome::StorePut(StorePutOutcome {
             name: str_field(body, "name")?,
             version: u64_field(body, "version")?,

@@ -2,11 +2,12 @@
 //! per-request budget and cancellation.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::analyze::{Analyze, ChainBackend, DistBackend, QueryEnv};
 use crate::error::ApiError;
+use crate::metrics::Metrics;
 use crate::request::{AnalysisRequest, Query, RequestOptions, Target};
 use crate::response::{
     AnalysisResponse, ChainOutcome, DmmOutcome, LatencyOutcome, QueryOutcome, StatsOutcome,
@@ -47,141 +48,6 @@ impl CancelToken {
     /// Whether the flag has been raised.
     pub fn is_canceled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared observability counters of a serving process, surfaced
-/// through the wire `stats` query. A service increments them; plain
-/// sessions never do, so a sessions-only deployment reports zeros.
-///
-/// All counters are relaxed atomics: they are monotone operational
-/// telemetry, not synchronization.
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    served: AtomicU64,
-    rejected: AtomicU64,
-    in_flight: AtomicU64,
-    panics: AtomicU64,
-    open_connections: AtomicU64,
-    reaped: AtomicU64,
-    timeouts: AtomicU64,
-    resets: AtomicU64,
-    slow_consumers: AtomicU64,
-    queue_depth_peak: AtomicU64,
-}
-
-/// Connection-edge telemetry of a serving process: how many client
-/// connections are open right now and how the ones that went away
-/// went away. A snapshot of the edge-facing half of
-/// [`ServiceCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EdgeCounters {
-    /// Client connections currently open.
-    pub open_connections: u64,
-    /// Connections reaped at the idle timeout (slow-loris defense).
-    pub reaped: u64,
-    /// Connections closed after a per-read timeout expired.
-    pub timeouts: u64,
-    /// Connections that ended in a reset (theirs or injected).
-    pub resets: u64,
-    /// Connections disconnected for overflowing their bounded
-    /// outbound response buffer (slow-consumer defense).
-    pub slow_consumers: u64,
-    /// Largest per-connection response-queue depth observed.
-    pub queue_depth_peak: u64,
-}
-
-impl EdgeCounters {
-    /// Whether every counter is zero (nothing edge-worthy happened).
-    pub fn is_empty(&self) -> bool {
-        *self == EdgeCounters::default()
-    }
-}
-
-impl ServiceCounters {
-    /// Fresh counters, all zero.
-    pub fn new() -> ServiceCounters {
-        ServiceCounters::default()
-    }
-
-    /// Records a request admitted into the service (now in flight).
-    pub fn record_admitted(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an admitted request answered (ok or error).
-    pub fn record_served(&self) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a request rejected at admission (never in flight).
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a worker panic caught while executing a request (the
-    /// request was answered with a typed internal error).
-    pub fn record_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a client connection accepted by the edge.
-    pub fn record_conn_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a client connection ending, however it ended.
-    pub fn record_conn_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection reaped at the idle timeout.
-    pub fn record_reaped(&self) {
-        self.reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection closed after a per-read timeout.
-    pub fn record_read_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection that ended in a reset.
-    pub fn record_reset(&self) {
-        self.resets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection disconnected as a slow consumer.
-    pub fn record_slow_consumer(&self) {
-        self.slow_consumers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds one observation of a connection's response-queue depth
-    /// into the peak gauge.
-    pub fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// The current `(served, rejected, in_flight, panics)` values.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.served.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.in_flight.load(Ordering::Relaxed),
-            self.panics.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The current connection-edge counters.
-    pub fn edge(&self) -> EdgeCounters {
-        EdgeCounters {
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            reaped: self.reaped.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            resets: self.resets.load(Ordering::Relaxed),
-            slow_consumers: self.slow_consumers.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -277,7 +143,7 @@ pub struct Session {
     options: AnalysisOptions,
     max_sweeps: usize,
     default_budget: Option<u64>,
-    counters: Option<Arc<ServiceCounters>>,
+    metrics: Arc<Metrics>,
 }
 
 impl Default for Session {
@@ -295,7 +161,7 @@ impl Session {
             options: AnalysisOptions::default(),
             max_sweeps: twca_dist::DistOptions::default().max_sweeps,
             default_budget: None,
-            counters: None,
+            metrics: Arc::new(Metrics::new()),
         }
     }
 
@@ -337,13 +203,6 @@ impl Session {
         self
     }
 
-    /// Attaches shared service counters, surfaced by `stats` queries.
-    #[must_use]
-    pub fn with_service_counters(mut self, counters: Arc<ServiceCounters>) -> Session {
-        self.counters = Some(counters);
-        self
-    }
-
     /// The shared cache handle.
     pub fn cache(&self) -> Arc<AnalysisCache> {
         Arc::clone(&self.cache)
@@ -354,43 +213,28 @@ impl Session {
         Arc::clone(&self.store)
     }
 
-    /// Cache statistics plus service counters, as answered to a wire
-    /// `stats` query.
+    /// The session's counter registry, shared by its clones: a worker
+    /// pool given this session records into it.
+    pub fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.metrics)
+    }
+
+    /// Cache statistics plus the session's and its store's counter
+    /// registries, as answered to a wire `stats` query.
     pub fn stats_outcome(&self) -> StatsOutcome {
         let cache = self.cache_stats();
-        let (served, rejected, in_flight, panics) = match &self.counters {
-            Some(counters) => counters.snapshot(),
-            None => (0, 0, 0, 0),
-        };
-        let edge = match &self.counters {
-            Some(counters) => counters.edge(),
-            None => EdgeCounters::default(),
-        };
-        let persist = self.store.persist_stats();
-        StatsOutcome {
+        let mut stats = StatsOutcome {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
             evictions: cache.evictions,
             resident_entries: cache.entries as u64,
             resident_bytes_est: cache.resident_bytes_est,
-            served,
-            rejected,
-            in_flight,
-            panics,
-            journal_appends: persist.journal_appends,
-            journal_bytes: persist.journal_bytes,
-            journal_syncs: persist.journal_syncs,
-            snapshots_written: persist.snapshots_written,
-            recovered_records: persist.recovered_records,
-            truncated_bytes: persist.truncated_bytes,
-            open_connections: edge.open_connections,
-            reaped: edge.reaped,
-            timeouts: edge.timeouts,
-            resets: edge.resets,
-            slow_consumers: edge.slow_consumers,
-            queue_depth_peak: edge.queue_depth_peak,
-        }
+            ..StatsOutcome::default()
+        };
+        stats.add_registry(&self.metrics);
+        stats.add_registry(self.store.metrics());
+        stats
     }
 
     /// Hit/miss counters of the shared cache.
@@ -671,7 +515,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::request::Query;
-    use crate::ApiErrorKind;
+    use crate::{ApiErrorKind, Counter};
 
     const SYSTEM: &str = "
 chain control periodic=100 deadline=100 sync {
@@ -728,12 +572,11 @@ chain recovery sporadic=1000 overload {
 
     #[test]
     fn stats_queries_report_cache_and_service_counters() {
-        let counters = Arc::new(ServiceCounters::new());
-        let session = Session::new().with_service_counters(Arc::clone(&counters));
-        counters.record_admitted();
-        counters.record_served();
-        counters.record_admitted();
-        counters.record_rejected();
+        let session = Session::new();
+        let metrics = session.metrics();
+        metrics.add(Counter::Served, 1);
+        metrics.add(Counter::InFlight, 1);
+        metrics.add(Counter::Rejected, 1);
 
         // Targetless stats request.
         let request = AnalysisRequest {
@@ -770,7 +613,7 @@ chain recovery sporadic=1000 overload {
             ApiErrorKind::Request
         );
 
-        // Sessions without counters report zeros, not errors.
+        // Sessions no pool recorded into report zeros, not errors.
         let plain = Session::new();
         let outcome = plain.stats_outcome();
         assert_eq!(

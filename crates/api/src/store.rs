@@ -20,11 +20,11 @@ use twca_dist::{render_distributed, DistributedSystem, HolisticMemo};
 use twca_model::{render_system, System};
 
 use crate::error::{ApiError, ApiErrorKind};
+use crate::metrics::{Counter, Metrics};
 use crate::persist::{
-    self, encode_put, recover, PersistPolicy, PersistSeq, PersistStats, Persistence, PutRecord,
-    RecoveryReport, StoreIo, JOURNAL_FILE, KIND_DIST, KIND_UNI, SNAPSHOT_FILE,
+    self, encode_put, recover, PersistPolicy, PersistSeq, Persistence, PutRecord, RecoveryReport,
+    StoreIo, JOURNAL_FILE, KIND_DIST, KIND_UNI, SNAPSHOT_FILE,
 };
-use std::sync::atomic::Ordering;
 
 /// One stored body: a uniprocessor chain system or a distributed
 /// linked-resource system, kept parsed so repeated analyses skip the
@@ -129,6 +129,7 @@ pub struct SystemStore {
     entries: Mutex<HashMap<String, Arc<Mutex<StoreEntry>>>>,
     persist: Option<Persistence>,
     dedup: Mutex<DedupLedger>,
+    metrics: Metrics,
 }
 
 /// At-most-once receipts for puts that carried a client dedup id:
@@ -241,11 +242,17 @@ impl SystemStore {
                     since_sync: 0,
                     since_snapshot: 0,
                 }),
-                counters: Default::default(),
                 recovery: recovered.report,
             }),
             dedup: Mutex::new(DedupLedger::default()),
+            metrics: Metrics::new(),
         };
+        store
+            .metrics
+            .add(Counter::RecoveredRecords, recovered.report.replayed);
+        store
+            .metrics
+            .add(Counter::TruncatedBytes, recovered.report.truncated_bytes);
         Ok((store, recovered.report))
     }
 
@@ -373,14 +380,8 @@ impl SystemStore {
         seq.next_seq += 1;
         seq.since_sync += 1;
         seq.since_snapshot += 1;
-        persist
-            .counters
-            .journal_appends
-            .fetch_add(1, Ordering::Relaxed);
-        persist
-            .counters
-            .journal_bytes
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
+        self.metrics.add(Counter::JournalAppends, 1);
+        self.metrics.add(Counter::JournalBytes, record.len() as u64);
 
         // The record is down: make the put visible before anything
         // else can fail, so memory and journal never diverge.
@@ -415,10 +416,7 @@ impl SystemStore {
         if persist.policy.sync_every > 0 && seq.since_sync >= persist.policy.sync_every {
             persist.io.sync(JOURNAL_FILE)?;
             seq.since_sync = 0;
-            persist
-                .counters
-                .journal_syncs
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(Counter::JournalSyncs, 1);
         }
         if persist.policy.snapshot_every > 0 && seq.since_snapshot >= persist.policy.snapshot_every
         {
@@ -465,10 +463,7 @@ impl SystemStore {
         persist.io.replace(JOURNAL_FILE, &[])?;
         seq.since_snapshot = 0;
         seq.since_sync = 0;
-        persist
-            .counters
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::SnapshotsWritten, 1);
         Ok(())
     }
 
@@ -488,13 +483,10 @@ impl SystemStore {
         }
     }
 
-    /// Point-in-time persistence counters; all zeros for an in-memory
-    /// store.
-    pub fn persist_stats(&self) -> PersistStats {
-        self.persist
-            .as_ref()
-            .map(Persistence::stats)
-            .unwrap_or_default()
+    /// The store's counter registry: journal, snapshot and recovery
+    /// counters, all zero for an in-memory store.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// What recovery found when this store was opened, if durable.
@@ -874,9 +866,8 @@ mod tests {
         let state = io.state();
         assert!(state[JOURNAL_FILE].is_empty());
         assert!(!state[SNAPSHOT_FILE].is_empty());
-        let stats = store.persist_stats();
-        assert_eq!(stats.journal_appends, 1);
-        assert_eq!(stats.snapshots_written, 1);
+        assert_eq!(store.metrics().get(Counter::JournalAppends), 1);
+        assert_eq!(store.metrics().get(Counter::SnapshotsWritten), 1);
 
         // Snapshot-only state (journal reset) recovers cleanly — the
         // snapshot-newer-than-journal edge.

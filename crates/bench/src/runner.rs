@@ -1135,7 +1135,7 @@ fn persist_workload(config: &BenchConfig, report: &mut BenchReport) {
     report.time("persist/put_journaled", samples, || {
         let store = fresh.pop().expect("one store per sample");
         run_puts(&store);
-        std::hint::black_box(store.persist_stats().journal_bytes);
+        std::hint::black_box(store.metrics().get(twca_api::Counter::JournalBytes));
     });
     // Recovery re-reads the same 64-record journal every pass (replay
     // never mutates a journal with no torn tail).

@@ -741,10 +741,13 @@ impl ServeArgs {
     }
 }
 
+/// The drain summary: the pool's answer count and latency, and the
+/// one `stats` snapshot read after the drain flush — so the
+/// `persist:` snapshot count includes that flush.
 fn render_serve_summary(
     summary: &twca_service::ServeSummary,
-    stats: twca_chains::CacheStats,
-    persist: Option<(twca_api::PersistStats, twca_api::RecoveryReport)>,
+    stats: &twca_api::StatsOutcome,
+    recovery: Option<&twca_api::RecoveryReport>,
 ) -> String {
     // The first line is load-bearing: scripts (and the smoke test) key
     // on its `served N request(s), M error(s)` prefix.
@@ -753,9 +756,9 @@ fn render_serve_summary(
          ({} entries, {} evicted, ~{} KiB resident)\n",
         summary.requests,
         summary.errors,
-        stats.hits,
-        stats.misses,
-        stats.entries,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.resident_entries,
         stats.evictions,
         stats.resident_bytes_est / 1024
     );
@@ -769,20 +772,23 @@ fn render_serve_summary(
             summary.latency.count
         );
     }
-    if !summary.edge.is_empty() {
+    let edge = [
+        stats.open_connections,
+        stats.queue_depth_peak,
+        stats.reaped,
+        stats.timeouts,
+        stats.resets,
+        stats.slow_consumers,
+    ];
+    if edge != [0; 6] {
+        let [open, peak, reaped, timeouts, resets, slow] = edge;
         let _ = writeln!(
             out,
-            "edge: {} connection(s) open, queue depth peak {}; {} reaped, {} timeout(s), \
-             {} reset(s), {} slow consumer(s)",
-            summary.edge.open_connections,
-            summary.edge.queue_depth_peak,
-            summary.edge.reaped,
-            summary.edge.timeouts,
-            summary.edge.resets,
-            summary.edge.slow_consumers
+            "edge: {open} connection(s) open, queue depth peak {peak}; {reaped} reaped, \
+             {timeouts} timeout(s), {resets} reset(s), {slow} slow consumer(s)"
         );
     }
-    if let Some((stats, recovery)) = persist {
+    if let Some(recovery) = recovery {
         let _ = writeln!(
             out,
             "persist: {} journal append(s) ({} bytes, {} fsync(s)), {} snapshot(s); \
@@ -863,10 +869,9 @@ pub fn cmd_serve(
         }
     };
     // Held across the serve loop so the drain path can flush the
-    // durable store and report its counters after the session moved
-    // into the pool.
-    let store = session.store();
-    let cache = session.cache();
+    // durable store and read the counters after the session moved into
+    // the pool (clones share the cache, the store and the registry).
+    let observer = session.clone();
     let config = parsed.service;
     let serve = |pool: &twca_service::WorkerPool| {
         twca_service::serve_connection(pool, input, output, config.max_frame_bytes)
@@ -903,15 +908,18 @@ pub fn cmd_serve(
     // journal intact (nothing acknowledged is lost), so warn and keep
     // the summary.
     if recovery.is_some() {
-        if let Err(error) = store.flush() {
+        if let Err(error) = observer.store().flush() {
             eprintln!("warning: flush on drain failed: {error}");
         }
     }
     // Everything read before a read or write error has been answered;
     // the error itself still fails the command.
     served?;
-    let persist = recovery.map(|report| (store.persist_stats(), report));
-    Ok(render_serve_summary(&summary, cache.stats(), persist))
+    Ok(render_serve_summary(
+        &summary,
+        &observer.stats_outcome(),
+        recovery.as_ref(),
+    ))
 }
 
 /// `twca loadgen`: drives the TCP server with a deterministic corpus —

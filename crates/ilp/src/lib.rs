@@ -14,8 +14,10 @@
 //! * [`solve_ilp`] — branch-and-bound on the exact LP relaxation;
 //! * [`PackingProblem`] — a dedicated exact solver for the pure packing
 //!   structure produced by TWCA (all-ones objective, 0/1 constraint
-//!   matrix), used as a fast path and cross-checked against the general
-//!   ILP in the benchmark suite.
+//!   matrix). It is the only solver the analysis calls, bounded by a
+//!   search budget (`PackingProblem::DEFAULT_BUDGET` by default); the
+//!   property tests cross-check it against the general ILP and brute
+//!   force.
 //!
 //! # Examples
 //!

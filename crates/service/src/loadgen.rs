@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use twca_api::{
-    AnalysisRequest, AnalysisResponse, Json, LinkSpec, Query, QueryOutcome, SiteSpec, StatsOutcome,
-    Target,
+    AnalysisRequest, AnalysisResponse, Counter, Json, LinkSpec, Query, QueryOutcome, SiteSpec,
+    StatsOutcome, Target,
 };
 
 use crate::retry::RetryPolicy;
@@ -273,17 +273,10 @@ impl LoadgenReport {
             );
         }
         if let Some(stats) = &self.server_stats {
-            let _ = writeln!(
-                out,
-                "server: open connections {} · queue depth peak {} · reaped {} \
-                 · timeouts {} · resets {} · slow consumers {}",
-                stats.open_connections,
-                stats.queue_depth_peak,
-                stats.reaped,
-                stats.timeouts,
-                stats.resets,
-                stats.slow_consumers,
-            );
+            let fields: Vec<String> = server_fields(stats)
+                .map(|(name, value)| format!("{} {value}", name.replace('_', " ")))
+                .collect();
+            let _ = writeln!(out, "server: {}", fields.join(" · "));
         }
         out
     }
@@ -315,24 +308,32 @@ impl LoadgenReport {
         if let Some(stats) = &self.server_stats {
             fields.push((
                 "server_stats".into(),
-                Json::Object(vec![
-                    (
-                        "open_connections".into(),
-                        Json::UInt(stats.open_connections),
-                    ),
-                    (
-                        "queue_depth_peak".into(),
-                        Json::UInt(stats.queue_depth_peak),
-                    ),
-                    ("reaped".into(), Json::UInt(stats.reaped)),
-                    ("timeouts".into(), Json::UInt(stats.timeouts)),
-                    ("resets".into(), Json::UInt(stats.resets)),
-                    ("slow_consumers".into(), Json::UInt(stats.slow_consumers)),
-                ]),
+                Json::Object(
+                    server_fields(stats)
+                        .map(|(name, value)| (name.into(), Json::UInt(value)))
+                        .collect(),
+                ),
             ));
         }
         Json::Object(fields)
     }
+}
+
+/// The server's edge counters a report shows, in report order.
+const SERVER_COUNTERS: [Counter; 6] = [
+    Counter::OpenConnections,
+    Counter::QueueDepthPeak,
+    Counter::Reaped,
+    Counter::Timeouts,
+    Counter::Resets,
+    Counter::SlowConsumers,
+];
+
+/// `(wire name, value)` of every [`SERVER_COUNTERS`] entry.
+fn server_fields(stats: &StatsOutcome) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    SERVER_COUNTERS
+        .iter()
+        .filter_map(|&counter| Some((counter.wire_name()?, stats.counter(counter)?)))
 }
 
 #[derive(Default)]

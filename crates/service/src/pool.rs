@@ -14,14 +14,13 @@
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use twca_api::{
-    respond_line_with, AnalysisResponse, ApiError, CancelToken, EdgeCounters, Json,
-    ServiceCounters, Session,
+    respond_line_with, AnalysisResponse, ApiError, CancelToken, Counter, Json, Metrics, Session,
 };
 
 /// Deployment knobs of a service front end.
@@ -98,7 +97,7 @@ pub struct Connection {
     dead: Arc<AtomicBool>,
     retired: Condvar,
     lane: Option<Arc<LaneShared>>,
-    counters: Option<Arc<ServiceCounters>>,
+    metrics: Option<Arc<Metrics>>,
     write_budget: usize,
     closer: Option<std::net::TcpStream>,
 }
@@ -157,7 +156,7 @@ impl Connection {
             dead: Arc::new(AtomicBool::new(false)),
             retired: Condvar::new(),
             lane: None,
-            counters: None,
+            metrics: None,
             write_budget: 0,
             closer: None,
         })
@@ -165,15 +164,15 @@ impl Connection {
 
     /// Wraps the write half of a connection behind a dedicated writer
     /// thread and a bounded outbound buffer (`write_budget` bytes;
-    /// `0` = unbounded). `counters` receives queue-depth observations
-    /// and the slow-consumer/timeout tallies; `closer`, when given,
+    /// `0` = unbounded). `metrics` receives queue-depth observations
+    /// and the slow-consumer, timeout and reset tallies; `closer`, when given,
     /// is shut down as soon as the lane dies so a blocked reader
     /// wakes up promptly.
     #[must_use]
     pub fn buffered(
         writer: Box<dyn Write + Send>,
         write_budget: usize,
-        counters: Option<Arc<ServiceCounters>>,
+        metrics: Arc<Metrics>,
         closer: Option<std::net::TcpStream>,
     ) -> Arc<Connection> {
         let lane = Arc::new(LaneShared {
@@ -190,7 +189,7 @@ impl Connection {
         {
             let lane = Arc::clone(&lane);
             let dead = Arc::clone(&dead);
-            let counters = counters.clone();
+            let metrics = Arc::clone(&metrics);
             let closer = closer.as_ref().and_then(|s| s.try_clone().ok());
             let mut writer = writer;
             std::thread::spawn(move || {
@@ -202,19 +201,17 @@ impl Connection {
                         if !dead.load(Ordering::Relaxed) {
                             let wrote = writeln!(writer, "{line}").and_then(|()| writer.flush());
                             if let Err(e) = wrote {
-                                if let Some(counters) = &counters {
-                                    match e.kind() {
-                                        std::io::ErrorKind::TimedOut
-                                        | std::io::ErrorKind::WouldBlock => {
-                                            counters.record_read_timeout();
-                                        }
-                                        std::io::ErrorKind::ConnectionReset
-                                        | std::io::ErrorKind::ConnectionAborted
-                                        | std::io::ErrorKind::BrokenPipe => {
-                                            counters.record_reset();
-                                        }
-                                        _ => {}
+                                match e.kind() {
+                                    std::io::ErrorKind::TimedOut
+                                    | std::io::ErrorKind::WouldBlock => {
+                                        metrics.add(Counter::Timeouts, 1);
                                     }
+                                    std::io::ErrorKind::ConnectionReset
+                                    | std::io::ErrorKind::ConnectionAborted
+                                    | std::io::ErrorKind::BrokenPipe => {
+                                        metrics.add(Counter::Resets, 1);
+                                    }
+                                    _ => {}
                                 }
                                 dead.store(true, Ordering::Relaxed);
                                 if let Some(closer) = &closer {
@@ -248,7 +245,7 @@ impl Connection {
             dead,
             retired: Condvar::new(),
             lane: Some(lane),
-            counters,
+            metrics: Some(metrics),
             write_budget,
             closer,
         })
@@ -327,12 +324,10 @@ impl Connection {
                 (depth, overflow)
             };
             drop(out);
-            if let Some(counters) = &self.counters {
-                counters.note_queue_depth(depth);
-            }
-            if overflow && self.kill() {
-                if let Some(counters) = &self.counters {
-                    counters.record_slow_consumer();
+            if let Some(metrics) = &self.metrics {
+                metrics.peak(Counter::QueueDepthPeak, depth);
+                if overflow && self.kill() {
+                    metrics.add(Counter::SlowConsumers, 1);
                 }
             }
             lane.work.notify_one();
@@ -405,7 +400,6 @@ struct PoolState {
 struct PoolShared {
     state: Mutex<PoolState>,
     ready: Condvar,
-    errors: AtomicU64,
     capacity: usize,
 }
 
@@ -575,9 +569,6 @@ pub struct ServeSummary {
     /// Analysis time of every request a worker ran, from its pickup
     /// to its answer (queue wait excluded).
     pub latency: LatencyStats,
-    /// Connection-edge counters; all-zero when no connection edge saw
-    /// an event (e.g. a stdio-only server).
-    pub edge: EdgeCounters,
 }
 
 /// How a worker turns a request line into a response. Injectable so
@@ -589,7 +580,7 @@ pub(crate) type Executor =
 /// The sharded multi-worker request engine; see the module docs.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    counters: Arc<ServiceCounters>,
+    metrics: Arc<Metrics>,
     deadline: Option<Duration>,
     watchdog: Watchdog,
     workers: Mutex<Vec<JoinHandle<LatencyStats>>>,
@@ -607,8 +598,8 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `config.workers` threads, each owning a clone of
-    /// `session` (the clones share one cache and one set of service
-    /// counters).
+    /// `session` (the clones share one cache and one counter registry,
+    /// which the pool records into).
     #[must_use]
     pub fn new(session: Session, config: &ServiceConfig) -> WorkerPool {
         let executor: Executor = Arc::new(
@@ -626,22 +617,20 @@ impl WorkerPool {
         config: &ServiceConfig,
         executor: &Executor,
     ) -> WorkerPool {
-        let counters = Arc::new(ServiceCounters::new());
-        let session = session.with_service_counters(Arc::clone(&counters));
+        let metrics = session.metrics();
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 jobs: VecDeque::new(),
                 closed: false,
             }),
             ready: Condvar::new(),
-            errors: AtomicU64::new(0),
             capacity: config.queue_capacity.max(1),
         });
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
+        let workers = vec![session; config.workers.max(1)]
+            .into_iter()
+            .map(|session| {
                 let shared = Arc::clone(&shared);
-                let counters = Arc::clone(&counters);
-                let session = session.clone();
+                let metrics = Arc::clone(&metrics);
                 let executor = Arc::clone(executor);
                 // The outer loop is the respawn: should a panic ever
                 // escape the per-job catch (e.g. while delivering),
@@ -650,14 +639,14 @@ impl WorkerPool {
                     let mut latency = LatencyStats::default();
                     loop {
                         let run = catch_unwind(AssertUnwindSafe(|| {
-                            worker_loop(&shared, &counters, &session, &executor)
+                            worker_loop(&shared, &metrics, &session, &executor)
                         }));
                         match run {
                             Ok(stats) => {
                                 latency.merge(&stats);
                                 return latency;
                             }
-                            Err(_) => counters.record_panic(),
+                            Err(_) => metrics.add(Counter::Panics, 1),
                         }
                     }
                 })
@@ -665,7 +654,7 @@ impl WorkerPool {
             .collect();
         WorkerPool {
             shared,
-            counters,
+            metrics,
             deadline: config.deadline,
             watchdog: match config.deadline {
                 Some(_) => Watchdog::start(),
@@ -676,9 +665,9 @@ impl WorkerPool {
         }
     }
 
-    /// The pool's shared observability counters.
-    pub fn counters(&self) -> Arc<ServiceCounters> {
-        Arc::clone(&self.counters)
+    /// The counter registry the pool records into: its session's.
+    pub fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.metrics)
     }
 
     /// The admission queue's capacity (`queue_capacity`, at least 1).
@@ -694,7 +683,7 @@ impl WorkerPool {
         {
             let mut state = lock(&self.shared.state);
             if !state.closed && state.jobs.len() < self.shared.capacity {
-                self.counters.record_admitted();
+                self.metrics.add(Counter::InFlight, 1);
                 let cancel = CancelToken::new();
                 if let Some(deadline) = self.deadline {
                     self.watchdog
@@ -723,8 +712,8 @@ impl WorkerPool {
     }
 
     fn reject(&self, conn: &Arc<Connection>, seq: u64, line: &str, error: ApiError) {
-        self.counters.record_rejected();
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::Rejected, 1);
+        self.metrics.add(Counter::Errors, 1);
         conn.deliver(
             seq,
             AnalysisResponse::error(request_id(line), error)
@@ -737,9 +726,8 @@ impl WorkerPool {
     /// queueing (used for oversized frames the reader already
     /// discarded). Counts as one served, errored request.
     pub fn respond_local_error(&self, conn: &Arc<Connection>, seq: u64, error: ApiError) {
-        self.counters.record_admitted();
-        self.counters.record_served();
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::Served, 1);
+        self.metrics.add(Counter::Errors, 1);
         conn.deliver(
             seq,
             AnalysisResponse::error(None, error).to_json().to_string(),
@@ -763,12 +751,11 @@ impl WorkerPool {
             }
         }
         self.watchdog.stop();
-        let (served, rejected, _, _) = self.counters.snapshot();
+        let count = |counter| self.metrics.get(counter) as usize;
         let summary = ServeSummary {
-            requests: (served + rejected) as usize,
-            errors: self.shared.errors.load(Ordering::Relaxed) as usize,
+            requests: count(Counter::Served) + count(Counter::Rejected),
+            errors: count(Counter::Errors),
             latency,
-            edge: self.counters.edge(),
         };
         *slot = Some(summary);
         summary
@@ -783,7 +770,7 @@ impl Drop for WorkerPool {
 
 fn worker_loop(
     shared: &PoolShared,
-    counters: &ServiceCounters,
+    metrics: &Metrics,
     session: &Session,
     executor: &Executor,
 ) -> LatencyStats {
@@ -814,7 +801,7 @@ fn worker_loop(
         let response = match run {
             Ok(response) => response,
             Err(payload) => {
-                counters.record_panic();
+                metrics.add(Counter::Panics, 1);
                 AnalysisResponse::error(
                     request_id(&job.line),
                     ApiError::internal(panic_detail(&*payload)),
@@ -822,9 +809,10 @@ fn worker_loop(
             }
         };
         if response.outcome.is_err() {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
+            metrics.add(Counter::Errors, 1);
         }
-        counters.record_served();
+        metrics.add(Counter::Served, 1);
+        metrics.sub(Counter::InFlight, 1);
         latency.record(started.elapsed());
         job.conn.deliver(job.seq, response.to_json().to_string());
     }
@@ -983,14 +971,10 @@ pub(crate) mod tests {
         pool.submit(&conn, 0, request_line("ok-before"));
         pool.submit(&conn, 1, request_line("boom"));
         pool.submit(&conn, 2, request_line("ok-after"));
-        let (_, _, _, panics) = {
-            let counters = pool.counters();
-            let summary = pool.shutdown();
-            assert_eq!(summary.requests, 3, "the panicked request still counts");
-            assert_eq!(summary.errors, 1);
-            counters.snapshot()
-        };
-        assert_eq!(panics, 1);
+        let summary = pool.shutdown();
+        assert_eq!(summary.requests, 3, "the panicked request still counts");
+        assert_eq!(summary.errors, 1);
+        assert_eq!(pool.metrics().get(Counter::Panics), 1);
         let responses: Vec<AnalysisResponse> = sink
             .text()
             .lines()

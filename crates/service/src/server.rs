@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use twca_api::{ApiError, Session};
+use twca_api::{ApiError, Counter, Session};
 
 use crate::frame::{Frame, FrameReader, FrameStep};
 use crate::pool::{Connection, ServeSummary, ServiceConfig, WorkerPool};
@@ -85,7 +85,7 @@ pub fn serve_lane(
     conn: &Arc<Connection>,
     opts: &LaneOptions,
 ) -> LaneEnd {
-    let counters = pool.counters();
+    let metrics = pool.metrics();
     let window = pool.queue_capacity() as u64;
     let mut reader = FrameReader::new(input, opts.max_frame_bytes);
     let mut seq = 0u64;
@@ -107,7 +107,7 @@ pub fn serve_lane(
                 // path).
                 last_byte = Instant::now();
                 if reap_check(last_frame) {
-                    counters.record_reaped();
+                    metrics.add(Counter::Reaped, 1);
                     break LaneEnd::Reaped;
                 }
             }
@@ -152,11 +152,11 @@ pub fn serve_lane(
                     .read_timeout
                     .is_some_and(|rt| last_byte.elapsed() >= rt)
                 {
-                    counters.record_read_timeout();
+                    metrics.add(Counter::Timeouts, 1);
                     break LaneEnd::TimedOut;
                 }
                 if reap_check(last_frame) {
-                    counters.record_reaped();
+                    metrics.add(Counter::Reaped, 1);
                     break LaneEnd::Reaped;
                 }
             }
@@ -168,7 +168,7 @@ pub fn serve_lane(
                         | ErrorKind::BrokenPipe
                 ) =>
             {
-                counters.record_reset();
+                metrics.add(Counter::Resets, 1);
                 break LaneEnd::Reset;
             }
             Err(e) => break LaneEnd::ReadError(e),
@@ -280,15 +280,15 @@ impl TcpServer {
                             let pool = Arc::clone(&pool);
                             let lane_opts = lane_opts.clone();
                             let handle = std::thread::spawn(move || {
-                                let counters = pool.counters();
-                                counters.record_conn_opened();
+                                let metrics = pool.metrics();
+                                metrics.add(Counter::OpenConnections, 1);
                                 if let (Ok(writer), Ok(closer), Ok(killer)) =
                                     (stream.try_clone(), stream.try_clone(), stream.try_clone())
                                 {
                                     let conn = Connection::buffered(
                                         Box::new(writer),
                                         write_buffer_bytes,
-                                        Some(Arc::clone(&counters)),
+                                        Arc::clone(&metrics),
                                         Some(killer),
                                     );
                                     let end = serve_lane(
@@ -310,7 +310,7 @@ impl TcpServer {
                                     };
                                     let _ = closer.shutdown(how);
                                 }
-                                counters.record_conn_closed();
+                                metrics.sub(Counter::OpenConnections, 1);
                             });
                             readers
                                 .lock()
@@ -472,7 +472,11 @@ mod tests {
         serve_connection(&pool, input.as_bytes(), Box::new(sink.clone()), 1 << 20).unwrap();
         let summary = pool.shutdown();
         assert_eq!((summary.requests, summary.errors), (40, 0));
-        assert_eq!(pool.counters().snapshot().1, 0, "nothing was rejected");
+        assert_eq!(
+            pool.metrics().get(Counter::Rejected),
+            0,
+            "nothing was rejected"
+        );
         assert_eq!(sink.text().lines().count(), 40);
     }
 
@@ -515,7 +519,7 @@ mod tests {
             let a = scope.spawn(|| lane("hold", &sinks[0]));
             entered.recv().unwrap();
             let b = scope.spawn(|| lane("b", &sinks[1]));
-            while pool.counters().snapshot().2 < 2 {
+            while pool.metrics().get(Counter::InFlight) < 2 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             lane("c", &sinks[2]);
@@ -599,8 +603,7 @@ mod tests {
         );
         let stalled = Stalled::default();
         // A byte budget of a few answers, well above the window's two.
-        let conn =
-            Connection::buffered(Box::new(stalled.clone()), 1024, Some(pool.counters()), None);
+        let conn = Connection::buffered(Box::new(stalled.clone()), 1024, pool.metrics(), None);
         let input = request_lines("c", 40);
         let (cut_off, end) = std::thread::scope(|scope| {
             let lane = scope.spawn(|| {
@@ -625,7 +628,7 @@ mod tests {
         });
         assert!(cut_off, "the lane waited on a stalled writer");
         assert!(matches!(end, LaneEnd::ClientGone), "{end:?}");
-        assert_eq!(pool.counters().edge().slow_consumers, 1);
+        assert_eq!(pool.metrics().get(Counter::SlowConsumers), 1);
     }
 
     #[test]

@@ -772,6 +772,8 @@ fn chaos_input(body: &ScenarioBody) -> String {
 struct ChaosRun {
     output: String,
     summary: twca_service::ServeSummary,
+    /// The session's `stats` snapshot, read after the drain.
+    stats: twca_api::StatsOutcome,
     end: twca_service::LaneEnd,
     read_resets: u64,
     read_corrupted: u64,
@@ -800,6 +802,7 @@ fn run_chaos_schedule(
         .with_max_sweeps(opts.max_sweeps)
         .with_store(Arc::clone(&store));
     let max_frame_bytes = (input.len() + 1024).max(4096);
+    let observer = session.clone();
     let pool = WorkerPool::new(
         session,
         &ServiceConfig {
@@ -837,6 +840,7 @@ fn run_chaos_schedule(
     ChaosRun {
         output,
         summary,
+        stats: observer.stats_outcome(),
         end,
         read_resets: read_tally.resets(),
         read_corrupted: read_tally.corrupted(),
@@ -955,21 +959,43 @@ fn check_chaos_run(run: &ChaosRun, label: &str, violations: &mut Vec<Violation>)
             ),
         });
     }
-    if run.summary.edge.resets != u64::from(reset_end) {
+    if run.stats.resets != u64::from(reset_end) {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
             detail: format!(
                 "{label}: edge counters claim {} reset(s) for a lane that ended {:?}",
-                run.summary.edge.resets, run.end
+                run.stats.resets, run.end
             ),
         });
     }
-    if run.summary.edge.reaped != 0 || run.summary.edge.timeouts != 0 {
+    if run.stats.reaped != 0 || run.stats.timeouts != 0 {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
             detail: format!(
                 "{label}: reap/timeout counters moved with no timeouts armed: {:?}",
-                run.summary.edge
+                run.stats
+            ),
+        });
+    }
+
+    // Registry invariants after the drain: nothing is left in flight,
+    // and the snapshot still counts exactly the requests the drain
+    // summarized as served or rejected (nothing moved after it).
+    if run.stats.in_flight != 0 {
+        violations.push(Violation {
+            oracle: OracleKind::ChaosLiveness,
+            detail: format!(
+                "{label}: {} request(s) still in flight after the drain",
+                run.stats.in_flight
+            ),
+        });
+    }
+    if run.stats.served + run.stats.rejected != run.summary.requests as u64 {
+        violations.push(Violation {
+            oracle: OracleKind::ChaosLiveness,
+            detail: format!(
+                "{label}: {} served + {} rejected for {} request(s)",
+                run.stats.served, run.stats.rejected, run.summary.requests
             ),
         });
     }
