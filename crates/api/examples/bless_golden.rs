@@ -134,16 +134,18 @@ fn main() {
     )
     .unwrap();
 
-    // Replay the recorded request stream through a fresh session.
-    let requests = fs::read_to_string(dir.join("stream_v1_requests.jsonl"))
-        .expect("stream_v1_requests.jsonl exists");
-    let session = Session::new();
-    let responses: String = requests
-        .lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| format!("{}\n", respond_line(&session, line).to_json()))
-        .collect();
-    fs::write(dir.join("stream_v1_responses.jsonl"), responses).unwrap();
+    // Replay each recorded request stream through a fresh session.
+    for stream in ["stream_v1", "all_kinds_v1"] {
+        let requests = fs::read_to_string(dir.join(format!("{stream}_requests.jsonl")))
+            .unwrap_or_else(|e| panic!("{stream}_requests.jsonl: {e}"));
+        let session = Session::new();
+        let responses: String = requests
+            .lines()
+            .filter(|line| !line.trim().is_empty())
+            .map(|line| format!("{}\n", respond_line(&session, line).to_json()))
+            .collect();
+        fs::write(dir.join(format!("{stream}_responses.jsonl")), responses).unwrap();
+    }
 
     println!("re-recorded golden fixtures in {}", dir.display());
 }

@@ -8,7 +8,7 @@
 use twca_api::{
     respond_line, AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ChainOutcome,
     DmmOutcome, DmmPoint, Json, LatencyOutcome, Query, QueryOutcome, RequestOptions, Session,
-    SiteSpec, SystemOutcome, Target, WitnessOutcome,
+    SiteSpec, StorePutOutcome, SystemOutcome, Target, WitnessOutcome,
 };
 
 fn fixture(name: &str) -> String {
@@ -161,6 +161,67 @@ fn served_stream_v1_is_stable() {
         expected,
         "served bytes drifted from the recorded schema-v1 stream"
     );
+}
+
+/// Every outcome kind the goldens above leave out, and every optional
+/// field in both of its states: weakly-hard verdicts, sensitivity with
+/// and without a bound, fresh and deduped store puts, store analyses of
+/// a uniprocessor and a distributed entry, a small simulation, `dmm`
+/// and `full` rows that carry `error`, and divergent (`null`) latencies.
+#[test]
+fn all_outcome_kinds_v1_are_stable() {
+    let input = fixture("all_kinds_v1_requests.jsonl");
+    let expected = fixture("all_kinds_v1_responses.jsonl");
+    let actual = replay(&input);
+    assert_eq!(
+        actual, expected,
+        "served bytes drifted from the recorded all-kinds stream"
+    );
+    for line in expected.lines() {
+        let parsed = Json::parse(line).unwrap();
+        let response = AnalysisResponse::from_json(&parsed).unwrap();
+        assert_eq!(response.to_json().to_string(), line, "decode lost a field");
+    }
+}
+
+/// Bodies recorded before a field existed still decode: a `store_put`
+/// receipt without `deduped` reads `false`, and a `stats` body without
+/// the six edge counters reads them as zero.
+#[test]
+fn older_response_bodies_decode_with_their_defaults() {
+    let put = Json::parse(
+        r#"{"v": 1, "ok": [{"store_put": {"name": "g", "version": 2, "resources_changed": 1, "chains_changed": 1, "tasks_changed": 3}}]}"#,
+    )
+    .unwrap();
+    let Ok(outcomes) = AnalysisResponse::from_json(&put).unwrap().outcome else {
+        panic!("a store_put body decodes");
+    };
+    assert_eq!(
+        outcomes,
+        vec![QueryOutcome::StorePut(StorePutOutcome {
+            name: "g".into(),
+            version: 2,
+            resources_changed: 1,
+            chains_changed: 1,
+            tasks_changed: 3,
+            deduped: false,
+        })]
+    );
+
+    let stats = Json::parse(
+        r#"{"v": 1, "ok": [{"stats": {"cache_hits": 1, "cache_misses": 2, "cache_entries": 3, "evictions": 4, "resident_entries": 5, "resident_bytes_est": 6, "served": 7, "rejected": 8, "in_flight": 9, "panics": 10, "journal_appends": 11, "journal_bytes": 12, "journal_syncs": 13, "snapshots_written": 14, "recovered_records": 15, "truncated_bytes": 16}}]}"#,
+    )
+    .unwrap();
+    let Ok(outcomes) = AnalysisResponse::from_json(&stats).unwrap().outcome else {
+        panic!("a stats body decodes");
+    };
+    let [QueryOutcome::Stats(stats)] = outcomes.as_slice() else {
+        panic!("one stats outcome, got {outcomes:?}");
+    };
+    let values: Vec<u64> = stats.fields().map(|(_, value)| value).collect();
+    let mut expected: Vec<u64> = (1..=16).collect();
+    expected.extend([0; 6]);
+    assert_eq!(values, expected);
 }
 
 /// Options the schema does not define are rejected by name, whatever
