@@ -135,7 +135,7 @@ fn main() {
     .unwrap();
 
     // Replay each recorded request stream through a fresh session.
-    for stream in ["stream_v1", "all_kinds_v1"] {
+    for stream in ["stream_v1", "all_kinds_v1", "unknown_options_v1"] {
         let requests = fs::read_to_string(dir.join(format!("{stream}_requests.jsonl")))
             .unwrap_or_else(|e| panic!("{stream}_requests.jsonl: {e}"));
         let session = Session::new();

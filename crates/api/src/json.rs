@@ -71,12 +71,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// `u64` or `null` — the writer-side counterpart of optional
-    /// numeric fields.
-    pub fn opt_u64(value: Option<u64>) -> Json {
-        value.map_or(Json::Null, Json::UInt)
-    }
-
     /// Member lookup on an object; `None` on non-objects and missing
     /// keys.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -124,11 +118,6 @@ impl Json {
             Json::Object(members) => Some(members),
             _ => None,
         }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Parses one JSON document (trailing whitespace allowed, trailing

@@ -815,8 +815,7 @@ impl Default for PersistPolicy {
 }
 
 /// The live persistence half of a durable [`crate::SystemStore`]:
-/// the I/O backend, the policy, the sequence counter, and the
-/// recovery report. The `seq` mutex is the commit lock — durable puts
+/// the I/O backend, the policy and the sequence counter. The `seq` mutex is the commit lock — durable puts
 /// serialize on it so journal order, sequence numbers, and entry
 /// versions always agree.
 #[derive(Debug)]
@@ -824,7 +823,6 @@ pub(crate) struct Persistence {
     pub(crate) io: Arc<dyn StoreIo>,
     pub(crate) policy: PersistPolicy,
     pub(crate) seq: Mutex<PersistSeq>,
-    pub(crate) recovery: RecoveryReport,
 }
 
 #[derive(Debug)]

@@ -1,5 +1,16 @@
 //! The typed response side of the wire schema.
 //!
+//! Every outcome type is defined in one `wire!` block that reads as the
+//! response schema: each field sits beside its wire key, in wire order,
+//! and each [`QueryOutcome`] variant beside its kind tag. The macro
+//! derives both directions from that one declaration through a
+//! crate-private `Wire` trait over the schema's field types (`u64`,
+//! `usize`, `bool`, `String`, `Option<u64>` written as `null`,
+//! `Option<String>` left out when absent, and `Vec<T>`), so an encoder
+//! and its decoder cannot drift apart. Only the [`AnalysisResponse`]
+//! envelope (`v`, `id`, `ok` | `error`) and the [`StatsOutcome`] field
+//! table are written out by hand.
+//!
 //! [`ChainOutcome`] and [`SystemOutcome`] double as the batch records
 //! of [`crate::batch`]: its `ChainVerdict`/`SystemVerdict` are aliases
 //! of these types, and its batch JSON renders each chain through
@@ -15,18 +26,453 @@ use twca_curves::Time;
 use twca_dist::{DistResults, DistributedSystem, SiteId};
 use twca_model::ChainId;
 
-/// One `dmm(k)` point on the wire: the window length, the miss bound,
-/// and whether the bound beats the trivial `k` fallback. The richer
-/// diagnostic fields of [`DmmResult`] (budgets, packing internals) are
-/// deliberately not part of the schema — ask for a witness instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmmPoint {
-    /// The window length `k`.
-    pub k: u64,
-    /// At most `bound` of any `k` consecutive activations miss.
-    pub bound: u64,
-    /// Whether the bound is better than the trivial `k` fallback.
-    pub informative: bool,
+/// A field type of the response schema: how one value is written as a
+/// JSON member and read back.
+pub(crate) trait Wire: Sized {
+    /// The member's value.
+    fn encode(&self) -> Json;
+
+    /// Whether the member is left out of its object (only an absent
+    /// optional string is).
+    fn omitted(&self) -> bool {
+        false
+    }
+
+    /// Reads the value of member `key` back; `value` is `None` when
+    /// the member is absent.
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError>;
+}
+
+/// The decode error of member `key`, which must hold `what`.
+fn mismatch(key: &str, what: &str) -> ApiError {
+    ApiError::request(format!("`{key}` must be {what}"))
+}
+
+impl Wire for u64 {
+    fn encode(&self) -> Json {
+        Json::UInt(*self)
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        value
+            .and_then(Json::as_u64)
+            .ok_or_else(|| mismatch(key, "an integer"))
+    }
+}
+
+impl Wire for usize {
+    fn encode(&self) -> Json {
+        Json::UInt(*self as u64)
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        u64::decode(value, key).map(|v| v as usize)
+    }
+}
+
+impl Wire for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        value
+            .and_then(Json::as_bool)
+            .ok_or_else(|| mismatch(key, "a boolean"))
+    }
+}
+
+impl Wire for String {
+    fn encode(&self) -> Json {
+        Json::str(self)
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        value
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| mismatch(key, "a string"))
+    }
+}
+
+/// An optional number is always written, as `null` when absent.
+impl Wire for Option<u64> {
+    fn encode(&self) -> Json {
+        self.map_or(Json::Null, Json::UInt)
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        nullable(value, key)
+    }
+}
+
+/// An optional string is left out when absent.
+impl Wire for Option<String> {
+    fn encode(&self) -> Json {
+        self.as_deref().map_or(Json::Null, Json::str)
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        nullable(value, key)
+    }
+}
+
+/// Reads an optional member: absent and `null` are both `None`.
+fn nullable<T: Wire>(value: Option<&Json>, key: &str) -> Result<Option<T>, ApiError> {
+    match value {
+        None | Some(Json::Null) => Ok(None),
+        Some(_) => T::decode(value, key).map(Some),
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Array(self.iter().map(Wire::encode).collect())
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        value
+            .and_then(Json::as_array)
+            .ok_or_else(|| mismatch(key, "an array"))?
+            .iter()
+            .map(|item| T::decode(Some(item), key))
+            .collect()
+    }
+}
+
+/// The object behind member `key`.
+fn object<'a>(value: Option<&'a Json>, key: &str) -> Result<&'a Json, ApiError> {
+    value
+        .filter(|v| v.as_object().is_some())
+        .ok_or_else(|| mismatch(key, "an object"))
+}
+
+/// Reads member `key` of `body`. A declaration that gives `absent` (a
+/// field added after older responses were recorded) reads a missing
+/// member as that value; a present member must still have its type.
+fn member<T: Wire>(body: &Json, key: &str, absent: Option<T>) -> Result<T, ApiError> {
+    match (body.get(key), absent) {
+        (None, Some(value)) => Ok(value),
+        (value, _) => T::decode(value, key),
+    }
+}
+
+/// Defines response types and their wire form in one place: each field
+/// or variant carries its wire key, and the [`Wire`] impl derived from
+/// that list is the type's only encoder and decoder.
+///
+/// * A struct is an object whose members are its fields, in field
+///   (wire) order: `pub field: Type => "key"`. `=> "key" or default`
+///   reads a missing member as `default`.
+/// * An enum of one-field variants is a one-member `{"tag": body}`
+///   object: `Variant(Body) => "tag"`.
+macro_rules! wire {
+    () => {};
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$doc:meta])* pub $field:ident: $fty:ty => $key:literal $(or $absent:expr)?,)+
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$doc])* pub $field: $fty,)+
+        }
+
+        impl Wire for $ty {
+            fn encode(&self) -> Json {
+                let mut members = Vec::with_capacity([$($key),+].len());
+                $(if !self.$field.omitted() {
+                    members.push(($key.into(), self.$field.encode()));
+                })+
+                Json::Object(members)
+            }
+
+            fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+                let body = object(value, key)?;
+                Ok($ty {
+                    $($field: member(body, $key, None $(.or(Some($absent)))?)?,)+
+                })
+            }
+        }
+
+        wire!($($rest)*);
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $variant:ident($body:ty) => $tag:literal,)+
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $($(#[$doc])* $variant($body),)+
+        }
+
+        impl Wire for $ty {
+            fn encode(&self) -> Json {
+                let (tag, body) = match self {
+                    $($ty::$variant(body) => ($tag, body.encode()),)+
+                };
+                Json::Object(vec![(tag.into(), body)])
+            }
+
+            fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+                let Some([(tag, body)]) = value.and_then(Json::as_object) else {
+                    return Err(mismatch(key, "a one-member `{\"kind\": ...}` object"));
+                };
+                match tag.as_str() {
+                    $($tag => Ok($ty::$variant(Wire::decode(Some(body), $tag)?)),)+
+                    other => Err(ApiError::request(format!("unknown outcome kind `{other}`"))),
+                }
+            }
+        }
+
+        wire!($($rest)*);
+    };
+}
+
+wire! {
+    /// One `dmm(k)` point on the wire: the window length, the miss bound,
+    /// and whether the bound beats the trivial `k` fallback. The richer
+    /// diagnostic fields of [`DmmResult`] (budgets, packing internals) are
+    /// deliberately not part of the schema — ask for a witness instead.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DmmPoint {
+        /// The window length `k`.
+        pub k: u64 => "k",
+        /// At most `bound` of any `k` consecutive activations miss.
+        pub bound: u64 => "bound",
+        /// Whether the bound is better than the trivial `k` fallback.
+        pub informative: bool => "informative",
+    }
+
+    /// The analysis outcome of one chain (uniprocessor) or one site
+    /// (distributed) under the full batch pipeline.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ChainOutcome {
+        /// Chain name (`resource/chain` for distributed sites).
+        pub name: String => "name",
+        /// Whether the chain is a rare overload source.
+        pub overload: bool => "overload",
+        /// Declared end-to-end deadline.
+        pub deadline: Option<Time> => "deadline",
+        /// Worst-case latency with overload included (Theorem 2); `None`
+        /// when the busy window diverges.
+        pub worst_case_latency: Option<Time> => "wcl",
+        /// Worst-case latency of the typical (overload-free) system.
+        pub typical_latency: Option<Time> => "typical_wcl",
+        /// Miss models at the requested window lengths, in request order;
+        /// empty for chains without a deadline.
+        pub miss_models: Vec<DmmPoint> => "dmm",
+        /// Analysis error, if the miss-model preparation failed.
+        pub error: Option<String> => "error",
+    }
+
+    /// The analysis outcome of one system under the full batch pipeline.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SystemOutcome {
+        /// Position of the system in its batch (0 for single-system
+        /// requests).
+        pub index: usize => "index",
+        /// Per-chain outcomes, in chain order.
+        pub chains: Vec<ChainOutcome> => "chains",
+    }
+
+    /// One latency row of a [`QueryOutcome::Latency`] answer.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LatencyOutcome {
+        /// Chain or site name.
+        pub name: String => "name",
+        /// Whether the chain is an overload source.
+        pub overload: bool => "overload",
+        /// Declared deadline.
+        pub deadline: Option<Time> => "deadline",
+        /// Worst-case latency; `None` when divergent.
+        pub worst_case_latency: Option<Time> => "wcl",
+        /// Typical-system latency; `None` when divergent or not computed
+        /// (distributed sites).
+        pub typical_latency: Option<Time> => "typical_wcl",
+    }
+
+    /// One miss-model row of a [`QueryOutcome::Dmm`] answer.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmmOutcome {
+        /// Chain or site name.
+        pub name: String => "name",
+        /// `dmm(k)` points in request order.
+        pub points: Vec<DmmPoint> => "points",
+        /// Per-chain analysis error, if the sweep failed.
+        pub error: Option<String> => "error",
+    }
+
+    /// One verdict row of a [`QueryOutcome::WeaklyHard`] answer.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MkOutcome {
+        /// Chain or site name.
+        pub name: String => "name",
+        /// Tolerated misses.
+        pub m: u64 => "m",
+        /// Window length.
+        pub k: u64 => "k",
+        /// Whether `dmm(k) ≤ m` is proven.
+        pub satisfied: bool => "satisfied",
+    }
+
+    /// The answer to a [`QueryOutcome::Witness`] query.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WitnessOutcome {
+        /// Chain or site name.
+        pub name: String => "name",
+        /// Window length.
+        pub k: u64 => "k",
+        /// The witnessed (or computed) miss bound.
+        pub bound: u64 => "bound",
+        /// Whether a non-trivial packing witness exists; when `false`,
+        /// `text` carries the plain bound.
+        pub has_witness: bool => "has_witness",
+        /// Human-readable derivation.
+        pub text: String => "text",
+    }
+
+    /// The answer to a [`QueryOutcome::Sensitivity`] query.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SensitivityOutcome {
+        /// Chain or site name.
+        pub name: String => "name",
+        /// Tolerated misses.
+        pub m: u64 => "m",
+        /// Window length.
+        pub k: u64 => "k",
+        /// Largest admissible overload percentage; `None` when even 0%
+        /// violates the constraint.
+        pub max_percent: Option<u64> => "max_percent",
+    }
+
+    /// The answer to a [`QueryOutcome::Path`] query.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PathOutcome {
+        /// The hops, as `resource/chain` names.
+        pub hops: Vec<String> => "hops",
+        /// End-to-end latency bound.
+        pub latency: Option<Time> => "latency",
+        /// Composite deadline `Σ D_i`.
+        pub composite_deadline: Option<Time> => "composite_deadline",
+        /// End-to-end miss-model points.
+        pub points: Vec<DmmPoint> => "points",
+    }
+
+    /// One empirical miss-rate row of a [`QueryOutcome::Simulate`] answer.
+    ///
+    /// All rates are carried as parts-per-million integers so the wire
+    /// schema stays `Eq`-comparable and bit-exact across platforms.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SimChainOutcome {
+        /// Chain name.
+        pub name: String => "name",
+        /// Completed instances across all runs.
+        pub instances: u64 => "instances",
+        /// Deadline misses across all runs.
+        pub misses: u64 => "misses",
+        /// Empirical miss rate in parts per million.
+        pub miss_rate_ppm: u64 => "miss_rate_ppm",
+        /// Lower end of the 95% Wilson confidence interval, in ppm.
+        pub ci_low_ppm: u64 => "ci_low_ppm",
+        /// Upper end of the 95% Wilson confidence interval, in ppm.
+        pub ci_high_ppm: u64 => "ci_high_ppm",
+        /// Largest observed latency; `None` when nothing completed.
+        pub max_latency: Option<Time> => "max_latency",
+    }
+
+    /// The answer to a [`QueryOutcome::Simulate`] query.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SimulateOutcome {
+        /// Number of simulation runs pooled into the report.
+        pub runs: u64 => "runs",
+        /// Horizon of each run, in time units.
+        pub horizon: u64 => "horizon",
+        /// Base RNG seed the report is deterministic in.
+        pub seed: u64 => "seed",
+        /// Per-chain empirical rows, one per selected deadline chain.
+        pub chains: Vec<SimChainOutcome> => "chains",
+    }
+
+    /// The answer to a [`crate::Query::StorePut`]: the version now current
+    /// under the name and the diff against the previous version.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StorePutOutcome {
+        /// The entry name.
+        pub name: String => "name",
+        /// The version just stored (1 for a first put).
+        pub version: u64 => "version",
+        /// Resources with any changed chain or moved incident link.
+        pub resources_changed: u64 => "resources_changed",
+        /// Chains added, removed, or edited.
+        pub chains_changed: u64 => "chains_changed",
+        /// Tasks added, removed, or edited.
+        pub tasks_changed: u64 => "tasks_changed",
+        /// Whether the put was answered from the store's dedup ledger
+        /// instead of being applied again: the request carried a `dedup`
+        /// id that had already been acknowledged, so this receipt repeats
+        /// the original one (at-most-once apply). Receipts recorded
+        /// before the dedup ledger existed carry no `deduped`.
+        pub deduped: bool => "deduped" or false,
+    }
+
+    /// The answer to a [`crate::Query::StoreAnalyze`]: per-chain bounds of
+    /// the stored system's current version plus the delta-re-analysis
+    /// accounting (how many per-resource rows were recomputed vs. answered
+    /// from the entry's warm memo).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StoreAnalyzeOutcome {
+        /// The entry name.
+        pub name: String => "name",
+        /// The analyzed version.
+        pub version: u64 => "version",
+        /// Per-resource holistic rows recomputed by this analysis
+        /// (0 for uniprocessor entries, which memoize at a finer grain in
+        /// the session cache).
+        pub rows_analyzed: u64 => "rows_analyzed",
+        /// Per-resource holistic rows answered from the entry's warm memo.
+        pub memo_hits: u64 => "memo_hits",
+        /// Latency rows, one per chain/site.
+        pub latency: Vec<LatencyOutcome> => "latency",
+        /// Miss-model rows, one per deadline chain/site.
+        pub dmm: Vec<DmmOutcome> => "dmm",
+    }
+
+    /// One answered query, mirroring [`crate::Query`] case by case.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum QueryOutcome {
+        /// Latency rows, one per selected chain/site.
+        Latency(Vec<LatencyOutcome>) => "latency",
+        /// Miss-model rows, one per selected deadline chain/site.
+        Dmm(Vec<DmmOutcome>) => "dmm",
+        /// A packing witness.
+        Witness(WitnessOutcome) => "witness",
+        /// Weakly-hard verdicts, one per selected deadline chain/site.
+        WeaklyHard(Vec<MkOutcome>) => "weakly_hard",
+        /// An overload sensitivity bound.
+        Sensitivity(SensitivityOutcome) => "sensitivity",
+        /// End-to-end path bounds.
+        Path(PathOutcome) => "path",
+        /// The full batch pipeline outcome.
+        Full(SystemOutcome) => "full",
+        /// Cache statistics and service counters.
+        Stats(StatsOutcome) => "stats",
+        /// A store-put receipt.
+        StorePut(StorePutOutcome) => "store_put",
+        /// A delta re-analysis of a stored system.
+        StoreAnalyze(StoreAnalyzeOutcome) => "store_analyze",
+        /// Empirical Monte Carlo miss rates.
+        Simulate(SimulateOutcome) => "simulate",
+    }
 }
 
 impl From<&DmmResult> for DmmPoint {
@@ -39,28 +485,6 @@ impl From<&DmmResult> for DmmPoint {
     }
 }
 
-/// The analysis outcome of one chain (uniprocessor) or one site
-/// (distributed) under the full batch pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainOutcome {
-    /// Chain name (`resource/chain` for distributed sites).
-    pub name: String,
-    /// Declared end-to-end deadline.
-    pub deadline: Option<Time>,
-    /// Whether the chain is a rare overload source.
-    pub overload: bool,
-    /// Worst-case latency with overload included (Theorem 2); `None`
-    /// when the busy window diverges.
-    pub worst_case_latency: Option<Time>,
-    /// Worst-case latency of the typical (overload-free) system.
-    pub typical_latency: Option<Time>,
-    /// Miss models at the requested window lengths, in request order;
-    /// empty for chains without a deadline.
-    pub miss_models: Vec<DmmPoint>,
-    /// Analysis error, if the miss-model preparation failed.
-    pub error: Option<String>,
-}
-
 impl ChainOutcome {
     /// Whether the chain provably never misses its deadline.
     pub fn schedulable(&self) -> Option<bool> {
@@ -70,21 +494,7 @@ impl ChainOutcome {
     /// Serializes the outcome as its wire object (also the engine's
     /// per-chain batch JSON).
     pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("name".into(), Json::str(&self.name)),
-            ("overload".into(), Json::Bool(self.overload)),
-            ("deadline".into(), Json::opt_u64(self.deadline)),
-            ("wcl".into(), Json::opt_u64(self.worst_case_latency)),
-            ("typical_wcl".into(), Json::opt_u64(self.typical_latency)),
-            (
-                "dmm".into(),
-                Json::Array(self.miss_models.iter().map(dmm_point_to_json).collect()),
-            ),
-        ];
-        if let Some(error) = &self.error {
-            members.push(("error".into(), Json::str(error)));
-        }
-        Json::Object(members)
+        self.encode()
     }
 
     /// Parses the wire object back.
@@ -93,32 +503,8 @@ impl ChainOutcome {
     ///
     /// [`ApiError`] for structural problems.
     pub fn from_json(value: &Json) -> Result<ChainOutcome, ApiError> {
-        Ok(ChainOutcome {
-            name: str_field(value, "name")?,
-            overload: bool_field(value, "overload")?,
-            deadline: opt_u64_field(value, "deadline")?,
-            worst_case_latency: opt_u64_field(value, "wcl")?,
-            typical_latency: opt_u64_field(value, "typical_wcl")?,
-            miss_models: value
-                .get("dmm")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("chain outcome needs a `dmm` array"))?
-                .iter()
-                .map(dmm_point_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            error: opt_str_field(value, "error")?,
-        })
+        ChainOutcome::decode(Some(value), "chain outcome")
     }
-}
-
-/// The analysis outcome of one system under the full batch pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemOutcome {
-    /// Position of the system in its batch (0 for single-system
-    /// requests).
-    pub index: usize,
-    /// Per-chain outcomes, in chain order.
-    pub chains: Vec<ChainOutcome>,
 }
 
 impl SystemOutcome {
@@ -129,13 +515,7 @@ impl SystemOutcome {
 
     /// Serializes the outcome as its wire object.
     pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("index".into(), Json::UInt(self.index as u64)),
-            (
-                "chains".into(),
-                Json::Array(self.chains.iter().map(ChainOutcome::to_json).collect()),
-            ),
-        ])
+        self.encode()
     }
 
     /// Parses the wire object back.
@@ -144,33 +524,8 @@ impl SystemOutcome {
     ///
     /// [`ApiError`] for structural problems.
     pub fn from_json(value: &Json) -> Result<SystemOutcome, ApiError> {
-        Ok(SystemOutcome {
-            index: u64_field(value, "index")? as usize,
-            chains: value
-                .get("chains")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("system outcome needs a `chains` array"))?
-                .iter()
-                .map(ChainOutcome::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+        SystemOutcome::decode(Some(value), "system outcome")
     }
-}
-
-/// One latency row of a [`QueryOutcome::Latency`] answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyOutcome {
-    /// Chain or site name.
-    pub name: String,
-    /// Declared deadline.
-    pub deadline: Option<Time>,
-    /// Whether the chain is an overload source.
-    pub overload: bool,
-    /// Worst-case latency; `None` when divergent.
-    pub worst_case_latency: Option<Time>,
-    /// Typical-system latency; `None` when divergent or not computed
-    /// (distributed sites).
-    pub typical_latency: Option<Time>,
 }
 
 impl LatencyOutcome {
@@ -210,17 +565,6 @@ impl LatencyOutcome {
 pub(crate) fn site_name(system: &DistributedSystem, site: SiteId) -> String {
     let (resource, chain) = system.site_names(site);
     format!("{resource}/{chain}")
-}
-
-/// One miss-model row of a [`QueryOutcome::Dmm`] answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmmOutcome {
-    /// Chain or site name.
-    pub name: String,
-    /// `dmm(k)` points in request order.
-    pub points: Vec<DmmPoint>,
-    /// Per-chain analysis error, if the sweep failed.
-    pub error: Option<String>,
 }
 
 impl DmmOutcome {
@@ -266,97 +610,6 @@ impl DmmOutcome {
         }
         rows
     }
-}
-
-/// One verdict row of a [`QueryOutcome::WeaklyHard`] answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MkOutcome {
-    /// Chain or site name.
-    pub name: String,
-    /// Tolerated misses.
-    pub m: u64,
-    /// Window length.
-    pub k: u64,
-    /// Whether `dmm(k) ≤ m` is proven.
-    pub satisfied: bool,
-}
-
-/// The answer to a [`QueryOutcome::Witness`] query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WitnessOutcome {
-    /// Chain or site name.
-    pub name: String,
-    /// Window length.
-    pub k: u64,
-    /// The witnessed (or computed) miss bound.
-    pub bound: u64,
-    /// Whether a non-trivial packing witness exists; when `false`,
-    /// `text` carries the plain bound.
-    pub has_witness: bool,
-    /// Human-readable derivation.
-    pub text: String,
-}
-
-/// The answer to a [`QueryOutcome::Sensitivity`] query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SensitivityOutcome {
-    /// Chain or site name.
-    pub name: String,
-    /// Tolerated misses.
-    pub m: u64,
-    /// Window length.
-    pub k: u64,
-    /// Largest admissible overload percentage; `None` when even 0%
-    /// violates the constraint.
-    pub max_percent: Option<u64>,
-}
-
-/// The answer to a [`QueryOutcome::Path`] query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathOutcome {
-    /// The hops, as `resource/chain` names.
-    pub hops: Vec<String>,
-    /// End-to-end latency bound.
-    pub latency: Option<Time>,
-    /// Composite deadline `Σ D_i`.
-    pub composite_deadline: Option<Time>,
-    /// End-to-end miss-model points.
-    pub points: Vec<DmmPoint>,
-}
-
-/// One empirical miss-rate row of a [`QueryOutcome::Simulate`] answer.
-///
-/// All rates are carried as parts-per-million integers so the wire
-/// schema stays `Eq`-comparable and bit-exact across platforms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimChainOutcome {
-    /// Chain name.
-    pub name: String,
-    /// Completed instances across all runs.
-    pub instances: u64,
-    /// Deadline misses across all runs.
-    pub misses: u64,
-    /// Empirical miss rate in parts per million.
-    pub miss_rate_ppm: u64,
-    /// Lower end of the 95% Wilson confidence interval, in ppm.
-    pub ci_low_ppm: u64,
-    /// Upper end of the 95% Wilson confidence interval, in ppm.
-    pub ci_high_ppm: u64,
-    /// Largest observed latency; `None` when nothing completed.
-    pub max_latency: Option<Time>,
-}
-
-/// The answer to a [`QueryOutcome::Simulate`] query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimulateOutcome {
-    /// Number of simulation runs pooled into the report.
-    pub runs: u64,
-    /// Horizon of each run, in time units.
-    pub horizon: u64,
-    /// Base RNG seed the report is deterministic in.
-    pub seed: u64,
-    /// Per-chain empirical rows, one per selected deadline chain.
-    pub chains: Vec<SimChainOutcome>,
 }
 
 /// The answer to a [`QueryOutcome::Stats`] query: the shared cache's
@@ -470,8 +723,10 @@ impl StatsOutcome {
             *slot(self) += value;
         }
     }
+}
 
-    fn to_json(self) -> Json {
+impl Wire for StatsOutcome {
+    fn encode(&self) -> Json {
         Json::Object(
             self.fields()
                 .map(|(name, value)| (name.into(), Json::UInt(value)))
@@ -479,18 +734,18 @@ impl StatsOutcome {
         )
     }
 
-    /// Decodes a `stats` body. The edge counters (from
-    /// [`Counter::OpenConnections`] on) arrived after v1 first shipped;
-    /// their absence reads as zero so older recorded responses still
-    /// parse.
-    fn from_json(body: &Json) -> Result<StatsOutcome, ApiError> {
+    /// The edge counters (from [`Counter::OpenConnections`] on) arrived
+    /// after v1 first shipped; their absence (or `null`) reads as zero
+    /// so older recorded responses still parse.
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        let body = object(value, key)?;
         let optional_from = CACHE_FIELDS + Counter::OpenConnections as usize;
         let mut stats = StatsOutcome::default();
         for (index, (name, slot)) in STATS_FIELDS.iter().enumerate() {
             *slot(&mut stats) = if index < optional_from {
-                u64_field(body, name)?
+                u64::decode(body.get(name), name)?
             } else {
-                opt_u64_field(body, name)?.unwrap_or(0)
+                Option::<u64>::decode(body.get(name), name)?.unwrap_or(0)
             };
         }
         Ok(stats)
@@ -506,76 +761,6 @@ impl Counter {
             .get(CACHE_FIELDS + self as usize)
             .map(|(name, _)| *name)
     }
-}
-
-/// The answer to a [`crate::Query::StorePut`]: the version now current
-/// under the name and the diff against the previous version.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorePutOutcome {
-    /// The entry name.
-    pub name: String,
-    /// The version just stored (1 for a first put).
-    pub version: u64,
-    /// Resources with any changed chain or moved incident link.
-    pub resources_changed: u64,
-    /// Chains added, removed, or edited.
-    pub chains_changed: u64,
-    /// Tasks added, removed, or edited.
-    pub tasks_changed: u64,
-    /// Whether the put was answered from the store's dedup ledger
-    /// instead of being applied again: the request carried a `dedup`
-    /// id that had already been acknowledged, so this receipt repeats
-    /// the original one (at-most-once apply).
-    pub deduped: bool,
-}
-
-/// The answer to a [`crate::Query::StoreAnalyze`]: per-chain bounds of
-/// the stored system's current version plus the delta-re-analysis
-/// accounting (how many per-resource rows were recomputed vs. answered
-/// from the entry's warm memo).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreAnalyzeOutcome {
-    /// The entry name.
-    pub name: String,
-    /// The analyzed version.
-    pub version: u64,
-    /// Per-resource holistic rows recomputed by this analysis
-    /// (0 for uniprocessor entries, which memoize at a finer grain in
-    /// the session cache).
-    pub rows_analyzed: u64,
-    /// Per-resource holistic rows answered from the entry's warm memo.
-    pub memo_hits: u64,
-    /// Latency rows, one per chain/site.
-    pub latency: Vec<LatencyOutcome>,
-    /// Miss-model rows, one per deadline chain/site.
-    pub dmm: Vec<DmmOutcome>,
-}
-
-/// One answered query, mirroring [`crate::Query`] case by case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryOutcome {
-    /// Latency rows, one per selected chain/site.
-    Latency(Vec<LatencyOutcome>),
-    /// Miss-model rows, one per selected deadline chain/site.
-    Dmm(Vec<DmmOutcome>),
-    /// A packing witness.
-    Witness(WitnessOutcome),
-    /// Weakly-hard verdicts, one per selected deadline chain/site.
-    WeaklyHard(Vec<MkOutcome>),
-    /// An overload sensitivity bound.
-    Sensitivity(SensitivityOutcome),
-    /// End-to-end path bounds.
-    Path(PathOutcome),
-    /// The full batch pipeline outcome.
-    Full(SystemOutcome),
-    /// Cache statistics and service counters.
-    Stats(StatsOutcome),
-    /// A store-put receipt.
-    StorePut(StorePutOutcome),
-    /// A delta re-analysis of a stored system.
-    StoreAnalyze(StoreAnalyzeOutcome),
-    /// Empirical Monte Carlo miss rates.
-    Simulate(SimulateOutcome),
 }
 
 /// The response to one [`crate::AnalysisRequest`]: either the answered
@@ -632,10 +817,7 @@ impl AnalysisResponse {
             members.push(("id".into(), Json::str(id)));
         }
         match &self.outcome {
-            Ok(outcomes) => members.push((
-                "ok".into(),
-                Json::Array(outcomes.iter().map(outcome_to_json).collect()),
-            )),
+            Ok(outcomes) => members.push(("ok".into(), outcomes.encode())),
             Err(error) => members.push(("error".into(), error.to_json())),
         }
         Json::Object(members)
@@ -647,17 +829,14 @@ impl AnalysisResponse {
     ///
     /// [`ApiError`] for structural problems.
     pub fn from_json(value: &Json) -> Result<AnalysisResponse, ApiError> {
-        let v = u64_field(value, "v")?;
+        let v = u64::decode(value.get("v"), "v")?;
         let id = match value.get("id") {
             None => None,
             Some(Json::Str(s)) => Some(s.clone()),
             Some(_) => return Err(ApiError::request("`id` must be a string")),
         };
         let outcome = match (value.get("ok"), value.get("error")) {
-            (Some(Json::Array(items)), None) => Ok(items
-                .iter()
-                .map(outcome_from_json)
-                .collect::<Result<Vec<_>, _>>()?),
+            (Some(ok), None) => Ok(Wire::decode(Some(ok), "ok")?),
             (None, Some(error)) => Err(ApiError::from_json(error)?),
             _ => {
                 return Err(ApiError::request(
@@ -667,366 +846,6 @@ impl AnalysisResponse {
         };
         Ok(AnalysisResponse { v, id, outcome })
     }
-}
-
-fn dmm_point_to_json(point: &DmmPoint) -> Json {
-    Json::Object(vec![
-        ("k".into(), Json::UInt(point.k)),
-        ("bound".into(), Json::UInt(point.bound)),
-        ("informative".into(), Json::Bool(point.informative)),
-    ])
-}
-
-fn dmm_point_from_json(value: &Json) -> Result<DmmPoint, ApiError> {
-    Ok(DmmPoint {
-        k: u64_field(value, "k")?,
-        bound: u64_field(value, "bound")?,
-        informative: bool_field(value, "informative")?,
-    })
-}
-
-fn u64_field(value: &Json, key: &str) -> Result<u64, ApiError> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ApiError::request(format!("missing integer field `{key}`")))
-}
-
-fn bool_field(value: &Json, key: &str) -> Result<bool, ApiError> {
-    value
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ApiError::request(format!("missing boolean field `{key}`")))
-}
-
-fn str_field(value: &Json, key: &str) -> Result<String, ApiError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| ApiError::request(format!("missing string field `{key}`")))
-}
-
-fn opt_u64_field(value: &Json, key: &str) -> Result<Option<u64>, ApiError> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::UInt(v)) => Ok(Some(*v)),
-        Some(_) => Err(ApiError::request(format!(
-            "field `{key}` must be an integer or null"
-        ))),
-    }
-}
-
-fn opt_str_field(value: &Json, key: &str) -> Result<Option<String>, ApiError> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(ApiError::request(format!(
-            "field `{key}` must be a string or null"
-        ))),
-    }
-}
-
-fn latency_row_to_json(row: &LatencyOutcome) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::str(&row.name)),
-        ("overload".into(), Json::Bool(row.overload)),
-        ("deadline".into(), Json::opt_u64(row.deadline)),
-        ("wcl".into(), Json::opt_u64(row.worst_case_latency)),
-        ("typical_wcl".into(), Json::opt_u64(row.typical_latency)),
-    ])
-}
-
-fn latency_row_from_json(value: &Json) -> Result<LatencyOutcome, ApiError> {
-    Ok(LatencyOutcome {
-        name: str_field(value, "name")?,
-        overload: bool_field(value, "overload")?,
-        deadline: opt_u64_field(value, "deadline")?,
-        worst_case_latency: opt_u64_field(value, "wcl")?,
-        typical_latency: opt_u64_field(value, "typical_wcl")?,
-    })
-}
-
-fn dmm_row_to_json(row: &DmmOutcome) -> Json {
-    let mut members = vec![
-        ("name".into(), Json::str(&row.name)),
-        (
-            "points".into(),
-            Json::Array(row.points.iter().map(dmm_point_to_json).collect()),
-        ),
-    ];
-    if let Some(error) = &row.error {
-        members.push(("error".into(), Json::str(error)));
-    }
-    Json::Object(members)
-}
-
-fn dmm_row_from_json(value: &Json) -> Result<DmmOutcome, ApiError> {
-    Ok(DmmOutcome {
-        name: str_field(value, "name")?,
-        points: value
-            .get("points")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ApiError::request("dmm row needs a `points` array"))?
-            .iter()
-            .map(dmm_point_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        error: opt_str_field(value, "error")?,
-    })
-}
-
-fn outcome_to_json(outcome: &QueryOutcome) -> Json {
-    let (tag, body) = match outcome {
-        QueryOutcome::Latency(rows) => (
-            "latency",
-            Json::Array(rows.iter().map(latency_row_to_json).collect()),
-        ),
-        QueryOutcome::Dmm(rows) => (
-            "dmm",
-            Json::Array(rows.iter().map(dmm_row_to_json).collect()),
-        ),
-        QueryOutcome::Witness(w) => (
-            "witness",
-            Json::Object(vec![
-                ("name".into(), Json::str(&w.name)),
-                ("k".into(), Json::UInt(w.k)),
-                ("bound".into(), Json::UInt(w.bound)),
-                ("has_witness".into(), Json::Bool(w.has_witness)),
-                ("text".into(), Json::str(&w.text)),
-            ]),
-        ),
-        QueryOutcome::WeaklyHard(rows) => (
-            "weakly_hard",
-            Json::Array(
-                rows.iter()
-                    .map(|row| {
-                        Json::Object(vec![
-                            ("name".into(), Json::str(&row.name)),
-                            ("m".into(), Json::UInt(row.m)),
-                            ("k".into(), Json::UInt(row.k)),
-                            ("satisfied".into(), Json::Bool(row.satisfied)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        QueryOutcome::Sensitivity(s) => (
-            "sensitivity",
-            Json::Object(vec![
-                ("name".into(), Json::str(&s.name)),
-                ("m".into(), Json::UInt(s.m)),
-                ("k".into(), Json::UInt(s.k)),
-                ("max_percent".into(), Json::opt_u64(s.max_percent)),
-            ]),
-        ),
-        QueryOutcome::Path(p) => (
-            "path",
-            Json::Object(vec![
-                (
-                    "hops".into(),
-                    Json::Array(p.hops.iter().map(Json::str).collect()),
-                ),
-                ("latency".into(), Json::opt_u64(p.latency)),
-                (
-                    "composite_deadline".into(),
-                    Json::opt_u64(p.composite_deadline),
-                ),
-                (
-                    "points".into(),
-                    Json::Array(p.points.iter().map(dmm_point_to_json).collect()),
-                ),
-            ]),
-        ),
-        QueryOutcome::Full(system) => ("full", system.to_json()),
-        QueryOutcome::Stats(s) => ("stats", s.to_json()),
-        QueryOutcome::StorePut(p) => (
-            "store_put",
-            Json::Object(vec![
-                ("name".into(), Json::str(&p.name)),
-                ("version".into(), Json::UInt(p.version)),
-                ("resources_changed".into(), Json::UInt(p.resources_changed)),
-                ("chains_changed".into(), Json::UInt(p.chains_changed)),
-                ("tasks_changed".into(), Json::UInt(p.tasks_changed)),
-                ("deduped".into(), Json::Bool(p.deduped)),
-            ]),
-        ),
-        QueryOutcome::StoreAnalyze(a) => (
-            "store_analyze",
-            Json::Object(vec![
-                ("name".into(), Json::str(&a.name)),
-                ("version".into(), Json::UInt(a.version)),
-                ("rows_analyzed".into(), Json::UInt(a.rows_analyzed)),
-                ("memo_hits".into(), Json::UInt(a.memo_hits)),
-                (
-                    "latency".into(),
-                    Json::Array(a.latency.iter().map(latency_row_to_json).collect()),
-                ),
-                (
-                    "dmm".into(),
-                    Json::Array(a.dmm.iter().map(dmm_row_to_json).collect()),
-                ),
-            ]),
-        ),
-        QueryOutcome::Simulate(s) => (
-            "simulate",
-            Json::Object(vec![
-                ("runs".into(), Json::UInt(s.runs)),
-                ("horizon".into(), Json::UInt(s.horizon)),
-                ("seed".into(), Json::UInt(s.seed)),
-                (
-                    "chains".into(),
-                    Json::Array(s.chains.iter().map(sim_row_to_json).collect()),
-                ),
-            ]),
-        ),
-    };
-    Json::Object(vec![(tag.into(), body)])
-}
-
-fn sim_row_to_json(row: &SimChainOutcome) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::str(&row.name)),
-        ("instances".into(), Json::UInt(row.instances)),
-        ("misses".into(), Json::UInt(row.misses)),
-        ("miss_rate_ppm".into(), Json::UInt(row.miss_rate_ppm)),
-        ("ci_low_ppm".into(), Json::UInt(row.ci_low_ppm)),
-        ("ci_high_ppm".into(), Json::UInt(row.ci_high_ppm)),
-        ("max_latency".into(), Json::opt_u64(row.max_latency)),
-    ])
-}
-
-fn sim_row_from_json(value: &Json) -> Result<SimChainOutcome, ApiError> {
-    Ok(SimChainOutcome {
-        name: str_field(value, "name")?,
-        instances: u64_field(value, "instances")?,
-        misses: u64_field(value, "misses")?,
-        miss_rate_ppm: u64_field(value, "miss_rate_ppm")?,
-        ci_low_ppm: u64_field(value, "ci_low_ppm")?,
-        ci_high_ppm: u64_field(value, "ci_high_ppm")?,
-        max_latency: opt_u64_field(value, "max_latency")?,
-    })
-}
-
-fn outcome_from_json(value: &Json) -> Result<QueryOutcome, ApiError> {
-    let obj = value
-        .as_object()
-        .ok_or_else(|| ApiError::request("each outcome must be an object"))?;
-    if obj.len() != 1 {
-        return Err(ApiError::request(
-            "each outcome must be a single `{\"kind\": ...}` object",
-        ));
-    }
-    let (tag, body) = &obj[0];
-    Ok(match tag.as_str() {
-        "latency" => QueryOutcome::Latency(
-            body.as_array()
-                .ok_or_else(|| ApiError::request("`latency` must be an array"))?
-                .iter()
-                .map(latency_row_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        "dmm" => QueryOutcome::Dmm(
-            body.as_array()
-                .ok_or_else(|| ApiError::request("`dmm` must be an array"))?
-                .iter()
-                .map(dmm_row_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        "witness" => QueryOutcome::Witness(WitnessOutcome {
-            name: str_field(body, "name")?,
-            k: u64_field(body, "k")?,
-            bound: u64_field(body, "bound")?,
-            has_witness: bool_field(body, "has_witness")?,
-            text: str_field(body, "text")?,
-        }),
-        "weakly_hard" => QueryOutcome::WeaklyHard(
-            body.as_array()
-                .ok_or_else(|| ApiError::request("`weakly_hard` must be an array"))?
-                .iter()
-                .map(|row| {
-                    Ok(MkOutcome {
-                        name: str_field(row, "name")?,
-                        m: u64_field(row, "m")?,
-                        k: u64_field(row, "k")?,
-                        satisfied: bool_field(row, "satisfied")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ApiError>>()?,
-        ),
-        "sensitivity" => QueryOutcome::Sensitivity(SensitivityOutcome {
-            name: str_field(body, "name")?,
-            m: u64_field(body, "m")?,
-            k: u64_field(body, "k")?,
-            max_percent: opt_u64_field(body, "max_percent")?,
-        }),
-        "path" => QueryOutcome::Path(PathOutcome {
-            hops: body
-                .get("hops")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("`path` needs a `hops` array"))?
-                .iter()
-                .map(|h| {
-                    h.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| ApiError::request("each hop must be a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            latency: opt_u64_field(body, "latency")?,
-            composite_deadline: opt_u64_field(body, "composite_deadline")?,
-            points: body
-                .get("points")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("`path` needs a `points` array"))?
-                .iter()
-                .map(dmm_point_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "full" => QueryOutcome::Full(SystemOutcome::from_json(body)?),
-        "stats" => QueryOutcome::Stats(StatsOutcome::from_json(body)?),
-        "store_put" => QueryOutcome::StorePut(StorePutOutcome {
-            name: str_field(body, "name")?,
-            version: u64_field(body, "version")?,
-            resources_changed: u64_field(body, "resources_changed")?,
-            chains_changed: u64_field(body, "chains_changed")?,
-            tasks_changed: u64_field(body, "tasks_changed")?,
-            deduped: body.get("deduped").and_then(Json::as_bool).unwrap_or(false),
-        }),
-        "store_analyze" => QueryOutcome::StoreAnalyze(StoreAnalyzeOutcome {
-            name: str_field(body, "name")?,
-            version: u64_field(body, "version")?,
-            rows_analyzed: u64_field(body, "rows_analyzed")?,
-            memo_hits: u64_field(body, "memo_hits")?,
-            latency: body
-                .get("latency")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("`store_analyze` needs a `latency` array"))?
-                .iter()
-                .map(latency_row_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            dmm: body
-                .get("dmm")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("`store_analyze` needs a `dmm` array"))?
-                .iter()
-                .map(dmm_row_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "simulate" => QueryOutcome::Simulate(SimulateOutcome {
-            runs: u64_field(body, "runs")?,
-            horizon: u64_field(body, "horizon")?,
-            seed: u64_field(body, "seed")?,
-            chains: body
-                .get("chains")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ApiError::request("`simulate` needs a `chains` array"))?
-                .iter()
-                .map(sim_row_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        other => {
-            return Err(ApiError::request(format!("unknown outcome kind `{other}`")));
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1180,6 +999,41 @@ mod tests {
         let reparsed =
             AnalysisResponse::from_json(&Json::parse(&err.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(err, reparsed);
+    }
+
+    #[test]
+    fn present_fields_of_the_wrong_type_are_errors() {
+        let put = r#"{"name": "g", "version": 1, "resources_changed": 0, "chains_changed": 0, "tasks_changed": 0"#;
+        for (body, message) in [
+            (
+                format!(r#"{{"store_put": {put}, "deduped": "yes"}}}}"#),
+                "`deduped` must be a boolean",
+            ),
+            (
+                format!(r#"{{"store_put": {put}, "deduped": null}}}}"#),
+                "`deduped` must be a boolean",
+            ),
+            (
+                r#"{"latency": [{"name": "c", "overload": false, "deadline": 5, "wcl": "x", "typical_wcl": null}]}"#.into(),
+                "`wcl` must be an integer",
+            ),
+            (
+                r#"{"dmm": [{"name": "c", "points": [], "error": 5}]}"#.into(),
+                "`error` must be a string",
+            ),
+            (
+                r#"{"dmm": [{"name": "c", "points": [{"k": 1, "bound": true, "informative": true}]}]}"#.into(),
+                "`bound` must be an integer",
+            ),
+            (
+                r#"{"path": {"hops": "a/b", "latency": null, "composite_deadline": null, "points": []}}"#.into(),
+                "`hops` must be an array",
+            ),
+        ] {
+            let line = format!(r#"{{"v": 1, "ok": [{body}]}}"#);
+            let error = AnalysisResponse::from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert_eq!(error.message, message, "{line}");
+        }
     }
 
     #[test]

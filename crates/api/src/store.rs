@@ -242,7 +242,6 @@ impl SystemStore {
                     since_sync: 0,
                     since_snapshot: 0,
                 }),
-                recovery: recovered.report,
             }),
             dedup: Mutex::new(DedupLedger::default()),
             metrics: Metrics::new(),
@@ -487,11 +486,6 @@ impl SystemStore {
     /// counters, all zero for an in-memory store.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// What recovery found when this store was opened, if durable.
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.persist.as_ref().map(|p| p.recovery)
     }
 
     /// The names currently stored, in no particular order.

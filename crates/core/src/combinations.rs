@@ -634,12 +634,6 @@ impl PreparedCombinations {
         self.product - 1
     }
 
-    /// Number of explicitly enumerated per-chain options across all
-    /// chains — the engine's actual memory footprint.
-    pub fn option_count(&self) -> usize {
-        self.chains.iter().map(ChainOptions::len).sum()
-    }
-
     /// Largest possible combination cost (saturating).
     pub fn max_total_cost(&self) -> u64 {
         self.suffix_max[0]

@@ -42,21 +42,23 @@ use crate::error::DistError;
 use crate::system::{DistributedSystem, DistributedSystemBuilder};
 use twca_model::parse_system;
 
-/// A scanner over the comment-stripped document that tracks line
-/// numbers for error reporting.
+/// A scanner over the comment-stripped document. It tracks byte
+/// offsets only; a line number is counted when an error is built, so
+/// parsing stays linear in the document.
 struct Scanner<'a> {
     text: &'a str,
     pos: usize,
 }
 
 impl<'a> Scanner<'a> {
-    fn line(&self) -> usize {
-        1 + self.text[..self.pos].matches('\n').count()
+    /// The 1-based line of byte offset `pos`.
+    fn line_at(&self, pos: usize) -> usize {
+        1 + self.text[..pos].matches('\n').count()
     }
 
     fn error(&self, message: impl Into<String>) -> DistError {
         DistError::Parse {
-            line: self.line(),
+            line: self.line_at(self.pos),
             message: message.into(),
         }
     }
@@ -168,7 +170,7 @@ pub fn parse_distributed(text: &str) -> Result<DistributedSystem, DistError> {
         if scanner.pos == scanner.text.len() {
             break;
         }
-        let keyword_line = scanner.line();
+        let keyword_at = scanner.pos;
         let Some(keyword) = scanner.word() else {
             return Err(scanner.error(format!(
                 "expected `resource` or `link`, found `{}`",
@@ -183,7 +185,7 @@ pub fn parse_distributed(text: &str) -> Result<DistributedSystem, DistError> {
                     .to_owned();
                 let body = scanner.block()?;
                 let system = parse_system(body).map_err(|e| DistError::Parse {
-                    line: keyword_line,
+                    line: scanner.line_at(keyword_at),
                     message: format!("resource `{name}`: {e}"),
                 })?;
                 builder = builder.resource(name, system);
@@ -339,6 +341,52 @@ link ecu0/c -> ecu1/d
         let rendered = render_distributed(&dist);
         assert_eq!(parse_distributed(&rendered).unwrap(), dist);
         assert!(rendered.contains("link ecu0/c -> ecu1/d"));
+    }
+
+    #[test]
+    fn resource_body_errors_report_the_keyword_line() {
+        let text = "resource a { chain c periodic=10 { task t prio=1 wcet=1 } }\n\n  resource b {\n chain broken }";
+        match parse_distributed(text) {
+            Err(DistError::Parse { line, message }) => {
+                assert_eq!(line, 3);
+                assert!(message.starts_with("resource `b`: "), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// Best of five wall times of `pass`, in nanoseconds.
+    fn best_of_5_ns(mut pass: impl FnMut()) -> u128 {
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                pass();
+                start.elapsed().as_nanos()
+            })
+            .min()
+            .expect("five samples")
+    }
+
+    #[test]
+    fn parsing_scales_linearly_in_the_number_of_links() {
+        let cost = |links: usize| {
+            let mut doc =
+                String::from("resource a { chain c periodic=10 { task t prio=1 wcet=1 } }\n");
+            for i in 0..links {
+                doc.push_str(&format!("link a/c{i} -> b/d{i}\n"));
+            }
+            best_of_5_ns(|| {
+                std::hint::black_box(parse_distributed(&doc).unwrap_err());
+            })
+            .max(1)
+        };
+        let small = cost(4_000);
+        let large = cost(8_000);
+        // Twice the links: linear code costs ~2x, quadratic code ~4x.
+        assert!(
+            large < 3 * small,
+            "8 000 links took {large} ns, 4 000 links {small} ns"
+        );
     }
 
     #[test]

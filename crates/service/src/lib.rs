@@ -51,4 +51,4 @@ pub use fuzzing::FrameFuzzer;
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, RequestMix};
 pub use pool::{Connection, LatencyStats, ServeSummary, ServiceConfig, WorkerPool};
 pub use retry::RetryPolicy;
-pub use server::{serve_connection, serve_lane, LaneEnd, LaneOptions, TcpServer};
+pub use server::{serve_connection, serve_lane, LaneEnd, LaneOptions, LaneReport, TcpServer};

@@ -66,11 +66,23 @@ pub enum LaneEnd {
     ReadError(std::io::Error),
 }
 
+/// How a lane ended: why its read loop stopped, and how many frames it
+/// submitted. Every submitted frame draws exactly one answer (a
+/// worker's, a rejection, or a local framing error).
+#[derive(Debug)]
+pub struct LaneReport {
+    /// Why the read loop ended.
+    pub end: LaneEnd,
+    /// Frames the lane submitted (blank lines are skipped, not
+    /// submitted).
+    pub frames: u64,
+}
+
 /// Reads frames from `input` and submits them to `pool` on `conn`'s
 /// ordered response lane, enforcing the lane's frame cap and
-/// timeouts. Returns why the loop ended, and only once every frame
-/// submitted has been answered — a front end may close the connection
-/// as soon as this returns.
+/// timeouts. Returns why the loop ended and how many frames it
+/// submitted, and only once every one of them has been answered — a
+/// front end may close the connection as soon as this returns.
 ///
 /// A lane never holds more than the pool's queue capacity of
 /// unanswered submissions: past that window it waits for its oldest
@@ -84,7 +96,7 @@ pub fn serve_lane(
     input: impl BufRead,
     conn: &Arc<Connection>,
     opts: &LaneOptions,
-) -> LaneEnd {
+) -> LaneReport {
     let metrics = pool.metrics();
     let window = pool.queue_capacity() as u64;
     let mut reader = FrameReader::new(input, opts.max_frame_bytes);
@@ -175,7 +187,7 @@ pub fn serve_lane(
         }
     };
     conn.await_retired(seq);
-    end
+    LaneReport { end, frames: seq }
 }
 
 /// Reads frames from `input`, submits them to `pool`, and streams the
@@ -199,7 +211,7 @@ pub fn serve_connection(
     max_frame_bytes: usize,
 ) -> std::io::Result<()> {
     let conn = Connection::new(writer);
-    let end = serve_lane(pool, input, &conn, &LaneOptions::unlimited(max_frame_bytes));
+    let end = serve_lane(pool, input, &conn, &LaneOptions::unlimited(max_frame_bytes)).end;
     // The write may fail on the last answer, after the input ended.
     if let Some(e) = conn.take_write_error() {
         return Err(e);
@@ -296,7 +308,8 @@ impl TcpServer {
                                         BufReader::new(stream),
                                         &conn,
                                         &lane_opts,
-                                    );
+                                    )
+                                    .end;
                                     // Everything admitted has been
                                     // answered; let the client see EOF.
                                     // (Clones keep the fd alive, so an
@@ -564,13 +577,14 @@ mod tests {
             idle_timeout: Some(Duration::from_millis(150)),
             ..LaneOptions::unlimited(1 << 20)
         };
-        let end = serve_lane(
+        let report = serve_lane(
             &pool,
             BufReader::with_capacity(1, input.as_bytes()),
             &conn,
             &opts,
         );
-        assert!(matches!(end, LaneEnd::Eof), "{end:?}");
+        assert!(matches!(report.end, LaneEnd::Eof), "{report:?}");
+        assert_eq!(report.frames, 3);
         assert_eq!(sink.text().lines().count(), 3);
     }
 
@@ -613,6 +627,7 @@ mod tests {
                     &conn,
                     &LaneOptions::unlimited(1 << 20),
                 )
+                .end
             });
             // The window waits for answers, not for their writes, so
             // the backlog outgrows the budget and the lane is cut off.

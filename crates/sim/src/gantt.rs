@@ -79,11 +79,6 @@ impl ExecutionTrace {
         &self.spans
     }
 
-    /// Spans belonging to one chain.
-    pub fn spans_of_chain(&self, chain: usize) -> impl Iterator<Item = &ExecutionSpan> {
-        self.spans.iter().filter(move |s| s.chain == chain)
-    }
-
     /// Total processor-busy time across all spans.
     pub fn total_busy_time(&self) -> Time {
         self.spans.iter().map(ExecutionSpan::duration).sum()

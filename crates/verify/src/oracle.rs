@@ -102,8 +102,9 @@ pub enum OracleKind {
     /// [`twca_service::ChaosRead`]/[`twca_service::ChaosWrite`] fault
     /// schedules (delays, stalls, short reads, partial writes,
     /// mid-frame resets, bit corruption) must always terminate, answer
-    /// every admitted request with exactly one typed terminal response
-    /// (none forged, none lost while the write side is healthy), never
+    /// every frame the lane submitted with exactly one typed terminal
+    /// response (none forged, none lost while the write side is
+    /// healthy) and one served-or-rejected count in the registry, never
     /// lose an acknowledged `store_put`, apply a dedup-tagged put
     /// at most once, and reconcile the lane's edge counters with the
     /// faults actually injected. The fault-free schedule must be
@@ -771,7 +772,8 @@ fn chaos_input(body: &ScenarioBody) -> String {
 /// Everything one chaos schedule leaves behind, for invariant checks.
 struct ChaosRun {
     output: String,
-    summary: twca_service::ServeSummary,
+    /// Frames the lane submitted, counted by the lane itself.
+    frames: u64,
     /// The session's `stats` snapshot, read after the drain.
     stats: twca_api::StatsOutcome,
     end: twca_service::LaneEnd,
@@ -820,7 +822,7 @@ fn run_chaos_schedule(
         Arc::new(write_plan),
         Arc::clone(&write_tally),
     )));
-    let end = serve_lane(
+    let lane = serve_lane(
         &pool,
         std::io::BufReader::new(ChaosRead::new(
             input.as_bytes(),
@@ -830,7 +832,7 @@ fn run_chaos_schedule(
         &conn,
         &LaneOptions::unlimited(max_frame_bytes),
     );
-    let summary = pool.shutdown();
+    pool.shutdown();
     let output = String::from_utf8_lossy(&sink.0.lock().unwrap()).into_owned();
     let final_version = store
         .export()
@@ -839,9 +841,9 @@ fn run_chaos_schedule(
         .map_or(0, |(_, version, _)| *version);
     ChaosRun {
         output,
-        summary,
+        frames: lane.frames,
         stats: observer.stats_outcome(),
-        end,
+        end: lane.end,
         read_resets: read_tally.resets(),
         read_corrupted: read_tally.corrupted(),
         write_resets: write_tally.resets(),
@@ -889,23 +891,24 @@ fn chaos_acks(
 fn check_chaos_run(run: &ChaosRun, label: &str, violations: &mut Vec<Violation>) {
     let (responses, acked) = chaos_acks(run, label, violations);
 
-    // Exactly one terminal response per admitted request: never more,
+    // Exactly one terminal response per submitted frame: never more,
     // and never fewer while the write side stayed healthy.
-    if responses > run.summary.requests {
+    let responses = responses as u64;
+    if responses > run.frames {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
             detail: format!(
-                "{label}: {responses} terminal response(s) for {} admitted request(s)",
-                run.summary.requests
+                "{label}: {responses} terminal response(s) for {} submitted frame(s)",
+                run.frames
             ),
         });
-    } else if run.write_resets == 0 && responses != run.summary.requests {
+    } else if run.write_resets == 0 && responses != run.frames {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
             detail: format!(
-                "{label}: {} admitted request(s) but {responses} terminal response(s) \
+                "{label}: {} submitted frame(s) but {responses} terminal response(s) \
                  with a healthy write side",
-                run.summary.requests
+                run.frames
             ),
         });
     }
@@ -979,8 +982,8 @@ fn check_chaos_run(run: &ChaosRun, label: &str, violations: &mut Vec<Violation>)
     }
 
     // Registry invariants after the drain: nothing is left in flight,
-    // and the snapshot still counts exactly the requests the drain
-    // summarized as served or rejected (nothing moved after it).
+    // and the registry counts every frame the lane submitted as served
+    // or rejected exactly once.
     if run.stats.in_flight != 0 {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
@@ -990,12 +993,12 @@ fn check_chaos_run(run: &ChaosRun, label: &str, violations: &mut Vec<Violation>)
             ),
         });
     }
-    if run.stats.served + run.stats.rejected != run.summary.requests as u64 {
+    if run.stats.served + run.stats.rejected != run.frames {
         violations.push(Violation {
             oracle: OracleKind::ChaosLiveness,
             detail: format!(
-                "{label}: {} served + {} rejected for {} request(s)",
-                run.stats.served, run.stats.rejected, run.summary.requests
+                "{label}: {} served + {} rejected for {} submitted frame(s)",
+                run.stats.served, run.stats.rejected, run.frames
             ),
         });
     }
