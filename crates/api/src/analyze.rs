@@ -1,5 +1,5 @@
-//! The [`Analyze`] trait and its two backends: uniprocessor chain
-//! systems and distributed linked-resource systems.
+//! The two analysis backends a request's target dispatches to:
+//! uniprocessor chain systems and distributed linked-resource systems.
 
 use std::cell::OnceCell;
 
@@ -20,15 +20,15 @@ use twca_model::{ChainId, System};
 /// Everything a backend needs to answer one query: the session (for
 /// the shared cache), the effective options, and the request's work
 /// accounting.
-pub struct QueryEnv<'a> {
+pub(crate) struct QueryEnv<'a> {
     /// The owning session.
-    pub session: &'a Session,
+    pub(crate) session: &'a Session,
     /// Effective per-chain analysis options.
-    pub options: AnalysisOptions,
+    pub(crate) options: AnalysisOptions,
     /// Holistic sweep limit (distributed targets).
-    pub max_sweeps: usize,
+    pub(crate) max_sweeps: usize,
     /// Budget and cancellation accounting.
-    pub control: &'a RequestControl,
+    pub(crate) control: &'a RequestControl,
 }
 
 impl QueryEnv<'_> {
@@ -44,10 +44,8 @@ impl QueryEnv<'_> {
 /// the schema. Implemented by [`ChainBackend`] (the paper's
 /// uniprocessor analysis) and [`DistBackend`] (the holistic
 /// distributed extension) — the two entry points the façade unifies.
-pub trait Analyze {
-    /// A short backend tag for diagnostics.
-    fn describe(&self) -> &'static str;
-
+/// `Session::execute` dispatches every target-bound query through it.
+pub(crate) trait Analyze {
     /// Answers one query.
     ///
     /// # Errors
@@ -107,23 +105,18 @@ fn witness_outcome(sweep: &DmmSweep<'_>, system: &System, name: String, k: u64) 
 /// [`twca_chains`] with the session's shared cache. The analysis
 /// context (segment views, fingerprint) is built once per request and
 /// reused by every query.
-pub struct ChainBackend<'a> {
+pub(crate) struct ChainBackend<'a> {
     system: &'a System,
     ctx: OnceCell<AnalysisContext<'a>>,
 }
 
 impl<'a> ChainBackend<'a> {
     /// Wraps a parsed system.
-    pub fn new(system: &'a System) -> ChainBackend<'a> {
+    pub(crate) fn new(system: &'a System) -> ChainBackend<'a> {
         ChainBackend {
             system,
             ctx: OnceCell::new(),
         }
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &System {
-        self.system
     }
 
     fn ctx(&self, env: &QueryEnv<'_>) -> &AnalysisContext<'a> {
@@ -151,10 +144,6 @@ impl<'a> ChainBackend<'a> {
 }
 
 impl Analyze for ChainBackend<'_> {
-    fn describe(&self) -> &'static str {
-        "chains"
-    }
-
     fn query(&self, query: &Query, env: &QueryEnv<'_>) -> Result<QueryOutcome, ApiError> {
         let ctx = self.ctx(env);
         match query {
@@ -249,12 +238,11 @@ impl Analyze for ChainBackend<'_> {
                     env.options,
                 )))
             }
-            Query::Stats => Ok(QueryOutcome::Stats(env.session.stats_outcome())),
-            // The session intercepts store queries before backend
-            // dispatch; reaching a backend directly is a misuse.
-            Query::StorePut { .. } | Query::StoreAnalyze { .. } => Err(ApiError::request(
-                "store queries are answered by the session, not a backend",
-            )),
+            // The session answers these before it dispatches to a
+            // backend.
+            Query::Stats | Query::StorePut { .. } | Query::StoreAnalyze { .. } => Err(
+                ApiError::request("service queries are answered by the session, not a backend"),
+            ),
             Query::Simulate {
                 chain,
                 runs,
@@ -313,23 +301,18 @@ impl Analyze for ChainBackend<'_> {
 /// The distributed backend: a [`DistributedSystem`] analyzed through
 /// `twca-dist`'s holistic iteration, run once per request and reused by
 /// every query.
-pub struct DistBackend {
+pub(crate) struct DistBackend {
     system: DistributedSystem,
     results: OnceCell<Result<DistResults, DistError>>,
 }
 
 impl DistBackend {
     /// Wraps a validated distributed system.
-    pub fn new(system: DistributedSystem) -> DistBackend {
+    pub(crate) fn new(system: DistributedSystem) -> DistBackend {
         DistBackend {
             system,
             results: OnceCell::new(),
         }
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &DistributedSystem {
-        &self.system
     }
 
     fn results(&self, env: &QueryEnv<'_>) -> Result<&DistResults, ApiError> {
@@ -367,10 +350,6 @@ impl DistBackend {
 }
 
 impl Analyze for DistBackend {
-    fn describe(&self) -> &'static str {
-        "distributed"
-    }
-
     fn query(&self, query: &Query, env: &QueryEnv<'_>) -> Result<QueryOutcome, ApiError> {
         match query {
             Query::Latency { chain } => {
@@ -491,10 +470,11 @@ impl Analyze for DistBackend {
             Query::Full { .. } => Err(ApiError::request(
                 "`full` queries need a chain target; query sites individually instead",
             )),
-            Query::Stats => Ok(QueryOutcome::Stats(env.session.stats_outcome())),
-            Query::StorePut { .. } | Query::StoreAnalyze { .. } => Err(ApiError::request(
-                "store queries are answered by the session, not a backend",
-            )),
+            // The session answers these before it dispatches to a
+            // backend.
+            Query::Stats | Query::StorePut { .. } | Query::StoreAnalyze { .. } => Err(
+                ApiError::request("service queries are answered by the session, not a backend"),
+            ),
             Query::Simulate { .. } => Err(ApiError::request(
                 "`simulate` queries need a chain target; simulate resources individually instead",
             )),

@@ -1,8 +1,7 @@
 //! **The unified façade of the TWCA suite**: typed, versioned
-//! request/response DTOs, one [`Analyze`] trait over the uniprocessor
-//! chain analysis and the distributed holistic analysis, and a
-//! [`Session`] that owns the shared memo cache, work budgets and
-//! cancellation.
+//! request/response DTOs and a [`Session`] that answers them over the
+//! uniprocessor chain analysis and the distributed holistic analysis,
+//! owning the shared memo cache, work budgets and cancellation.
 //!
 //! Before this crate the suite had three disjoint entry points —
 //! `twca_chains::ChainAnalysis`, the batch engine and
@@ -71,7 +70,6 @@ mod response;
 mod session;
 mod store;
 
-pub use analyze::{Analyze, ChainBackend, DistBackend, QueryEnv};
 pub use error::{ApiError, ApiErrorKind};
 pub use json::{escape, Json, JsonParseError};
 pub use metrics::{Counter, Metrics};

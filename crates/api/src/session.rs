@@ -113,7 +113,7 @@ impl RequestControl {
 
 /// The long-lived façade every workload enters through: one shared
 /// [`AnalysisCache`], default [`AnalysisOptions`], and the dispatch
-/// from [`AnalysisRequest`] to the [`Analyze`] backends.
+/// from [`AnalysisRequest`] to the chain and distributed backends.
 ///
 /// Sessions are cheap to clone (the cache is shared through an `Arc`)
 /// and safe to share across threads; [`crate::batch::BatchEngine`] is a

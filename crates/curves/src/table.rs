@@ -154,26 +154,6 @@ impl DeltaTable {
         }
         DeltaTable::new(distances)
     }
-
-    /// Checks the superadditivity property
-    /// `δ-(a + b - 1) ≥ δ-(a) + δ-(b)` for all entries up to `limit`
-    /// events, returning the first violating pair if any.
-    ///
-    /// Superadditivity is what makes a distance function self-consistent:
-    /// packing two dense windows back to back cannot beat the declared
-    /// minimum distances.
-    pub fn superadditivity_violation(&self, limit: u64) -> Option<(u64, u64)> {
-        for a in 2..=limit {
-            for b in 2..=limit {
-                let lhs = self.delta_min(a + b - 1);
-                let rhs = self.delta_min(a).saturating_add(self.delta_min(b));
-                if lhs < rhs {
-                    return Some((a, b));
-                }
-            }
-        }
-        None
-    }
 }
 
 impl EventModel for DeltaTable {
@@ -288,16 +268,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn superadditivity_detects_violations() {
-        // Periodic tables are superadditive.
-        let good = DeltaTable::new(vec![100]).unwrap();
-        assert_eq!(good.superadditivity_violation(10), None);
-        // A table with a generous pair distance but a stingy triple is not:
-        // δ-(3) = 10 < δ-(2) + δ-(2) = 16.
-        let bad = DeltaTable::with_tail_increment(vec![8, 10], 10).unwrap();
-        assert_eq!(bad.superadditivity_violation(10), Some((2, 2)));
     }
 }

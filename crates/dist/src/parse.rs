@@ -390,6 +390,42 @@ link ecu0/c -> ecu1/d
     }
 
     #[test]
+    fn building_scales_linearly_in_the_number_of_valid_links() {
+        // Two resources of N one-task chains and N links `a/ci -> b/ci`:
+        // every link resolves, so the builder checks each endpoint and
+        // each target against all links accepted before it.
+        let cost = |chains: usize| {
+            let mut doc = String::new();
+            for resource in ["a", "b"] {
+                doc.push_str(&format!("resource {resource} {{\n"));
+                for i in 0..chains {
+                    doc.push_str(&format!(
+                        "chain c{i} periodic=100000 {{ task t{i} prio={} wcet=1 }}\n",
+                        i + 1
+                    ));
+                }
+                doc.push_str("}\n");
+            }
+            for i in 0..chains {
+                doc.push_str(&format!("link a/c{i} -> b/c{i}\n"));
+            }
+            best_of_5_ns(|| {
+                let dist = parse_distributed(&doc).unwrap();
+                assert_eq!(dist.links().len(), chains);
+                std::hint::black_box(dist);
+            })
+            .max(1)
+        };
+        let small = cost(4_000);
+        let large = cost(8_000);
+        // Twice the links: linear code costs ~2x, quadratic code ~4x.
+        assert!(
+            large < 3 * small,
+            "8 000 links took {large} ns, 4 000 links {small} ns"
+        );
+    }
+
+    #[test]
     fn comments_do_not_shift_line_numbers() {
         let text = "# line 1\n# line 2\nrobot x {}";
         match parse_distributed(text) {

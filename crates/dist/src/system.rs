@@ -1,5 +1,6 @@
 //! The distributed system model: named resources plus directed links.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::error::DistError;
@@ -216,25 +217,23 @@ impl DistributedSystem {
     pub fn resource_topological_order(&self) -> Result<Vec<ResourceId>, DistError> {
         let n = self.resources.len();
         let mut indegree = vec![0usize; n];
-        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
         for link in &self.links {
             let (from, to) = (link.from.resource.0, link.to.resource.0);
             if from == to {
                 return Err(DistError::Cyclic);
             }
-            edges.push((from, to));
+            successors[from].push(to);
             indegree[to] += 1;
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(next) = queue.pop() {
             order.push(ResourceId(next));
-            for &(from, to) in &edges {
-                if from == next {
-                    indegree[to] -= 1;
-                    if indegree[to] == 0 {
-                        queue.push(to);
-                    }
+            for &to in &successors[next] {
+                indegree[to] -= 1;
+                if indegree[to] == 0 {
+                    queue.push(to);
                 }
             }
         }
@@ -318,41 +317,54 @@ impl DistributedSystemBuilder {
     ///   self-link) — no analysis or simulation order exists for it, so
     ///   the construction is rejected eagerly.
     pub fn build(self) -> Result<DistributedSystem, DistError> {
-        for (i, resource) in self.resources.iter().enumerate() {
-            if self.resources[..i].iter().any(|r| r.name == resource.name) {
+        let DistributedSystemBuilder {
+            resources,
+            links: declared,
+        } = self;
+        let mut resource_ids = HashMap::with_capacity(resources.len());
+        for (i, resource) in resources.iter().enumerate() {
+            if resource_ids
+                .insert(resource.name.as_str(), ResourceId(i))
+                .is_some()
+            {
                 return Err(DistError::DuplicateResource {
                     name: resource.name.clone(),
                 });
             }
         }
-        let system = DistributedSystem {
-            resources: self.resources,
-            links: Vec::new(),
+        let chain_ids: HashMap<(ResourceId, &str), ChainId> = resources
+            .iter()
+            .enumerate()
+            .flat_map(|(r, resource)| {
+                resource
+                    .system
+                    .iter()
+                    .map(move |(c, chain)| ((ResourceId(r), chain.name()), c))
+            })
+            .collect();
+        let resolve = |r: &str, c: &str| -> Result<SiteId, DistError> {
+            let rid = *resource_ids
+                .get(r)
+                .ok_or_else(|| DistError::UnknownResource { name: r.to_owned() })?;
+            let cid = *chain_ids
+                .get(&(rid, c))
+                .ok_or_else(|| DistError::UnknownChain {
+                    resource: r.to_owned(),
+                    chain: c.to_owned(),
+                })?;
+            Ok(SiteId {
+                resource: rid,
+                chain: cid,
+            })
         };
-        let mut links = Vec::with_capacity(self.links.len());
-        for ((from_r, from_c), (to_r, to_c)) in self.links {
-            let resolve = |r: &str, c: &str| -> Result<SiteId, DistError> {
-                let rid = system
-                    .resource_by_name(r)
-                    .ok_or_else(|| DistError::UnknownResource { name: r.to_owned() })?;
-                let (cid, _) =
-                    system.resources[rid.0]
-                        .system
-                        .chain_by_name(c)
-                        .ok_or_else(|| DistError::UnknownChain {
-                            resource: r.to_owned(),
-                            chain: c.to_owned(),
-                        })?;
-                Ok(SiteId {
-                    resource: rid,
-                    chain: cid,
-                })
-            };
+        let mut targets = HashSet::with_capacity(declared.len());
+        let mut links = Vec::with_capacity(declared.len());
+        for ((from_r, from_c), (to_r, to_c)) in declared {
             let link = Link {
                 from: resolve(&from_r, &from_c)?,
                 to: resolve(&to_r, &to_c)?,
             };
-            if links.iter().any(|l: &Link| l.to == link.to) {
+            if !targets.insert(link.to) {
                 return Err(DistError::DuplicateInput {
                     resource: to_r,
                     chain: to_c,
@@ -360,7 +372,7 @@ impl DistributedSystemBuilder {
             }
             links.push(link);
         }
-        let system = DistributedSystem { links, ..system };
+        let system = DistributedSystem { resources, links };
         system.resource_topological_order()?;
         Ok(system)
     }

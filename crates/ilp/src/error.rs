@@ -1,27 +1,17 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error raised when building or solving a (integer) linear program.
+/// Error raised when building a packing problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IlpError {
-    /// A variable index exceeded the declared number of variables.
+    /// An item referenced a resource index out of range, or no resource
+    /// at all (reported with index `usize::MAX`).
     VariableOutOfRange {
-        /// The offending variable index.
+        /// The offending resource index.
         index: usize,
-        /// The number of variables declared.
+        /// The number of resources declared.
         num_vars: usize,
-    },
-    /// The branch-and-bound search exceeded its node budget.
-    NodeLimitExceeded {
-        /// The configured limit.
-        limit: usize,
-    },
-    /// The simplex exceeded its pivot budget (should not happen with
-    /// Bland's rule unless the problem is degenerate beyond the budget).
-    PivotLimitExceeded {
-        /// The configured limit.
-        limit: usize,
     },
 }
 
@@ -30,12 +20,6 @@ impl fmt::Display for IlpError {
         match self {
             IlpError::VariableOutOfRange { index, num_vars } => {
                 write!(f, "variable {index} out of range (have {num_vars})")
-            }
-            IlpError::NodeLimitExceeded { limit } => {
-                write!(f, "branch-and-bound node limit {limit} exceeded")
-            }
-            IlpError::PivotLimitExceeded { limit } => {
-                write!(f, "simplex pivot limit {limit} exceeded")
             }
         }
     }

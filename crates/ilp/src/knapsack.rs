@@ -11,14 +11,11 @@
 //! ```
 //!
 //! This is an integer program with a 0/1 constraint matrix and an all-ones
-//! objective. The dedicated depth-first search below is exact and usually
-//! much faster than the general branch-and-bound; the
-//! `packing_matches_general_ilp` property test holds the two to the same
-//! optimum.
+//! objective. The dynamic program and depth-first search below are exact
+//! within their work budget; the `packing_solver_is_exact` property test
+//! holds them to a brute-force optimum.
 
 use crate::error::IlpError;
-use crate::problem::Problem;
-use crate::rational::Rational;
 
 /// A multi-dimensional packing problem instance.
 ///
@@ -553,35 +550,11 @@ impl PackingProblem {
             }
         }
     }
-
-    /// Converts this packing problem into the equivalent general ILP
-    /// (used for the ablation benchmark and cross-validation tests).
-    pub fn to_ilp(&self) -> Problem {
-        let mut p = Problem::maximize(self.items.len());
-        for v in 0..self.items.len() {
-            p.set_objective(v, Rational::ONE);
-        }
-        for (r, &cap) in self.capacities.iter().enumerate() {
-            let users: Vec<usize> = self
-                .items
-                .iter()
-                .enumerate()
-                .filter(|(_, item)| item.contains(&r))
-                .map(|(i, _)| i)
-                .collect();
-            if !users.is_empty() {
-                p.add_unit_le_constraint(users, Rational::from(cap as i128))
-                    .expect("indices are in range by construction");
-            }
-        }
-        p
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::branch_bound::solve_ilp;
 
     #[test]
     fn empty_problem() {
@@ -628,31 +601,40 @@ mod tests {
     }
 
     #[test]
-    fn matches_general_ilp_on_handcrafted_instances() {
+    fn handcrafted_instances_reach_their_known_optima() {
         let instances = vec![
-            PackingProblem::new(vec![3, 3], vec![vec![0, 1]]).unwrap(),
-            PackingProblem::new(vec![3, 2], vec![vec![0], vec![0, 1]]).unwrap(),
-            PackingProblem::new(
-                vec![5, 4, 3],
-                vec![
-                    vec![0],
-                    vec![1],
-                    vec![2],
-                    vec![0, 1],
-                    vec![1, 2],
-                    vec![0, 1, 2],
-                ],
-            )
-            .unwrap(),
-            PackingProblem::new(vec![0, 7], vec![vec![0], vec![1], vec![0, 1]]).unwrap(),
+            (
+                PackingProblem::new(vec![3, 3], vec![vec![0, 1]]).unwrap(),
+                3,
+            ),
+            (
+                PackingProblem::new(vec![3, 2], vec![vec![0], vec![0, 1]]).unwrap(),
+                3,
+            ),
+            (
+                PackingProblem::new(
+                    vec![5, 4, 3],
+                    vec![
+                        vec![0],
+                        vec![1],
+                        vec![2],
+                        vec![0, 1],
+                        vec![1, 2],
+                        vec![0, 1, 2],
+                    ],
+                )
+                .unwrap(),
+                12,
+            ),
+            (
+                PackingProblem::new(vec![0, 7], vec![vec![0], vec![1], vec![0, 1]]).unwrap(),
+                7,
+            ),
         ];
-        for inst in instances {
-            let fast = inst.solve().packed_total();
-            let general = solve_ilp(&inst.to_ilp())
-                .unwrap()
-                .expect_optimal()
-                .objective_value() as u64;
-            assert_eq!(fast, general, "instance {inst:?}");
+        for (inst, optimum) in instances {
+            let s = inst.solve();
+            assert!(s.is_exact(), "instance {inst:?}");
+            assert_eq!(s.packed_total(), optimum, "instance {inst:?}");
         }
     }
 

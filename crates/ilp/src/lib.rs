@@ -1,53 +1,43 @@
-//! A small, self-contained exact linear / integer-linear programming
-//! solver, plus a specialized multi-dimensional packing solver.
+//! The exact solver for the Theorem 3 integer program.
 //!
-//! The DATE 2017 paper formulates the deadline-miss-model computation as a
-//! multi-dimensional knapsack problem and solves it as an ILP (Theorem 3).
-//! Mature ILP solver bindings are not available offline in the Rust
-//! ecosystem, so this crate implements the required machinery from
-//! scratch:
+//! The DATE 2017 paper bounds the deadline-miss model `dmm(k)` by a
+//! multi-dimensional knapsack over the `Ω` budgets of the active
+//! segments (Theorem 3):
 //!
-//! * [`Rational`] — exact arithmetic over `i128` fractions, so simplex
-//!   pivoting is free of floating-point drift;
-//! * [`solve_lp`] — a two-phase primal simplex with Bland's rule
-//!   (guaranteed termination, handles infeasible and unbounded programs);
-//! * [`solve_ilp`] — branch-and-bound on the exact LP relaxation;
-//! * [`PackingProblem`] — a dedicated exact solver for the pure packing
-//!   structure produced by TWCA (all-ones objective, 0/1 constraint
-//!   matrix). It is the only solver the analysis calls, bounded by a
-//!   search budget (`PackingProblem::DEFAULT_BUDGET` by default); the
-//!   property tests cross-check it against the general ILP and brute
-//!   force.
+//! ```text
+//! max Σ_i x_i   s.t.   ∀r: Σ_{i ∋ r} x_i ≤ cap_r,   x_i ∈ ℕ
+//! ```
+//!
+//! Every item (an unschedulable combination) consumes one unit of each
+//! resource (active segment) it contains. The program has a 0/1
+//! constraint matrix and an all-ones objective, so this crate solves it
+//! with one dedicated exact solver, [`PackingProblem`], rather than a
+//! general ILP: a memoized dynamic program over the remaining
+//! capacities, with a budgeted branch and bound behind it. The search is
+//! bounded by a deterministic budget (`PackingProblem::DEFAULT_BUDGET`
+//! by default); on exhaustion the [`PackingSolution`] reports a sound
+//! upper bound and says it is not exact. The property tests check the
+//! solver against brute-force enumeration.
 //!
 //! # Examples
 //!
-//! Maximize `3x + 2y` subject to `x + y ≤ 4`, `x ≤ 2` over integers:
+//! Two segments with budgets 5 and 4; one combination needs the first
+//! segment alone, another needs both:
 //!
 //! ```
-//! use twca_ilp::{Problem, solve_ilp};
+//! use twca_ilp::PackingProblem;
 //!
 //! # fn main() -> Result<(), twca_ilp::IlpError> {
-//! let mut p = Problem::maximize(2);
-//! p.set_objective(0, 3);
-//! p.set_objective(1, 2);
-//! p.add_le_constraint(vec![(0, 1), (1, 1)], 4)?;
-//! p.add_le_constraint(vec![(0, 1)], 2)?;
-//! let solution = solve_ilp(&p)?.expect_optimal();
-//! assert_eq!(solution.objective_value(), 10); // x = 2, y = 2
+//! let p = PackingProblem::new(vec![5, 4], vec![vec![0], vec![0, 1]])?;
+//! let solution = p.solve();
+//! assert!(solution.is_exact());
+//! assert_eq!(solution.packed_total(), 5); // the first segment's budget
 //! # Ok(())
 //! # }
 //! ```
 
-mod branch_bound;
 mod error;
 mod knapsack;
-mod problem;
-mod rational;
-mod simplex;
 
-pub use branch_bound::{solve_ilp, solve_ilp_with, IlpOptions, IlpOutcome, IlpSolution};
 pub use error::IlpError;
 pub use knapsack::{PackingProblem, PackingSolution};
-pub use problem::{Constraint, Problem};
-pub use rational::Rational;
-pub use simplex::{solve_lp, LpOutcome, LpSolution};

@@ -1,10 +1,10 @@
-//! Property-based cross-validation of the three solver layers:
-//! LP relaxation, branch-and-bound ILP, and the specialized packing
-//! solver.
+//! Property tests of the packing solver against brute-force
+//! enumeration: exact under the default budget, and sound (never below
+//! the optimum) when a starved budget cuts the search short.
 
 use proptest::prelude::*;
 
-use twca_ilp::{solve_ilp, solve_lp, IlpOutcome, LpOutcome, PackingProblem, Problem, Rational};
+use twca_ilp::PackingProblem;
 
 /// Random small packing instance: up to 4 resources, up to 5 items.
 fn packing_instance() -> impl Strategy<Value = PackingProblem> {
@@ -60,20 +60,6 @@ proptest! {
         prop_assert_eq!(p.solve().packed_total(), brute_force(&p));
     }
 
-    /// The specialized solver agrees with the general branch-and-bound.
-    #[test]
-    fn packing_matches_general_ilp(p in packing_instance()) {
-        let fast = p.solve().packed_total();
-        let ilp = match solve_ilp(&p.to_ilp()).unwrap() {
-            IlpOutcome::Optimal(s) => s.objective_value() as u64,
-            IlpOutcome::Infeasible => 0, // no items
-            IlpOutcome::Unbounded => unreachable!("packing is bounded"),
-        };
-        // For the empty-items case the ILP has zero variables and reports
-        // an optimal empty solution; align both readings.
-        prop_assert_eq!(fast, ilp);
-    }
-
     /// The returned counts are feasible and sum to the reported total.
     #[test]
     fn packing_solution_is_feasible(p in packing_instance()) {
@@ -89,95 +75,40 @@ proptest! {
             prop_assert!(*u <= cap);
         }
     }
+}
 
-    /// The LP relaxation dominates the ILP optimum.
+proptest! {
+    // The budget-exhausted branch goes wrong only when its incumbent
+    // or root bound is off on an instance the search could not finish,
+    // which is rare on instances this small: 64 cases miss a branch
+    // that reports its incumbent as exact, 4 096 catch it.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Under a starved budget the solver stays sound: the reported
+    /// total never undercuts the optimum, an exact answer is the
+    /// optimum, and the counts are a feasible packing within the total.
     #[test]
-    fn lp_bound_dominates_ilp(p in packing_instance()) {
-        if p.items().is_empty() {
-            return Ok(());
-        }
-        let ilp_value = p.solve().packed_total();
-        let lp = solve_lp(&p.to_ilp()).unwrap();
-        match lp {
-            LpOutcome::Optimal(s) => {
-                prop_assert!(s.objective_value() >= Rational::from(ilp_value as i128));
+    fn starved_budgets_stay_sound(p in packing_instance()) {
+        let optimum = brute_force(&p);
+        for budget in [0, 1, 2, 4, 16] {
+            let s = p.solve_with_budget(budget);
+            prop_assert!(
+                s.packed_total() >= optimum,
+                "budget {}: total {} < optimum {}", budget, s.packed_total(), optimum
+            );
+            if s.is_exact() {
+                prop_assert_eq!(s.packed_total(), optimum, "budget {}", budget);
             }
-            other => prop_assert!(false, "unexpected LP outcome {:?}", other),
-        }
-    }
-
-    /// Random bounded 3-variable ILPs with mixed-sign objectives and a
-    /// ≥-constraint (phase-1 simplex): branch and bound matches a grid
-    /// scan.
-    #[test]
-    fn bb_matches_grid_scan_3d(
-        c in proptest::array::uniform3(-3i128..=4),
-        a in proptest::array::uniform3(0i128..=3),
-        b0 in 0i128..=10,
-        g in proptest::array::uniform3(0i128..=2),
-        g0 in 0i128..=4,
-        u in proptest::array::uniform3(0i128..=4),
-    ) {
-        let mut p = Problem::maximize(3);
-        for v in 0..3 {
-            p.set_objective(v, c[v]);
-            p.set_upper_bound(v, u[v]);
-        }
-        p.add_le_constraint(vec![(0, a[0]), (1, a[1]), (2, a[2])], b0).unwrap();
-        p.add_ge_constraint(vec![(0, g[0]), (1, g[1]), (2, g[2])], g0).unwrap();
-
-        let mut best: Option<i128> = None;
-        for x in 0..=u[0] {
-            for y in 0..=u[1] {
-                for z in 0..=u[2] {
-                    if a[0] * x + a[1] * y + a[2] * z <= b0
-                        && g[0] * x + g[1] * y + g[2] * z >= g0
-                    {
-                        let v = c[0] * x + c[1] * y + c[2] * z;
-                        best = Some(best.map_or(v, |b| b.max(v)));
-                    }
+            prop_assert!(s.counts().iter().sum::<u64>() <= s.packed_total());
+            let mut used = vec![0u64; p.capacities().len()];
+            for (item, &count) in p.items().iter().zip(s.counts()) {
+                for &r in item {
+                    used[r] += count;
                 }
             }
-        }
-        match (best, solve_ilp(&p).unwrap()) {
-            (Some(expected), IlpOutcome::Optimal(s)) => {
-                prop_assert_eq!(s.objective_value(), expected);
-            }
-            (None, IlpOutcome::Infeasible) => {}
-            (grid, solver) => {
-                prop_assert!(false, "grid {:?} vs solver {:?}", grid, solver);
+            for (u, &cap) in used.iter().zip(p.capacities()) {
+                prop_assert!(*u <= cap, "budget {}: used {} > capacity {}", budget, u, cap);
             }
         }
-    }
-
-    /// Random bounded 2-variable ILPs: branch and bound matches a grid
-    /// scan.
-    #[test]
-    fn bb_matches_grid_scan(
-        c0 in -3i128..=5, c1 in -3i128..=5,
-        a00 in 0i128..=4, a01 in 0i128..=4, b0 in 0i128..=12,
-        a10 in 0i128..=4, a11 in 0i128..=4, b1 in 0i128..=12,
-        u0 in 0i128..=6, u1 in 0i128..=6,
-    ) {
-        let mut p = Problem::maximize(2);
-        p.set_objective(0, c0);
-        p.set_objective(1, c1);
-        p.add_le_constraint(vec![(0, a00), (1, a01)], b0).unwrap();
-        p.add_le_constraint(vec![(0, a10), (1, a11)], b1).unwrap();
-        p.set_upper_bound(0, u0);
-        p.set_upper_bound(1, u1);
-
-        let mut best: Option<i128> = None;
-        for x in 0..=u0 {
-            for y in 0..=u1 {
-                if a00 * x + a01 * y <= b0 && a10 * x + a11 * y <= b1 {
-                    let v = c0 * x + c1 * y;
-                    best = Some(best.map_or(v, |b| b.max(v)));
-                }
-            }
-        }
-        let expected = best.expect("origin is always feasible here");
-        let got = solve_ilp(&p).unwrap().expect_optimal();
-        prop_assert_eq!(got.objective_value(), expected);
     }
 }

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::table::{Align, Table};
-
 /// A histogram over discrete `u64` outcomes (e.g. `dmm(10)` values of
 /// 1000 random priority assignments, as in the paper's Figure 5).
 ///
@@ -83,18 +81,6 @@ impl Histogram {
         }
         out
     }
-
-    /// Lowers the histogram to a two-column [`Table`] for Markdown/CSV
-    /// export.
-    pub fn to_table(&self, value_header: &str) -> Table {
-        let mut t = Table::new();
-        t.column(value_header, Align::Right);
-        t.column("count", Align::Right);
-        for (value, count) in self.iter() {
-            t.row([value.to_string(), count.to_string()]);
-        }
-        t
-    }
 }
 
 impl FromIterator<u64> for Histogram {
@@ -165,16 +151,6 @@ mod tests {
         assert!(lines[0].ends_with(&"#".repeat(8))); // the mode fills the width
         assert!(lines[1].matches('#').count() <= 8);
         assert!(lines[1].matches('#').count() >= 1);
-    }
-
-    #[test]
-    fn table_lowering_round_trips_counts() {
-        let h: Histogram = [5u64, 5, 7].into_iter().collect();
-        let t = h.to_table("dmm(10)");
-        assert_eq!(t.len(), 2);
-        let csv = t.to_csv();
-        assert!(csv.contains("5,2"));
-        assert!(csv.contains("7,1"));
     }
 
     #[test]

@@ -50,7 +50,6 @@ mod event_queue;
 mod falsify;
 mod gantt;
 mod metrics;
-mod monitor;
 mod montecarlo;
 pub mod reference;
 mod trace;
@@ -60,7 +59,6 @@ pub use event_queue::SimArena;
 pub use falsify::{falsify, FalsificationConfig, FalsificationOutcome};
 pub use gantt::{ExecutionSpan, ExecutionTrace};
 pub use metrics::{ChainStats, InstanceRecord};
-pub use monitor::MkMonitor;
 pub use montecarlo::{ChainMissProfile, MonteCarlo, MonteCarloConfig, MonteCarloReport};
 pub use trace::{
     adversarial_aligned_traces, batched_max_rate_trace, max_rate_trace, periodic_trace,

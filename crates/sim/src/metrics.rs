@@ -120,45 +120,6 @@ impl ChainStats {
     pub fn max_misses_in_window(&self, k: usize) -> usize {
         max_misses_in_flag_window(&self.miss_flags(), k)
     }
-
-    /// Fraction of instances that missed their deadline (`0.0` when there
-    /// are no completed instances or no deadline).
-    pub fn miss_ratio(&self) -> f64 {
-        let flags = self.miss_flags();
-        if flags.is_empty() {
-            return 0.0;
-        }
-        flags.iter().filter(|&&m| m).count() as f64 / flags.len() as f64
-    }
-
-    /// The `p`-th latency percentile (`0.0 ..= 100.0`) over completed
-    /// instances, using the nearest-rank method. `None` when nothing
-    /// completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn latency_percentile(&self, p: f64) -> Option<Time> {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        let mut latencies: Vec<Time> = self.latencies().collect();
-        if latencies.is_empty() {
-            return None;
-        }
-        latencies.sort_unstable();
-        let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-        Some(latencies[rank.saturating_sub(1).min(latencies.len() - 1)])
-    }
-
-    /// The observed weakly-hard profile: for every window length
-    /// `k = 1..=max_k`, the maximum number of misses in any `k`
-    /// consecutive activations. Index `i` holds the value for
-    /// `k = i + 1`.
-    ///
-    /// The empirical counterpart of a dmm curve; by construction it is
-    /// non-decreasing and `profile[k-1] ≤ k`.
-    pub fn weakly_hard_profile(&self, max_k: usize) -> Vec<usize> {
-        (1..=max_k).map(|k| self.max_misses_in_window(k)).collect()
-    }
 }
 
 /// Sliding-window maximum over a per-instance miss-flag slice: the shared
@@ -206,7 +167,6 @@ mod tests {
         assert_eq!(s.max_latency(), Some(300));
         assert_eq!(s.miss_count(), 2);
         assert_eq!(s.miss_flags(), vec![false, true, false, true]);
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -221,37 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_percentiles() {
-        let s = stats(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100], 200);
-        assert_eq!(s.latency_percentile(0.0), Some(10));
-        assert_eq!(s.latency_percentile(50.0), Some(50));
-        assert_eq!(s.latency_percentile(90.0), Some(90));
-        assert_eq!(s.latency_percentile(100.0), Some(100));
-        let empty = ChainStats::new(vec![], Some(10));
-        assert_eq!(empty.latency_percentile(50.0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_bounds_checked() {
-        let s = stats(&[10], 200);
-        let _ = s.latency_percentile(101.0);
-    }
-
-    #[test]
-    fn weakly_hard_profile_is_monotone_and_capped() {
-        let s = stats(&[250, 250, 100, 250, 250, 250, 100], 200);
-        let profile = s.weakly_hard_profile(7);
-        assert_eq!(profile, vec![1, 2, 3, 3, 4, 5, 5]);
-        for (i, &v) in profile.iter().enumerate() {
-            assert!(v <= i + 1);
-        }
-        for w in profile.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
     fn no_deadline_means_no_misses() {
         let records = vec![{
             let mut r = InstanceRecord::activated(0);
@@ -261,7 +190,6 @@ mod tests {
         let s = ChainStats::new(records, None);
         assert_eq!(s.miss_count(), 0);
         assert_eq!(s.max_misses_in_window(5), 0);
-        assert_eq!(s.miss_ratio(), 0.0);
     }
 
     #[test]
