@@ -103,8 +103,8 @@ fn witness_outcome(sweep: &DmmSweep<'_>, system: &System, name: String, k: u64) 
 
 /// The uniprocessor backend: one [`System`], analyzed through
 /// [`twca_chains`] with the session's shared cache. The analysis
-/// context (segment views, fingerprint) is built once per request and
-/// reused by every query.
+/// context (interference terms, fingerprint) is built once per request
+/// and reused by every query.
 pub(crate) struct ChainBackend<'a> {
     system: &'a System,
     ctx: OnceCell<AnalysisContext<'a>>,

@@ -36,7 +36,8 @@ pub struct ChainAnalysis<'a> {
 }
 
 impl<'a> ChainAnalysis<'a> {
-    /// Prepares the analysis (computes all segment views).
+    /// Prepares the analysis (computes every chain pair's interference
+    /// terms; segment views are built on demand).
     pub fn new(system: &'a System) -> Self {
         ChainAnalysis {
             ctx: AnalysisContext::new(system),

@@ -120,24 +120,20 @@ impl InterferencePlan {
             if mode == OverloadMode::Exclude && chain_a.is_overload() {
                 continue;
             }
-            let view = ctx.view(a, observed);
-            match view.class() {
+            let terms = ctx.terms(a, observed);
+            match terms.class() {
                 InterferenceClass::ArbitrarilyInterfering => plan.arbitrary.push(PlanEntry {
                     activation: chain_a.activation().clone(),
                     coefficient: chain_a.total_wcet(),
                 }),
                 InterferenceClass::Deferred if chain_a.kind().is_synchronous() => {
-                    plan.deferred_sync = plan
-                        .deferred_sync
-                        .saturating_add(view.critical_segment().map_or(0, |s| s.wcet(chain_a)));
+                    plan.deferred_sync = plan.deferred_sync.saturating_add(terms.critical_wcet());
                 }
                 InterferenceClass::Deferred => {
-                    plan.deferred_const = plan
-                        .deferred_const
-                        .saturating_add(view.segments_total_wcet(chain_a));
+                    plan.deferred_const = plan.deferred_const.saturating_add(terms.segments_wcet());
                     plan.deferred_async.push(PlanEntry {
                         activation: chain_a.activation().clone(),
-                        coefficient: view.header_segment_wcet(chain_a),
+                        coefficient: terms.header_wcet(),
                     });
                 }
             }

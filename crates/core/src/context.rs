@@ -1,13 +1,13 @@
 //! Cached structural data for all ordered chain pairs of a system.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::busy_time::InterferencePlan;
 use crate::cache::{AnalysisCache, MemoHandle, SystemKey};
 use crate::latency::OverloadMode;
 use crate::reference::Reference;
-use twca_model::{ChainId, SegmentView, System};
+use twca_model::{ChainId, InterferenceTerms, SegmentView, System};
 
 /// Lazily-built [`InterferencePlan`]s per `(observed, mode)`, shared by
 /// every busy-time fixed point of the scheduling-point solver. Interior
@@ -25,9 +25,16 @@ impl Clone for PlanStore {
     }
 }
 
-/// Precomputed [`SegmentView`]s for every ordered pair of distinct chains,
-/// so repeated analyses (latency sweeps, DMM curves, priority-assignment
-/// experiments) do not recompute segment structure.
+/// Segment structure for every ordered pair of distinct chains, so
+/// repeated analyses (latency sweeps, DMM curves, priority-assignment
+/// experiments) do not recompute it.
+///
+/// The [`InterferenceTerms`] Theorem 1 reads are computed for every pair
+/// up front, into one flat table that allocates nothing per pair. A full
+/// [`SegmentView`] (segments, active segments, header segment) is built
+/// the first time [`AnalysisContext::view`] asks for its pair and kept
+/// for the context's life; only the combination engine, `explain` and
+/// the iterative reference ask.
 ///
 /// # Examples
 ///
@@ -47,9 +54,12 @@ impl Clone for PlanStore {
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'a> {
     system: &'a System,
-    /// `views[a][b]`: structure of chain `a` w.r.t. chain `b`; the
-    /// diagonal holds `None`.
-    views: Vec<Vec<Option<SegmentView>>>,
+    /// `terms[a * n + b]`: Theorem 1's terms of chain `a` w.r.t. chain
+    /// `b`, for `n` chains; the diagonal holds `None`.
+    terms: Box<[Option<InterferenceTerms>]>,
+    /// `views[a * n + b]`: the full structure of chain `a` w.r.t. chain
+    /// `b`, built on first use.
+    views: Box<[OnceLock<Box<SegmentView>>]>,
     /// This system's memo in a shared cache, held for the context's
     /// life; `None` disables memoization (the default).
     cache: Option<MemoHandle>,
@@ -62,22 +72,21 @@ pub struct AnalysisContext<'a> {
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Computes segment structure for all ordered chain pairs.
+    /// Computes Theorem 1's terms for all ordered chain pairs.
     pub fn new(system: &'a System) -> Self {
-        let n = system.chains().len();
-        let mut views = Vec::with_capacity(n);
-        for a in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for b in 0..n {
-                row.push(
-                    (a != b).then(|| SegmentView::new(&system.chains()[a], &system.chains()[b])),
-                );
-            }
-            views.push(row);
+        let chains = system.chains();
+        let n = chains.len();
+        let min_priorities: Vec<_> = chains.iter().map(|c| c.min_priority()).collect();
+        let mut terms = Vec::with_capacity(n * n);
+        for (a, interferer) in chains.iter().enumerate() {
+            terms.extend(min_priorities.iter().enumerate().map(|(b, &min_observed)| {
+                (a != b).then(|| InterferenceTerms::new(interferer, min_observed))
+            }));
         }
         AnalysisContext {
             system,
-            views,
+            terms: terms.into_boxed_slice(),
+            views: (0..n * n).map(|_| OnceLock::new()).collect(),
             cache: None,
             plans: PlanStore::default(),
             reference: None,
@@ -123,7 +132,8 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Attaches a shared cache to an already-built context: fetches (or
-    /// creates) the system's memo, keeping the segment views.
+    /// creates) the system's memo, keeping the terms and any built
+    /// segment views.
     pub(crate) fn attach_cache(&mut self, cache: Arc<AnalysisCache>) {
         self.cache = Some(cache.checkout(SystemKey::of(self.system)));
     }
@@ -165,16 +175,45 @@ impl<'a> AnalysisContext<'a> {
         self.system
     }
 
-    /// The segment structure of `interferer` w.r.t. `observed`.
+    /// The segment structure of `interferer` w.r.t. `observed`, built on
+    /// the first call for the pair.
     ///
     /// # Panics
     ///
     /// Panics if the ids are out of range or equal (a chain has no view of
     /// itself).
     pub fn view(&self, interferer: ChainId, observed: ChainId) -> &SegmentView {
-        self.views[interferer.index()][observed.index()]
-            .as_ref()
-            .expect("no segment view of a chain w.r.t. itself")
+        assert!(
+            interferer != observed,
+            "no segment view of a chain w.r.t. itself"
+        );
+        let chains = self.system.chains();
+        self.views[self.pair(interferer, observed)].get_or_init(|| {
+            Box::new(SegmentView::new(
+                &chains[interferer.index()],
+                &chains[observed.index()],
+            ))
+        })
+    }
+
+    /// Theorem 1's terms of `interferer` w.r.t. `observed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ids are out of range or equal.
+    pub(crate) fn terms(&self, interferer: ChainId, observed: ChainId) -> InterferenceTerms {
+        self.terms[self.pair(interferer, observed)]
+            .expect("no interference terms of a chain w.r.t. itself")
+    }
+
+    /// Index of the ordered pair in the flat per-pair tables.
+    fn pair(&self, interferer: ChainId, observed: ChainId) -> usize {
+        let n = self.system.chains().len();
+        assert!(
+            interferer.index() < n && observed.index() < n,
+            "chain id out of range"
+        );
+        interferer.index() * n + observed.index()
     }
 
     /// Ids of all chains other than `observed`.
@@ -194,6 +233,7 @@ impl<'a> AnalysisContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{deadline_miss_model, latency_analysis, typical_slack, AnalysisOptions};
     use twca_model::case_study;
 
     #[test]
@@ -210,6 +250,69 @@ mod tests {
         assert_eq!(ctx.others(ChainId::from_index(0)).count(), 3);
         assert!(ctx.contains(ChainId::from_index(3)));
         assert!(!ctx.contains(ChainId::from_index(4)));
+    }
+
+    /// The `(interferer, observed)` pairs whose full view was built.
+    fn built_views(ctx: &AnalysisContext<'_>) -> Vec<(usize, usize)> {
+        let n = ctx.system.chains().len();
+        (0..n * n)
+            .filter(|&i| ctx.views[i].get().is_some())
+            .map(|i| (i / n, i % n))
+            .collect()
+    }
+
+    #[test]
+    fn latency_and_slack_build_no_segment_view() {
+        let s = case_study();
+        let ctx = AnalysisContext::new(&s);
+        let options = AnalysisOptions::default();
+        for (id, chain) in s.iter() {
+            for mode in [OverloadMode::Include, OverloadMode::Exclude] {
+                assert!(latency_analysis(&ctx, id, mode, options).is_some());
+            }
+            if chain.deadline().is_some() {
+                let _ = typical_slack(&ctx, id, 3);
+            }
+        }
+        assert_eq!(built_views(&ctx), []);
+    }
+
+    #[test]
+    fn dmm_builds_only_overload_interferer_views() {
+        let s = case_study();
+        for (observed, chain) in s.iter() {
+            if chain.deadline().is_none() {
+                continue;
+            }
+            let ctx = AnalysisContext::new(&s);
+            deadline_miss_model(&ctx, observed, 10, AnalysisOptions::default()).unwrap();
+            let expected: Vec<(usize, usize)> = s
+                .overload_chains()
+                .filter(|&a| a != observed)
+                .map(|a| (a.index(), observed.index()))
+                .collect();
+            let built = built_views(&ctx);
+            assert!(
+                built.iter().all(|pair| expected.contains(pair)),
+                "{}: {built:?}",
+                chain.name()
+            );
+            // σc's miss model needs both overload chains' combinations;
+            // σd's needs none.
+            if chain.name() == "sigma_c" {
+                assert_eq!(built, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn views_are_built_once_per_pair() {
+        let s = case_study();
+        let ctx = AnalysisContext::new(&s);
+        let (a, c) = (ChainId::from_index(3), ChainId::from_index(1));
+        let first: *const SegmentView = ctx.view(a, c);
+        assert!(std::ptr::eq(first, ctx.view(a, c)));
+        assert_eq!(built_views(&ctx), [(3, 1)]);
     }
 
     #[test]

@@ -64,20 +64,19 @@ pub fn typical_load(ctx: &AnalysisContext<'_>, observed: ChainId, q: u64) -> Tim
         if chain_a.is_overload() {
             continue; // overload contributions enter per combination
         }
-        let view = ctx.view(a, observed);
+        let terms = ctx.terms(a, observed);
         let eta = chain_a.activation().eta_plus(horizon);
-        match view.class() {
+        match terms.class() {
             InterferenceClass::ArbitrarilyInterfering => {
                 load = load.saturating_add(eta.saturating_mul(chain_a.total_wcet()));
             }
             InterferenceClass::Deferred => {
                 if chain_a.kind().is_synchronous() {
-                    load =
-                        load.saturating_add(view.critical_segment().map_or(0, |s| s.wcet(chain_a)));
+                    load = load.saturating_add(terms.critical_wcet());
                 } else {
                     load = load
-                        .saturating_add(eta.saturating_mul(view.header_segment_wcet(chain_a)))
-                        .saturating_add(view.segments_total_wcet(chain_a));
+                        .saturating_add(eta.saturating_mul(terms.header_wcet()))
+                        .saturating_add(terms.segments_wcet());
                 }
             }
         }

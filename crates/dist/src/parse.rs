@@ -355,38 +355,43 @@ link ecu0/c -> ecu1/d
         }
     }
 
-    /// Best of five wall times of `pass`, in nanoseconds.
-    fn best_of_5_ns(mut pass: impl FnMut()) -> u128 {
-        (0..5)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                pass();
-                start.elapsed().as_nanos()
-            })
-            .min()
-            .expect("five samples")
+    /// Asserts that `pass` costs under 8x as much on `doc(8 000)` as on
+    /// `doc(2 000)`, with the document's link count as its second
+    /// argument: linear code costs ~4x, quadratic code ~16x, so both
+    /// sides have a 2x margin. Each side takes its best of five wall
+    /// times; the samples alternate, so a burst of load from outside the
+    /// test slows both sides instead of one.
+    fn assert_linear(doc: impl Fn(usize) -> String, pass: impl Fn(&str, usize)) {
+        let (small, large) = (doc(2_000), doc(8_000));
+        let time = |doc: &str, links: usize| {
+            let start = std::time::Instant::now();
+            pass(doc, links);
+            start.elapsed().as_nanos().max(1)
+        };
+        let (mut small_ns, mut large_ns) = (u128::MAX, u128::MAX);
+        for _ in 0..5 {
+            small_ns = small_ns.min(time(&small, 2_000));
+            large_ns = large_ns.min(time(&large, 8_000));
+        }
+        assert!(
+            large_ns < 8 * small_ns,
+            "8 000 links took {large_ns} ns, 2 000 links {small_ns} ns"
+        );
     }
 
     #[test]
     fn parsing_scales_linearly_in_the_number_of_links() {
-        let cost = |links: usize| {
+        let doc = |links: usize| {
             let mut doc =
                 String::from("resource a { chain c periodic=10 { task t prio=1 wcet=1 } }\n");
             for i in 0..links {
                 doc.push_str(&format!("link a/c{i} -> b/d{i}\n"));
             }
-            best_of_5_ns(|| {
-                std::hint::black_box(parse_distributed(&doc).unwrap_err());
-            })
-            .max(1)
+            doc
         };
-        let small = cost(4_000);
-        let large = cost(8_000);
-        // Twice the links: linear code costs ~2x, quadratic code ~4x.
-        assert!(
-            large < 3 * small,
-            "8 000 links took {large} ns, 4 000 links {small} ns"
-        );
+        assert_linear(doc, |doc, _| {
+            std::hint::black_box(parse_distributed(doc).unwrap_err());
+        });
     }
 
     #[test]
@@ -394,7 +399,7 @@ link ecu0/c -> ecu1/d
         // Two resources of N one-task chains and N links `a/ci -> b/ci`:
         // every link resolves, so the builder checks each endpoint and
         // each target against all links accepted before it.
-        let cost = |chains: usize| {
+        let doc = |chains: usize| {
             let mut doc = String::new();
             for resource in ["a", "b"] {
                 doc.push_str(&format!("resource {resource} {{\n"));
@@ -409,20 +414,13 @@ link ecu0/c -> ecu1/d
             for i in 0..chains {
                 doc.push_str(&format!("link a/c{i} -> b/c{i}\n"));
             }
-            best_of_5_ns(|| {
-                let dist = parse_distributed(&doc).unwrap();
-                assert_eq!(dist.links().len(), chains);
-                std::hint::black_box(dist);
-            })
-            .max(1)
+            doc
         };
-        let small = cost(4_000);
-        let large = cost(8_000);
-        // Twice the links: linear code costs ~2x, quadratic code ~4x.
-        assert!(
-            large < 3 * small,
-            "8 000 links took {large} ns, 4 000 links {small} ns"
-        );
+        assert_linear(doc, |doc, links| {
+            let dist = parse_distributed(doc).unwrap();
+            assert_eq!(dist.links().len(), links);
+            std::hint::black_box(dist);
+        });
     }
 
     #[test]

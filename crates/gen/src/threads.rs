@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use twca_model::{InterferenceClass, SegmentView};
+    use twca_model::{segments::classify, InterferenceClass};
 
     #[test]
     fn generates_valid_systems() {
@@ -241,7 +241,7 @@ mod tests {
                         continue;
                     }
                     pairs += 1;
-                    if SegmentView::new(ca, cb).class() == InterferenceClass::Deferred {
+                    if classify(ca, cb) == InterferenceClass::Deferred {
                         deferred += 1;
                     }
                 }

@@ -70,7 +70,7 @@ pub use error::ModelError;
 pub use ids::{ChainId, Priority, TaskRef};
 pub use par::ordered_par_map;
 pub use parse::{parse_system, render_system, ParseError};
-pub use segments::{ActiveSegment, InterferenceClass, Segment, SegmentView};
+pub use segments::{ActiveSegment, InterferenceClass, InterferenceTerms, Segment, SegmentView};
 pub use system::System;
 pub use task::Task;
 

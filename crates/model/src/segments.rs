@@ -5,7 +5,8 @@
 //! All quantities here are purely structural: they depend only on the task
 //! priorities of an *interfering* chain `σa` and an *observed* chain `σb`,
 //! not on activation models. [`SegmentView`] computes and caches all of
-//! them for one ordered chain pair.
+//! them for one ordered chain pair; [`InterferenceTerms`] is the
+//! allocation-free summary of the four scalars Theorem 1 reads of it.
 //!
 //! # Examples
 //!
@@ -42,6 +43,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::chain::Chain;
 use crate::ids::Priority;
+use crate::task::Task;
 use twca_curves::Time;
 
 /// How a chain `σa` interferes with an observed chain `σb`
@@ -79,15 +81,132 @@ pub enum InterferenceClass {
 /// # }
 /// ```
 pub fn classify(interferer: &Chain, observed: &Chain) -> InterferenceClass {
-    let min_observed = observed.min_priority();
-    if interferer
+    match first_below(interferer, observed.min_priority()) {
+        Some(_) => InterferenceClass::Deferred,
+        None => InterferenceClass::ArbitrarilyInterfering,
+    }
+}
+
+/// Index of the first task of `interferer` with lower priority than
+/// `min_observed`: the task that defers the chain (Def. 2) and ends its
+/// header segment (Def. 5). `None` when the chain arbitrarily interferes.
+fn first_below(interferer: &Chain, min_observed: Priority) -> Option<usize> {
+    interferer
         .tasks()
         .iter()
-        .any(|t| t.priority() < min_observed)
-    {
-        InterferenceClass::Deferred
-    } else {
-        InterferenceClass::ArbitrarilyInterfering
+        .position(|t| t.priority() < min_observed)
+}
+
+/// The four scalars Theorem 1 reads of one ordered chain pair
+/// (`interferer` = `σa`, `observed` = `σb`): the interference class
+/// (Def. 2), the WCET of the critical segment (Def. 4), the sum of the
+/// segment WCETs (Def. 3) and the WCET of the header segment (Def. 5).
+///
+/// Computed without allocating, in one circular pass over the
+/// interferer's tasks; [`SegmentView`]'s scalar accessors read the same
+/// summary.
+///
+/// # Examples
+///
+/// Figure 1 of the paper: `σa`'s segments w.r.t. `σb` are
+/// `(τ¹a, τ²a, τ³a)` and `(τ⁵a)`; its header segment is `(τ¹a, τ²a, τ³a)`.
+///
+/// ```
+/// use twca_model::{InterferenceClass, InterferenceTerms, SystemBuilder};
+///
+/// # fn main() -> Result<(), twca_model::ModelError> {
+/// let system = SystemBuilder::new()
+///     .chain("a")
+///     .periodic(100)?
+///     .task("a1", 7, 1).task("a2", 9, 2).task("a3", 5, 4)
+///     .task("a4", 2, 8).task("a5", 4, 16).task("a6", 1, 32)
+///     .done()
+///     .chain("b")
+///     .periodic(100)?
+///     .task("b1", 8, 1).task("b2", 3, 2).task("b3", 6, 4)
+///     .done()
+///     .build()?;
+/// let (a, b) = (&system.chains()[0], &system.chains()[1]);
+/// let terms = InterferenceTerms::new(a, b.min_priority());
+/// assert_eq!(terms.class(), InterferenceClass::Deferred);
+/// assert_eq!(terms.critical_wcet(), 16);
+/// assert_eq!(terms.segments_wcet(), 7 + 16);
+/// assert_eq!(terms.header_wcet(), 7);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct InterferenceTerms {
+    class: InterferenceClass,
+    critical_wcet: Time,
+    segments_wcet: Time,
+    header_wcet: Time,
+}
+
+impl InterferenceTerms {
+    /// The terms of `interferer` w.r.t. an observed chain whose lowest
+    /// task priority is `min_observed` (`observed.min_priority()`, taken
+    /// once per observed chain rather than once per pair).
+    ///
+    /// An arbitrarily interfering chain is one segment of its total WCET
+    /// and has no header segment. A deferred chain's segments are the
+    /// maximal runs of tasks above `min_observed` on the circular index
+    /// space; the pass starts at the first task below `min_observed`, so
+    /// a run wrapping from the end of the chain into its start is summed
+    /// as the one segment it is.
+    pub fn new(interferer: &Chain, min_observed: Priority) -> Self {
+        let tasks = interferer.tasks();
+        let Some(first_low) = first_below(interferer, min_observed) else {
+            let total = interferer.total_wcet();
+            return InterferenceTerms {
+                class: InterferenceClass::ArbitrarilyInterfering,
+                critical_wcet: total,
+                segments_wcet: total,
+                header_wcet: 0,
+            };
+        };
+        let (header, tail) = tasks.split_at(first_low);
+        let mut critical_wcet = 0;
+        let mut segments_wcet = 0;
+        let mut run: Time = 0;
+        for task in tail.iter().chain(header) {
+            if task.priority() > min_observed {
+                run += task.wcet();
+            } else {
+                critical_wcet = critical_wcet.max(run);
+                segments_wcet += run;
+                run = 0;
+            }
+        }
+        InterferenceTerms {
+            class: InterferenceClass::Deferred,
+            critical_wcet: critical_wcet.max(run),
+            segments_wcet: segments_wcet + run,
+            header_wcet: header.iter().map(Task::wcet).sum(),
+        }
+    }
+
+    /// How the interferer interferes with the observed chain (Def. 2).
+    pub fn class(&self) -> InterferenceClass {
+        self.class
+    }
+
+    /// Total execution time of the critical segment (Def. 4), the
+    /// segment with the largest WCET.
+    pub fn critical_wcet(&self) -> Time {
+        self.critical_wcet
+    }
+
+    /// Sum of `C_s` over all segments (the `Σ_{s∈S_b^a} C_s` term of
+    /// Theorem 1).
+    pub fn segments_wcet(&self) -> Time {
+        self.segments_wcet
+    }
+
+    /// Total execution time of the header segment `s_header_{a,b}`
+    /// (Def. 5); `0` for an arbitrarily interfering chain.
+    pub fn header_wcet(&self) -> Time {
+        self.header_wcet
     }
 }
 
@@ -184,7 +303,7 @@ impl ActiveSegment {
 /// (`interferer` = `σa`, `observed` = `σb`), computed once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentView {
-    class: InterferenceClass,
+    terms: InterferenceTerms,
     segments: Vec<Segment>,
     active_segments: Vec<ActiveSegment>,
     header_segment: Vec<usize>,
@@ -201,19 +320,18 @@ impl SegmentView {
     /// Experiment 1, where the overload chains arbitrarily interfere with
     /// `σc` and have exactly one segment each.
     pub fn new(interferer: &Chain, observed: &Chain) -> Self {
-        let class = classify(interferer, observed);
         let min_observed = observed.min_priority();
-        let segments = compute_segments(interferer, min_observed, class);
+        let terms = InterferenceTerms::new(interferer, min_observed);
+        let segments = compute_segments(interferer, min_observed, terms.class);
         let active_segments =
             compute_active_segments(interferer, observed.tail_priority(), &segments);
-        let header_segment = compute_header_segment(interferer, min_observed, class);
+        let header_segment = compute_header_segment(interferer, min_observed);
+        // The first segment of the largest WCET.
         let critical_segment = segments
             .iter()
-            .enumerate()
-            .max_by_key(|(i, s)| (s.wcet(interferer), std::cmp::Reverse(*i)))
-            .map(|(i, _)| i);
+            .position(|s| s.wcet(interferer) == terms.critical_wcet);
         SegmentView {
-            class,
+            terms,
             segments,
             active_segments,
             header_segment,
@@ -223,7 +341,7 @@ impl SegmentView {
 
     /// How the interferer interferes with the observed chain (Def. 2).
     pub fn class(&self) -> InterferenceClass {
-        self.class
+        self.terms.class
     }
 
     /// The segments `S_b^a` of the interferer w.r.t. the observed chain
@@ -254,15 +372,18 @@ impl SegmentView {
         self.critical_segment.map(|i| &self.segments[i])
     }
 
-    /// Total execution time of the header segment within `interferer`.
-    pub fn header_segment_wcet(&self, interferer: &Chain) -> Time {
-        interferer.wcet_of(&self.header_segment)
+    /// Total execution time of the header segment within `interferer`,
+    /// the chain this view was built for
+    /// ([`InterferenceTerms::header_wcet`]).
+    pub fn header_segment_wcet(&self, _interferer: &Chain) -> Time {
+        self.terms.header_wcet
     }
 
     /// Sum of `C_s` over all segments (the `Σ_{s∈S_b^a} C_s` term of
-    /// Theorem 1).
-    pub fn segments_total_wcet(&self, interferer: &Chain) -> Time {
-        self.segments.iter().map(|s| s.wcet(interferer)).sum()
+    /// Theorem 1) within `interferer`, the chain this view was built for
+    /// ([`InterferenceTerms::segments_wcet`]).
+    pub fn segments_total_wcet(&self, _interferer: &Chain) -> Time {
+        self.terms.segments_wcet
     }
 }
 
@@ -391,20 +512,10 @@ fn compute_active_segments(
     result
 }
 
-fn compute_header_segment(
-    interferer: &Chain,
-    min_observed: Priority,
-    class: InterferenceClass,
-) -> Vec<usize> {
-    if class == InterferenceClass::ArbitrarilyInterfering {
-        return Vec::new();
-    }
-    let first_low = interferer
-        .tasks()
-        .iter()
-        .position(|t| t.priority() < min_observed)
-        .expect("deferred chain has a task below the observed minimum");
-    (0..first_low).collect()
+fn compute_header_segment(interferer: &Chain, min_observed: Priority) -> Vec<usize> {
+    // An arbitrarily interfering chain has no task below the observed
+    // minimum, and its header segment is unused: empty.
+    (0..first_below(interferer, min_observed).unwrap_or(0)).collect()
 }
 
 #[cfg(test)]
