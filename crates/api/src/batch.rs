@@ -41,7 +41,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::response::{ChainOutcome, SystemOutcome};
+use crate::response::{ChainOutcome, SystemOutcome, Wire};
 use crate::session::Session;
 use twca_chains::AnalysisOptions;
 pub use twca_chains::{AnalysisCache, CacheStats};
@@ -205,10 +205,10 @@ impl BatchEngine {
 /// but the key set is fixed). Hit/miss diagnostics are available via
 /// [`CacheStats`] for human-facing output instead.
 ///
-/// The per-chain objects are rendered by the shared DTO serializer
-/// ([`ChainOutcome::to_json`]) — the same bytes `twca serve` streams —
-/// wrapped in the batch document's stable two-space-indent scaffolding
-/// (locked by a golden-file test in `twca-cli`).
+/// The per-chain objects are written by the response encoder (the
+/// bytes of [`ChainOutcome::to_json`]) — the same bytes `twca serve`
+/// streams — wrapped in the batch document's stable two-space-indent
+/// scaffolding (locked by a golden-file test in `twca-cli`).
 ///
 /// # Examples
 ///
@@ -231,7 +231,7 @@ pub fn batch_to_json(batch: &[SystemVerdict], cache: Option<CacheStats>) -> Stri
         ));
         for (j, chain) in system.chains.iter().enumerate() {
             out.push_str("      ");
-            out.push_str(&chain.to_json().to_string());
+            chain.encode(&mut out);
             out.push_str(if j + 1 < system.chains.len() {
                 ",\n"
             } else {

@@ -178,12 +178,9 @@ impl ApiError {
         )
     }
 
-    /// Serializes the error as its wire object.
+    /// The error's wire object, read back from its written bytes.
     pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("kind".into(), Json::str(self.kind.as_str())),
-            ("message".into(), Json::str(&self.message)),
-        ])
+        crate::response::written_json(self)
     }
 
     /// Parses the wire object back.

@@ -12,6 +12,13 @@
 //! * `parse` ∘ `to_string` is the identity on every value this schema
 //!   produces, which the round-trip tests rely on.
 //!
+//! One escaper and one number writer serve both writers of this crate:
+//! [`Json`]'s `Display` (request lines, reports), which renders straight
+//! into the formatter, and the response encoder of
+//! [`crate::AnalysisResponse::to_line`], which writes its members
+//! through a crate-private object writer into one `String` and builds
+//! no [`Json`] tree.
+//!
 //! Numbers are restricted to unsigned 64-bit integers — the only number
 //! class the analysis schema uses; anything else is a parse error.
 //!
@@ -142,40 +149,34 @@ impl Json {
         Ok(value)
     }
 
-    fn write(&self, out: &mut String) {
+    /// Renders the value canonically into `out`.
+    fn write<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(v) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{v}"));
-            }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::UInt(v) => write_u64(out, *v),
+            Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(", ");
+                        out.write_str(", ")?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (key, value)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(", ");
+                        out.write_str(", ")?;
                     }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\": ");
-                    value.write(out);
+                    write_string(out, key)?;
+                    out.write_str(": ")?;
+                    value.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -183,27 +184,102 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-/// Escapes a string for embedding between JSON quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `v` in decimal.
+fn write_u64<W: fmt::Write + ?Sized>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("digits are ASCII"))
+}
+
+/// Writes `s` as a quoted JSON string: `"` and `\` are backslashed,
+/// `\n`, `\t` and `\r` get their short escapes, other control
+/// characters `\u00XX`; every run between escapes is written whole.
+fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\t' => out.write_str("\\t")?,
+            b'\r' => out.write_str("\\r")?,
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                out.write_str(std::str::from_utf8(&code).expect("the escape is ASCII"))?;
+            }
+        }
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Appends `v` to a line in decimal.
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    write_u64(out, v).expect("a String takes every write");
+}
+
+/// Appends `s` to a line as a quoted, escaped JSON string.
+pub(crate) fn push_string(out: &mut String, s: &str) {
+    write_string(out, s).expect("a String takes every write");
+}
+
+/// Writes one object's members straight into a line: `{`, then
+/// `"key": value` pairs separated by `, `, then `}`.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the key of the next member and returns the line for its
+    /// value, which the caller must write next.
+    pub(crate) fn member(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push_str(", ");
+        }
+        self.empty = false;
+        push_string(self.out, key);
+        self.out.push_str(": ");
+        self.out
+    }
+
+    /// Closes the object.
+    pub(crate) fn close(self) {
+        self.out.push('}');
+    }
 }
 
 /// Nesting limit of the parser. The schema never nests more than a
@@ -514,13 +590,16 @@ mod tests {
         let unit = "plain run é 😀 quote \" backslash \\ nl \n tab \t bel \u{7} ";
         let cost = |bytes: usize| {
             let raw = unit.repeat(bytes / unit.len());
-            let doc = format!("\"{}\"", escape(&raw));
+            let mut doc = String::new();
+            push_string(&mut doc, &raw);
             assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(raw.as_str()));
             let decode = best_of_5_ns(|| {
                 std::hint::black_box(Json::parse(&doc).unwrap());
             });
             let encode = best_of_5_ns(|| {
-                std::hint::black_box(escape(&raw));
+                let mut line = String::new();
+                push_string(&mut line, &raw);
+                std::hint::black_box(line);
             });
             (decode.max(1), encode.max(1))
         };

@@ -20,9 +20,10 @@
 //!
 //! and every answer is an [`AnalysisResponse`] carrying either typed
 //! outcomes (in query order) or one [`ApiError`]. Both serialize
-//! through the self-contained [`Json`] value type (the workspace
-//! vendors no serde runtime), with a versioned schema
-//! ([`SCHEMA_VERSION`]).
+//! through the self-contained [`Json`] module (the workspace vendors no
+//! serde runtime), with a versioned schema ([`SCHEMA_VERSION`]): a
+//! request renders from a [`Json`] value, a response writes its line
+//! ([`AnalysisResponse::to_line`]) straight into one `String`.
 //!
 //! [`respond_line`] answers one JSON-Lines request line — the unit the
 //! `twca serve` worker pool runs; the [`batch`] module's
@@ -71,7 +72,7 @@ mod session;
 mod store;
 
 pub use error::{ApiError, ApiErrorKind};
-pub use json::{escape, Json, JsonParseError};
+pub use json::{Json, JsonParseError};
 pub use metrics::{Counter, Metrics};
 pub use persist::{
     crash_states, DirIo, IoOp, MemIo, PersistError, PersistErrorKind, PersistPolicy,

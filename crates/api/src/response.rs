@@ -11,14 +11,21 @@
 //! envelope (`v`, `id`, `ok` | `error`) and the [`StatsOutcome`] field
 //! table are written out by hand.
 //!
+//! `Wire` encodes by writing bytes, not by building a tree: each value
+//! appends its canonical JSON (`"key": value`, `, ` between members,
+//! strings escaped in place) to one `String`, and
+//! [`AnalysisResponse::to_line`] is the whole response line `twca
+//! serve` sends. The public `to_json` methods read those bytes back
+//! into a [`Json`] value, whose rendering is the same line.
+//!
 //! [`ChainOutcome`] and [`SystemOutcome`] double as the batch records
 //! of [`crate::batch`]: its `ChainVerdict`/`SystemVerdict` are aliases
-//! of these types, and its batch JSON renders each chain through
-//! [`ChainOutcome::to_json`] — one serializer for both the streaming
-//! and the batch surface.
+//! of these types, and its batch JSON writes each chain with the same
+//! encoder, one serializer for both the streaming and the batch
+//! surface.
 
 use crate::error::ApiError;
-use crate::json::Json;
+use crate::json::{push_string, push_u64, Json, ObjectWriter};
 use crate::metrics::{Counter, Metrics};
 use crate::request::SCHEMA_VERSION;
 use twca_chains::{AnalysisContext, AnalysisOptions, ChainReport, DmmResult, DmmSweep};
@@ -29,8 +36,8 @@ use twca_model::ChainId;
 /// A field type of the response schema: how one value is written as a
 /// JSON member and read back.
 pub(crate) trait Wire: Sized {
-    /// The member's value.
-    fn encode(&self) -> Json;
+    /// Appends the member's value to `out` as canonical JSON.
+    fn encode(&self, out: &mut String);
 
     /// Whether the member is left out of its object (only an absent
     /// optional string is).
@@ -49,8 +56,8 @@ fn mismatch(key: &str, what: &str) -> ApiError {
 }
 
 impl Wire for u64 {
-    fn encode(&self) -> Json {
-        Json::UInt(*self)
+    fn encode(&self, out: &mut String) {
+        push_u64(out, *self);
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -61,8 +68,8 @@ impl Wire for u64 {
 }
 
 impl Wire for usize {
-    fn encode(&self) -> Json {
-        Json::UInt(*self as u64)
+    fn encode(&self, out: &mut String) {
+        push_u64(out, *self as u64);
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -71,8 +78,8 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
-    fn encode(&self) -> Json {
-        Json::Bool(*self)
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -83,8 +90,8 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn encode(&self) -> Json {
-        Json::str(self)
+    fn encode(&self, out: &mut String) {
+        push_string(out, self);
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -97,8 +104,11 @@ impl Wire for String {
 
 /// An optional number is always written, as `null` when absent.
 impl Wire for Option<u64> {
-    fn encode(&self) -> Json {
-        self.map_or(Json::Null, Json::UInt)
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -108,8 +118,11 @@ impl Wire for Option<u64> {
 
 /// An optional string is left out when absent.
 impl Wire for Option<String> {
-    fn encode(&self) -> Json {
-        self.as_deref().map_or(Json::Null, Json::str)
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(s) => s.encode(out),
+            None => out.push_str("null"),
+        }
     }
 
     fn omitted(&self) -> bool {
@@ -130,8 +143,15 @@ fn nullable<T: Wire>(value: Option<&Json>, key: &str) -> Result<Option<T>, ApiEr
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self) -> Json {
-        Json::Array(self.iter().map(Wire::encode).collect())
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            item.encode(out);
+        }
+        out.push(']');
     }
 
     fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -141,6 +161,20 @@ impl<T: Wire> Wire for Vec<T> {
             .iter()
             .map(|item| T::decode(Some(item), key))
             .collect()
+    }
+}
+
+/// An error is `{"kind": ..., "message": ...}`.
+impl Wire for ApiError {
+    fn encode(&self, out: &mut String) {
+        let mut object = ObjectWriter::open(out);
+        push_string(object.member("kind"), self.kind.as_str());
+        self.message.encode(object.member("message"));
+        object.close();
+    }
+
+    fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        ApiError::from_json(value.ok_or_else(|| mismatch(key, "an object"))?)
     }
 }
 
@@ -159,6 +193,13 @@ fn member<T: Wire>(body: &Json, key: &str, absent: Option<T>) -> Result<T, ApiEr
         (None, Some(value)) => Ok(value),
         (value, _) => T::decode(value, key),
     }
+}
+
+/// The wire object of `value`, read back from its written bytes.
+pub(crate) fn written_json<T: Wire>(value: &T) -> Json {
+    let mut line = String::new();
+    value.encode(&mut line);
+    Json::parse(&line).expect("the line writer emits valid JSON")
 }
 
 /// Defines response types and their wire form in one place: each field
@@ -185,12 +226,12 @@ macro_rules! wire {
         }
 
         impl Wire for $ty {
-            fn encode(&self) -> Json {
-                let mut members = Vec::with_capacity([$($key),+].len());
+            fn encode(&self, out: &mut String) {
+                let mut object = ObjectWriter::open(out);
                 $(if !self.$field.omitted() {
-                    members.push(($key.into(), self.$field.encode()));
+                    self.$field.encode(object.member($key));
                 })+
-                Json::Object(members)
+                object.close();
             }
 
             fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -216,11 +257,12 @@ macro_rules! wire {
         }
 
         impl Wire for $ty {
-            fn encode(&self) -> Json {
-                let (tag, body) = match self {
-                    $($ty::$variant(body) => ($tag, body.encode()),)+
-                };
-                Json::Object(vec![(tag.into(), body)])
+            fn encode(&self, out: &mut String) {
+                let mut object = ObjectWriter::open(out);
+                match self {
+                    $($ty::$variant(body) => body.encode(object.member($tag)),)+
+                }
+                object.close();
             }
 
             fn decode(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
@@ -491,10 +533,10 @@ impl ChainOutcome {
         Some(self.worst_case_latency? <= self.deadline?)
     }
 
-    /// Serializes the outcome as its wire object (also the engine's
-    /// per-chain batch JSON).
+    /// The outcome's wire object (also the engine's per-chain batch
+    /// JSON), read back from its written bytes.
     pub fn to_json(&self) -> Json {
-        self.encode()
+        written_json(self)
     }
 
     /// Parses the wire object back.
@@ -513,9 +555,9 @@ impl SystemOutcome {
         self.chains.iter().find(|c| c.name == name)
     }
 
-    /// Serializes the outcome as its wire object.
+    /// The outcome's wire object, read back from its written bytes.
     pub fn to_json(&self) -> Json {
-        self.encode()
+        written_json(self)
     }
 
     /// Parses the wire object back.
@@ -726,12 +768,12 @@ impl StatsOutcome {
 }
 
 impl Wire for StatsOutcome {
-    fn encode(&self) -> Json {
-        Json::Object(
-            self.fields()
-                .map(|(name, value)| (name.into(), Json::UInt(value)))
-                .collect(),
-        )
+    fn encode(&self, out: &mut String) {
+        let mut object = ObjectWriter::open(out);
+        for (name, value) in self.fields() {
+            value.encode(object.member(name));
+        }
+        object.close();
     }
 
     /// The edge counters (from [`Counter::OpenConnections`] on) arrived
@@ -810,17 +852,28 @@ impl AnalysisResponse {
         }
     }
 
-    /// Serializes the response as its wire object.
-    pub fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![("v".into(), Json::UInt(self.v))];
+    /// The response as one wire line (without its newline): canonical
+    /// JSON written straight into one `String`, the bytes `twca serve`
+    /// sends.
+    pub fn to_line(&self) -> String {
+        let mut line = String::new();
+        let mut object = ObjectWriter::open(&mut line);
+        self.v.encode(object.member("v"));
         if let Some(id) = &self.id {
-            members.push(("id".into(), Json::str(id)));
+            id.encode(object.member("id"));
         }
         match &self.outcome {
-            Ok(outcomes) => members.push(("ok".into(), outcomes.encode())),
-            Err(error) => members.push(("error".into(), error.to_json())),
+            Ok(outcomes) => outcomes.encode(object.member("ok")),
+            Err(error) => error.encode(object.member("error")),
         }
-        Json::Object(members)
+        object.close();
+        line
+    }
+
+    /// The response's wire object, read back from [`Self::to_line`];
+    /// its `to_string()` is that line.
+    pub fn to_json(&self) -> Json {
+        Json::parse(&self.to_line()).expect("the line writer emits valid JSON")
     }
 
     /// Parses the wire object back.
@@ -837,7 +890,7 @@ impl AnalysisResponse {
         };
         let outcome = match (value.get("ok"), value.get("error")) {
             (Some(ok), None) => Ok(Wire::decode(Some(ok), "ok")?),
-            (None, Some(error)) => Err(ApiError::from_json(error)?),
+            (None, Some(error)) => Err(ApiError::decode(Some(error), "error")?),
             _ => {
                 return Err(ApiError::request(
                     "a response carries exactly one of `ok` and `error`",

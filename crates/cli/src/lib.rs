@@ -332,7 +332,7 @@ pub fn cmd_sim(args: &[String]) -> Result<String, CliError> {
     });
     let response = Session::new().analyze(&request);
     if json {
-        return Ok(format!("{}\n", response.to_json()));
+        return Ok(response.to_line() + "\n");
     }
     let outcomes = response.outcome.map_err(CliError::Api)?;
     let QueryOutcome::Simulate(sim) = &outcomes[0] else {
@@ -1173,7 +1173,7 @@ pub fn cmd_dist(args: &[String]) -> Result<String, CliError> {
     }
     let response = Session::new().analyze(&request);
     if json {
-        return Ok(format!("{}\n", response.to_json()));
+        return Ok(response.to_line() + "\n");
     }
 
     let outcomes = response.outcome.map_err(CliError::Api)?;

@@ -14,10 +14,12 @@
 //! ```
 //!
 //! `#` starts a line comment. Whitespace and newlines are
-//! interchangeable. A chain needs `periodic=` or `sporadic=`; `jitter=`
-//! and `dmin=` refine a periodic chain into a periodic-with-jitter model,
-//! while `burst=` (burst size) and `inner=` (intra-burst distance, default
-//! 1) refine it into a recurring-burst model.
+//! interchangeable, and a brace is a word of its own even when glued to
+//! a neighbour (`periodic=10{`). A chain needs `periodic=` or
+//! `sporadic=`; `jitter=` and `dmin=` refine a periodic chain into a
+//! periodic-with-jitter model, while `burst=` (burst size) and `inner=`
+//! (intra-burst distance, default 1) refine it into a recurring-burst
+//! model.
 //!
 //! # Examples
 //!
@@ -123,47 +125,78 @@ impl From<ModelError> for ParseError {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Token {
+/// One word of the input, borrowed from it, with its 1-based line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Token<'a> {
     line: usize,
-    text: String,
+    text: &'a str,
 }
 
-fn tokenize(input: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    for (i, raw_line) in input.lines().enumerate() {
-        let line = i + 1;
-        let code = raw_line.split('#').next().unwrap_or("");
-        // Make braces standalone tokens.
-        let spaced = code.replace('{', " { ").replace('}', " } ");
-        for word in spaced.split_whitespace() {
-            tokens.push(Token {
-                line,
-                text: word.to_owned(),
-            });
+/// The words of a description, produced lazily and borrowed from it. A
+/// word is a run of characters that are neither whitespace (Unicode's,
+/// as [`char::is_whitespace`]) nor a brace; each brace is a word of its
+/// own, and `#` drops the rest of its line.
+struct Tokens<'a> {
+    input: &'a str,
+    pos: usize,
+    line: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(input: &'a str) -> Self {
+        Tokens {
+            input,
+            pos: 0,
+            line: 1,
         }
     }
-    tokens
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        loop {
+            let rest = &self.input[self.pos..];
+            let c = rest.chars().next()?;
+            match c {
+                '\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                '#' => self.pos += rest.find('\n').unwrap_or(rest.len()),
+                c if c.is_whitespace() => self.pos += c.len_utf8(),
+                _ => {
+                    let len = if matches!(c, '{' | '}') {
+                        1
+                    } else {
+                        rest.find(|c: char| c.is_whitespace() || matches!(c, '{' | '}' | '#'))
+                            .unwrap_or(rest.len())
+                    };
+                    self.pos += len;
+                    return Some(Token {
+                        line: self.line,
+                        text: &rest[..len],
+                    });
+                }
+            }
+        }
+    }
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+struct Parser<'a> {
+    tokens: std::iter::Peekable<Tokens<'a>>,
+}
+
+impl<'a> Parser<'a> {
+    fn at_end(&mut self) -> bool {
+        self.tokens.peek().is_none()
     }
 
-    fn next(&mut self, expected: &'static str) -> Result<Token, ParseError> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or(ParseError::UnexpectedEnd { expected })?;
-        self.pos += 1;
-        Ok(t)
+    fn next(&mut self, expected: &'static str) -> Result<Token<'a>, ParseError> {
+        self.tokens
+            .next()
+            .ok_or(ParseError::UnexpectedEnd { expected })
     }
 
     fn expect(&mut self, literal: &'static str) -> Result<(), ParseError> {
@@ -171,22 +204,30 @@ impl Parser {
         if t.text == literal {
             Ok(())
         } else {
-            Err(ParseError::Unexpected {
-                line: t.line,
-                found: t.text,
-                expected: literal,
-            })
+            Err(t.unexpected(literal))
         }
     }
 }
 
-fn parse_int(token: &Token, key_len: usize) -> Result<Time, ParseError> {
-    token.text[key_len..]
-        .parse()
-        .map_err(|_| ParseError::BadNumber {
-            line: token.line,
-            text: token.text.clone(),
-        })
+impl Token<'_> {
+    /// The error of finding this token where `expected` should be.
+    fn unexpected(self, expected: &'static str) -> ParseError {
+        ParseError::Unexpected {
+            line: self.line,
+            found: self.text.to_owned(),
+            expected,
+        }
+    }
+
+    /// The integer after the `key_len`-byte `key=` prefix.
+    fn int(self, key_len: usize) -> Result<Time, ParseError> {
+        self.text[key_len..]
+            .parse()
+            .map_err(|_| ParseError::BadNumber {
+                line: self.line,
+                text: self.text.to_owned(),
+            })
+    }
 }
 
 /// Parses a system description in the small text format mirroring the
@@ -201,11 +242,10 @@ fn parse_int(token: &Token, key_len: usize) -> Result<Time, ParseError> {
 /// problem, with a line number where applicable.
 pub fn parse_system(input: &str) -> Result<System, ParseError> {
     let mut parser = Parser {
-        tokens: tokenize(input),
-        pos: 0,
+        tokens: Tokens::new(input).peekable(),
     };
     let mut builder = SystemBuilder::new();
-    while parser.peek().is_some() {
+    while !parser.at_end() {
         parser.expect("chain")?;
         let name = parser.next("chain name")?;
 
@@ -222,31 +262,25 @@ pub fn parse_system(input: &str) -> Result<System, ParseError> {
 
         loop {
             let t = parser.next("chain attribute or `{`")?;
-            match t.text.as_str() {
+            match t.text {
                 "{" => break,
                 "sync" => kind = ChainKind::Synchronous,
                 "async" => kind = ChainKind::Asynchronous,
                 "overload" => overload = true,
-                s if s.starts_with("periodic=") => period = Some(parse_int(&t, 9)?),
-                s if s.starts_with("sporadic=") => sporadic = Some(parse_int(&t, 9)?),
-                s if s.starts_with("deadline=") => deadline = Some(parse_int(&t, 9)?),
+                s if s.starts_with("periodic=") => period = Some(t.int(9)?),
+                s if s.starts_with("sporadic=") => sporadic = Some(t.int(9)?),
+                s if s.starts_with("deadline=") => deadline = Some(t.int(9)?),
                 s if s.starts_with("jitter=") => {
-                    jitter = parse_int(&t, 7)?;
+                    jitter = t.int(7)?;
                     has_jitter_attrs = true;
                 }
                 s if s.starts_with("dmin=") => {
-                    dmin = parse_int(&t, 5)?;
+                    dmin = t.int(5)?;
                     has_jitter_attrs = true;
                 }
-                s if s.starts_with("burst=") => burst = Some(parse_int(&t, 6)?),
-                s if s.starts_with("inner=") => inner = parse_int(&t, 6)?,
-                _ => {
-                    return Err(ParseError::Unexpected {
-                        line: t.line,
-                        found: t.text,
-                        expected: "chain attribute or `{`",
-                    })
-                }
+                s if s.starts_with("burst=") => burst = Some(t.int(6)?),
+                s if s.starts_with("inner=") => inner = t.int(6)?,
+                _ => return Err(t.unexpected("chain attribute or `{`")),
             }
         }
 
@@ -277,7 +311,7 @@ pub fn parse_system(input: &str) -> Result<System, ParseError> {
             }
             (Some(_), Some(_)) | (None, None) => {
                 return Err(ParseError::MissingActivation {
-                    chain: name.text.clone(),
+                    chain: name.text.to_owned(),
                 })
             }
         };
@@ -292,37 +326,23 @@ pub fn parse_system(input: &str) -> Result<System, ParseError> {
 
         loop {
             let t = parser.next("`task` or `}`")?;
-            match t.text.as_str() {
+            match t.text {
                 "}" => break,
                 "task" => {
                     let task_name = parser.next("task name")?;
                     let prio_token = parser.next("prio=")?;
                     if !prio_token.text.starts_with("prio=") {
-                        return Err(ParseError::Unexpected {
-                            line: prio_token.line,
-                            found: prio_token.text,
-                            expected: "prio=",
-                        });
+                        return Err(prio_token.unexpected("prio="));
                     }
-                    let prio = parse_int(&prio_token, 5)?;
+                    let prio = prio_token.int(5)?;
                     let wcet_token = parser.next("wcet=")?;
                     if !wcet_token.text.starts_with("wcet=") {
-                        return Err(ParseError::Unexpected {
-                            line: wcet_token.line,
-                            found: wcet_token.text,
-                            expected: "wcet=",
-                        });
+                        return Err(wcet_token.unexpected("wcet="));
                     }
-                    let wcet = parse_int(&wcet_token, 5)?;
+                    let wcet = wcet_token.int(5)?;
                     cb = cb.task(task_name.text, prio as u32, wcet);
                 }
-                _ => {
-                    return Err(ParseError::Unexpected {
-                        line: t.line,
-                        found: t.text,
-                        expected: "`task` or `}`",
-                    })
-                }
+                _ => return Err(t.unexpected("`task` or `}`")),
             }
         }
         builder = cb.done();
@@ -531,6 +551,120 @@ mod tests {
     #[test]
     fn empty_input_fails_validation() {
         assert!(matches!(parse_system(""), Err(ParseError::Model(_))));
+    }
+
+    /// The allocating tokenizer the borrowed [`Tokens`] replaced, kept
+    /// as the reference it must agree with.
+    fn reference_tokens(input: &str) -> Vec<(usize, String)> {
+        let mut tokens = Vec::new();
+        for (i, raw_line) in input.lines().enumerate() {
+            let code = raw_line.split('#').next().unwrap_or("");
+            let spaced = code.replace('{', " { ").replace('}', " } ");
+            for word in spaced.split_whitespace() {
+                tokens.push((i + 1, word.to_owned()));
+            }
+        }
+        tokens
+    }
+
+    /// Fragments that generated descriptions are glued from: keywords,
+    /// glued braces, comments after `{`, every line ending, ASCII and
+    /// Unicode whitespace, and non-ASCII names.
+    const FRAGMENTS: [&str; 28] = [
+        "chain",
+        "task",
+        "periodic=10",
+        "prio=1",
+        "wcet=2",
+        "{",
+        "}",
+        "periodic=10{task",
+        "}}",
+        "{#",
+        "# c { }",
+        "x#y",
+        "#",
+        " ",
+        "\t",
+        "\n",
+        "\r\n",
+        "\r",
+        "\n\n",
+        "\u{a0}",
+        "\u{2003}",
+        "\u{85}",
+        "\u{b}",
+        "\u{2028}",
+        "τ_a1",
+        "é{",
+        "wcét=3",
+        "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn borrowed_tokens_match_the_reference_tokenizer(
+            picks in proptest::collection::vec(0..FRAGMENTS.len(), 0..60)
+        ) {
+            let input: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            let tokens: Vec<(usize, String)> = Tokens::new(&input)
+                .map(|t| (t.line, t.text.to_owned()))
+                .collect();
+            proptest::prop_assert_eq!(tokens, reference_tokens(&input), "{:?}", input);
+        }
+    }
+
+    #[test]
+    fn parse_errors_render_as_before() {
+        for (input, message) in [
+            ("chains x periodic=5 { }", "line 1: expected chain, found `chains`"),
+            (
+                "chain x periodic=ten {\n task t prio=1 wcet=2 }",
+                "line 1: `periodic=ten` is not a valid number",
+            ),
+            (
+                "chain x deadline=5 { task t prio=1 wcet=2 }",
+                "chain `x` needs `periodic=` or `sporadic=`",
+            ),
+            (
+                "chain x periodic=5 { task t prio=1",
+                "unexpected end of input, expected wcet=",
+            ),
+            (
+                "chain x periodic=5 #{ \n { task t prio=1 wcet=2 } \n chain",
+                "unexpected end of input, expected chain name",
+            ),
+            (
+                "chain x periodic=5{task t prio=1 wcet=2}\r\n# c\r\nchain y\u{a0}sporadic=7 {\ttask u wcet=3 }",
+                "line 3: expected prio=, found `wcet=3`",
+            ),
+            (
+                "\n\nchain x periodic=5 { task t prio=1 wcet=2 } chain y periodic=5 { task u prio=x wcet=1 }",
+                "line 3: `prio=x` is not a valid number",
+            ),
+            (
+                "chain x periodic=5 {\u{2003}bogus }",
+                "line 1: expected `task` or `}`, found `bogus`",
+            ),
+            (
+                "chain x periodic=5 foo{",
+                "line 1: expected chain attribute or `{`, found `foo`",
+            ),
+            (
+                "chain τ periodic=5 { task ü prio=1 wcét=2 }",
+                "line 1: expected wcet=, found `wcét=2`",
+            ),
+            (
+                "chain x\nperiodic=400 burst=4 jitter=10 { task t prio=1 wcet=2 }",
+                "line 1: expected either a jittered or a bursty chain, not both, \
+                 found `burst= with jitter=/dmin=`",
+            ),
+        ] {
+            let error = parse_system(input).unwrap_err();
+            assert_eq!(error.to_string(), message, "{input:?}");
+        }
     }
 
     #[test]

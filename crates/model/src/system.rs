@@ -45,7 +45,7 @@ impl System {
         if chains.is_empty() {
             return Err(ModelError::NoChains);
         }
-        let mut chain_names = HashSet::new();
+        let mut chain_names = HashSet::with_capacity(chains.len());
         let mut task_names = HashSet::new();
         for chain in &chains {
             if chain.tasks.is_empty() {
@@ -53,7 +53,7 @@ impl System {
                     chain: chain.name.clone(),
                 });
             }
-            if !chain_names.insert(chain.name.clone()) {
+            if !chain_names.insert(chain.name.as_str()) {
                 return Err(ModelError::DuplicateChainName {
                     name: chain.name.clone(),
                 });
@@ -64,7 +64,7 @@ impl System {
                 });
             }
             for task in &chain.tasks {
-                if !task_names.insert(task.name().to_owned()) {
+                if !task_names.insert(task.name()) {
                     return Err(ModelError::DuplicateTaskName {
                         name: task.name().to_owned(),
                     });

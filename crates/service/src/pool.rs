@@ -131,6 +131,15 @@ struct LaneQueue {
     finished: bool,
 }
 
+/// Writes one answer and its newline in a single `write_all`, so an
+/// unbuffered socket sends it with one call. The lanes account for the
+/// line as `line.len() + 1` bytes, which is what this writes.
+fn send_line(writer: &mut (dyn Write + Send), mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
@@ -199,8 +208,7 @@ impl Connection {
                         queue.ready_bytes -= line.len() + 1;
                         drop(queue);
                         if !dead.load(Ordering::Relaxed) {
-                            let wrote = writeln!(writer, "{line}").and_then(|()| writer.flush());
-                            if let Err(e) = wrote {
+                            if let Err(e) = send_line(&mut writer, line) {
                                 match e.kind() {
                                     std::io::ErrorKind::TimedOut
                                     | std::io::ErrorKind::WouldBlock => {
@@ -298,8 +306,7 @@ impl Connection {
                     continue; // keep sequencing so the lane retires
                 }
                 let writer = out.writer.as_mut().expect("sync lane has a writer");
-                let wrote = writeln!(writer, "{line}").and_then(|()| writer.flush());
-                if let Err(e) = wrote {
+                if let Err(e) = send_line(writer, line) {
                     self.dead.store(true, Ordering::Relaxed);
                     out.write_error = Some(e);
                 }
@@ -716,9 +723,7 @@ impl WorkerPool {
         self.metrics.add(Counter::Errors, 1);
         conn.deliver(
             seq,
-            AnalysisResponse::error(request_id(line), error)
-                .to_json()
-                .to_string(),
+            AnalysisResponse::error(request_id(line), error).to_line(),
         );
     }
 
@@ -728,10 +733,7 @@ impl WorkerPool {
     pub fn respond_local_error(&self, conn: &Arc<Connection>, seq: u64, error: ApiError) {
         self.metrics.add(Counter::Served, 1);
         self.metrics.add(Counter::Errors, 1);
-        conn.deliver(
-            seq,
-            AnalysisResponse::error(None, error).to_json().to_string(),
-        );
+        conn.deliver(seq, AnalysisResponse::error(None, error).to_line());
     }
 
     /// Graceful drain: closes admission (new submissions become typed
@@ -814,7 +816,7 @@ fn worker_loop(
         metrics.add(Counter::Served, 1);
         metrics.sub(Counter::InFlight, 1);
         latency.record(started.elapsed());
-        job.conn.deliver(job.seq, response.to_json().to_string());
+        job.conn.deliver(job.seq, response.to_line());
     }
 }
 
@@ -841,6 +843,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     /// A shared in-memory sink usable as a connection writer.
     #[derive(Clone, Default)]
@@ -863,6 +866,79 @@ pub(crate) mod tests {
     }
 
     const CHAIN: &str = "chain c periodic=100 deadline=100 { task t prio=1 wcet=10 }";
+
+    /// A writer that counts its `write` calls. When given a gate, its
+    /// first write reports itself on `entered` and then waits for
+    /// `release`, holding the lane's writer thread inside that write.
+    struct CountingSink {
+        writes: Arc<std::sync::atomic::AtomicUsize>,
+        bytes: SharedSink,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            if let Some((entered, release)) = self.gate.take() {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.bytes.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_answer_is_one_write_on_both_lanes() {
+        for buffered in [false, true] {
+            let writes = Arc::default();
+            let bytes = SharedSink::default();
+            let sink = Box::new(CountingSink {
+                writes: Arc::clone(&writes),
+                bytes: bytes.clone(),
+                gate: None,
+            });
+            let conn = if buffered {
+                Connection::buffered(sink, 0, Arc::new(Metrics::new()), None)
+            } else {
+                Connection::new(sink)
+            };
+            // Out of order, so parked answers are written too.
+            for (seq, line) in [(2, "{\"c\": 3}"), (0, "{\"v\": 1}"), (1, "")] {
+                conn.deliver(seq, line.to_owned());
+            }
+            conn.await_retired(3);
+            assert_eq!(writes.load(Ordering::Relaxed), 3, "buffered: {buffered}");
+            assert_eq!(bytes.text(), "{\"v\": 1}\n\n{\"c\": 3}\n");
+        }
+    }
+
+    #[test]
+    fn the_write_budget_counts_each_line_and_its_newline() {
+        let (entered, entered_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        let sink = CountingSink {
+            writes: Arc::default(),
+            bytes: SharedSink::default(),
+            gate: Some((entered, release)),
+        };
+        let metrics = Arc::new(Metrics::new());
+        let conn = Connection::buffered(Box::new(sink), 10, Arc::clone(&metrics), None);
+        conn.deliver(0, "held".to_owned());
+        // The writer thread has taken line 0 and is stuck writing it, so
+        // only later lines are outstanding.
+        entered_rx.recv().unwrap();
+        conn.deliver(1, "abcd".to_owned());
+        conn.deliver(2, "abcd".to_owned());
+        assert!(!conn.is_dead(), "10 outstanding bytes fit a 10-byte budget");
+        conn.deliver(3, String::new());
+        assert!(conn.is_dead(), "the empty line's newline is the 11th byte");
+        assert_eq!(metrics.get(Counter::SlowConsumers), 1);
+        release_tx.send(()).unwrap();
+        conn.await_retired(4);
+    }
 
     fn request_line(id: &str) -> String {
         format!("{{\"id\": \"{id}\", \"system\": \"{CHAIN}\"}}")

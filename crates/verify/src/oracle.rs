@@ -639,7 +639,7 @@ fn check_service_robustness(
             .with_options(opts.options)
             .with_max_sweeps(opts.max_sweeps)
     };
-    let expected = respond_line(&mk_session(), &line).to_json().to_string();
+    let expected = respond_line(&mk_session(), &line).to_line();
 
     // Keep the oversized frame cheap: a limit just above the valid
     // request instead of the production 1 MiB default.
